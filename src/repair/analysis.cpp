@@ -301,7 +301,8 @@ MakespanBound makespan_lower_bound(const RepairPlan& plan,
         busy[{kRackRx, cluster.rack_of(op.node)}] += dur;
       }
     } else if (op.kind == OpKind::kCombine && net.charge_compute) {
-      const double r = rate[&op - plan.ops.data()];
+      const double r =
+          rate[static_cast<std::size_t>(&op - plan.ops.data())];
       busy[{kCpu, op.node}] += time_at(bytes, r);
     }
   }

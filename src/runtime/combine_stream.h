@@ -1,20 +1,18 @@
-// Internal helper: the slice-streamed combine loop shared by the real
-// executors (runtime::Testbed and net::TcpRuntime).
+// Internal helper: the slice-streamed combine loop of runtime::Executor
+// (also run alone by benchmarks).
 //
 // A combine consumes one slice from every input as soon as all of them
 // published it, accumulates into the op's pre-sized buffer, and publishes
 // the result slice immediately — downstream sends start forwarding while
 // later slices are still being computed. The optimized path runs one fused
 // multi-source pass per slice, sharded across the process thread pool
-// (util::ThreadPool) so wide combines are no longer pinned to the node's
-// single worker; the matrix-cost path deliberately keeps the per-source
-// general multiply passes (the paper's unoptimized-decoder cost model) and
-// is not sharded, so its measured cost stays comparable across PRs.
+// (util::ThreadPool); the matrix-cost path deliberately keeps the
+// per-source general multiply passes (the paper's unoptimized-decoder cost
+// model) and is not sharded, so its measured cost stays comparable across
+// PRs. Inputs are read in place from the shared state, never copied.
 //
-// Whole-block mode is the one-slice degenerate case: a single wait on all
-// inputs, one fused pass — which also fixes the historical behavior of
-// copying every input into scratch buffers before combining (inputs are
-// now read in place from the shared state).
+// Whole-block mode is the one-slice case: a single wait on all inputs, one
+// fused pass.
 #pragma once
 
 #include <chrono>
@@ -51,7 +49,7 @@ inline void build_and_invert_matrix(std::size_t dim) {
 /// On success every slice is published and true is returned; on input
 /// failure or node death the op is failed and false is returned.
 /// `op_start` is set when the first slice's inputs became ready, so the
-/// recorded span excludes the dependency wait like the historical path.
+/// recorded span excludes the dependency wait.
 template <typename IsNodeDead>
 bool stream_combine(ExecState& state, const repair::PlanOp& op,
                     repair::OpId id, std::size_t decode_matrix_dim,

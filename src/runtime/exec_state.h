@@ -1,19 +1,18 @@
-// Slice-aware shared execution state for the real executors
-// (runtime::Testbed and net::TcpRuntime).
+// Slice-aware shared execution state of runtime::Executor (the engine
+// under runtime::Testbed and net::TcpRuntime).
 //
-// Both engines run one producer per op and many consumers waiting on op
-// values. Historically a value was an all-or-nothing Block; slice
-// pipelining (Li et al., "Repair Pipelining for Erasure-Coded Storage")
-// cuts every value into fixed-size slices that become visible to consumers
-// one by one, so a downstream combine/send can start the moment slice 0
-// lands instead of buffering the whole intermediate. This header carries
-// the state machine both engines share:
+// The executor runs one producer thread per op and many consumers waiting
+// on op values. Slice pipelining (Li et al., "Repair Pipelining for
+// Erasure-Coded Storage") cuts every value into fixed-size slices that
+// become visible to consumers one by one, so a downstream combine/send can
+// start the moment slice 0 lands instead of buffering the whole
+// intermediate:
 //
 //  * every op value is one pre-sized accumulator buffer, allocated lazily
 //    by its producer and never reallocated afterwards — consumers read
 //    published regions by reference (no per-message scratch copies);
 //  * slices complete strictly in order per op (each op has exactly one
-//    producer thread), so per-op progress is a single counter;
+//    producer), so per-op progress is a single counter;
 //  * publication is mutex-protected: a consumer that observed
 //    `slices_done[id] > s` under the lock reads slice s's bytes
 //    happens-after the producer wrote them. Producers write slice bytes
@@ -21,10 +20,10 @@
 //  * resolution is first-wins (a TCP send can be failed by its sender and
 //    published by its acceptor in a race; whichever lands first sticks).
 //
-// Whole-block mode is the degenerate case slice_count == 1; engines built
-// on this state keep their historical store-and-forward behavior there.
+// Whole-block mode is the case slice_count == 1, with no code of its own.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -127,13 +126,25 @@ class ExecState {
                ? 0
                : (s + 1 == slices_ ? value_size_ - off : slice_size_);
   }
+  /// Byte length of slices [first, upto).
+  [[nodiscard]] std::size_t range_len(std::size_t first,
+                                      std::size_t upto) const noexcept {
+    return std::min(slice_offset(upto), value_size_) - slice_offset(first);
+  }
 
   /// The op's accumulator buffer, sized on first call. Only the op's
   /// producer may call this before publication; the returned reference
-  /// (and the buffer's data pointer) is stable for the run.
+  /// (and the buffer's data pointer) is stable for the run. The zeroed
+  /// buffer is allocated outside the lock: whole-block values are large,
+  /// and every other op's publish and wait takes the same lock.
   rs::Block& storage(repair::OpId id) {
+    {
+      std::unique_lock lock(mu);
+      if (value[id].size() == value_size_) return value[id];
+    }
+    rs::Block fresh(value_size_, 0);
     std::unique_lock lock(mu);
-    if (value[id].size() != value_size_) value[id].assign(value_size_, 0);
+    if (value[id].size() != value_size_) value[id] = std::move(fresh);
     return value[id];
   }
 
@@ -141,25 +152,7 @@ class ExecState {
   /// failed (false).
   bool wait_inputs_slice(const std::vector<repair::OpId>& ids,
                          std::size_t s) {
-    std::unique_lock lock(mu);
-    wait_on(lock, [&] {
-      for (repair::OpId id : ids) {
-        if (failed[id]) return true;
-      }
-      for (repair::OpId id : ids) {
-        if (slices_done[id] <= s) return false;
-      }
-      return true;
-    });
-    for (repair::OpId id : ids) {
-      if (failed[id]) return false;
-    }
-    return true;
-  }
-
-  /// Blocks until every input is fully done (true) or any failed (false).
-  bool wait_inputs_done(const std::vector<repair::OpId>& ids) {
-    return slices_ == 0 ? true : wait_inputs_slice(ids, slices_ - 1);
+    return wait_inputs_slices_batch(ids, s, s + 1) != 0;
   }
 
   /// Batch form of wait_inputs_slice: blocks until every input has
@@ -226,8 +219,8 @@ class ExecState {
     check::notify_object(cond_obj());
   }
 
-  /// Publishes a complete value in one step (whole-block producers, and a
-  /// sliced sender's retry path publishing a fully materialized value).
+  /// Publishes a complete value in one step (callers holding a fully
+  /// materialized value, e.g. benchmarks seeding inputs).
   /// When the accumulator was pre-sized by storage(), the bytes are copied
   /// into it rather than move-replacing the vector: a concurrent slice
   /// consumer may hold the buffer's data() pointer across this call (the

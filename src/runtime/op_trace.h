@@ -1,11 +1,11 @@
-// Internal helper: wall-clock span recording for the real executors
-// (runtime::Testbed and net::TcpRuntime).
+// Internal helper: wall-clock span recording for runtime::Executor (the
+// engine under runtime::Testbed and net::TcpRuntime).
 //
-// Both executors run one worker thread per node and execute the same
-// RepairPlan ops the simulators lower; this header turns each executed op
-// into an obs::Span on the same track layout the simulators use (transfers
-// on the receiving node's row, computes on their own node's row), so a
-// simulated and a real trace of one plan line up row-for-row in Perfetto.
+// The executor runs the same RepairPlan ops the simulators lower, one
+// thread per op; this header turns each executed op into an obs::Span on
+// the same track layout the simulators use (transfers on the receiving
+// node's row, computes on their own node's row), so a simulated and a real
+// trace of one plan line up row-for-row in Perfetto.
 #pragma once
 
 #include <chrono>

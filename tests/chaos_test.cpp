@@ -1,7 +1,8 @@
 // Chaos integration tests: helpers die mid-repair on every execution engine
 // (discrete-event simulator, threaded testbed, TCP loopback) and the
 // resilient driver re-plans to a byte-identical, checksum-verified result;
-// stragglers trigger bounded retry without a re-plan; the storage layer
+// transient stragglers trigger bounded retry without a re-plan, permanent
+// ones get the straggler itself declared lost; the storage layer
 // commits only verified blocks; failure injection honours the k-erasure
 // recoverability boundary.
 #include "repair/resilient.h"
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
 
 #include "net/tcp_runtime.h"
 #include "obs/metrics.h"
@@ -353,6 +355,53 @@ TEST(ChaosTcp, SliceModeHelperDeathMidStreamTriggersReplan) {
   EXPECT_GE(outcome.replans, 1u);
   EXPECT_GE(outcome.faults_injected, 1u);
   EXPECT_TRUE(rt.dead_nodes().count(victim));
+}
+
+// --- both threaded engines ------------------------------------------------
+
+template <typename Engine>
+class ChaosStraggler : public ::testing::Test {};
+using ThreadedEngines =
+    ::testing::Types<rpr::runtime::Testbed, rpr::net::TcpRuntime>;
+TYPED_TEST_SUITE(ChaosStraggler, ThreadedEngines);
+
+TYPED_TEST(ChaosStraggler, PermanentStragglerIsDeclaredLostNotItsReceivers) {
+  // A sender that straggles on every attempt exhausts its retries. The
+  // engine must declare the *sender* lost, so one re-plan around it
+  // rebuilds the block — not blame the healthy receivers one by one.
+  for (const std::size_t slice : {std::size_t{0}, std::size_t{4096}}) {
+    RepairCase c(64 << 10, 64 << 10);
+    const NodeId straggler = c.cross_send_source();
+    rpr::runtime::ExecutorParams p;
+    p.net = rpr::runtime::RegionNet::uniform(c.placed.cluster.racks(),
+                                             rpr::util::Bandwidth::gbps(10),
+                                             rpr::util::Bandwidth::gbps(1));
+    p.decode_matrix_dim = 6;
+    p.slice_size = slice;
+    p.faults.stragglers.push_back(
+        {straggler, 50.0, std::numeric_limits<std::size_t>::max()});
+    p.retry.straggler_threshold = 1.5;
+    p.retry.base_backoff_s = 0.001;
+    p.retry.op_deadline_s = 5.0;
+
+    {
+      TypeParam engine(c.placed.cluster, p);
+      const auto planned = c.planner->plan(c.problem);
+      const auto result =
+          engine.execute(planned.plan, planned.outputs, c.stripe);
+      ASSERT_TRUE(result.abort.has_value()) << "slice=" << slice;
+      EXPECT_EQ(result.abort->dead_node, straggler) << "slice=" << slice;
+      EXPECT_FALSE(result.abort->partitioned) << "slice=" << slice;
+    }
+
+    TypeParam engine(c.placed.cluster, p);
+    const auto outcome = rpr::repair::execute_resilient_with(
+        engine, c.problem, *c.planner, c.stripe, {});
+    expect_verified_output(outcome, c.stripe);
+    EXPECT_EQ(outcome.replans, 1u) << "slice=" << slice;
+    EXPECT_EQ(engine.dead_nodes(), std::set<NodeId>{straggler})
+        << "slice=" << slice;
+  }
 }
 
 // --- storage layer --------------------------------------------------------

@@ -38,6 +38,20 @@ TEST(ModelCheck, MicroRepairWithFaultInjectionClean) {
   EXPECT_GT(r.schedules, 2578u);
 }
 
+TEST(ModelCheck, WholeBlockMicroRepairWithFaultInjectionClean) {
+  // One slice is whole-block mode: the same per-op executor, explored with
+  // the micro case's preemption bound and kill candidates.
+  check::ExploreOptions opts;
+  opts.preemption_bound = 2;
+  opts.fault_budget = 1;
+  opts.fault_candidates = check::scenarios::testbed_micro_fault_candidates();
+  const auto r = check::explore(check::scenarios::testbed_micro(1), opts);
+  EXPECT_FALSE(r.violation.has_value()) << r.violation->message << "\n  "
+                                        << r.violation->schedule;
+  EXPECT_TRUE(r.complete);
+  EXPECT_GT(r.schedules, 100u);
+}
+
 TEST(ModelCheck, ResilientReplanSchedulesClean) {
   check::ExploreOptions opts;
   opts.preemption_bound = 2;

@@ -314,7 +314,8 @@ TEST(SlicedSimnet, FluidModelTrafficInvariantAndNoSlowdown) {
   // Fluid fair-sharing may already overlap flows, but slicing must never
   // make the makespan worse (the self-chain serializes each stream exactly
   // as its ports would).
-  EXPECT_LE(result.total_repair_time, base.total_repair_time * 1.0001);
+  EXPECT_LE(static_cast<double>(result.total_repair_time),
+            static_cast<double>(base.total_repair_time) * 1.0001);
 }
 
 TEST(SlicedSimnet, WholeBlockSliceSizeIsIdentityLowering) {

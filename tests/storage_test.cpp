@@ -125,12 +125,13 @@ TEST_P(StorageRepairTest, RepairAfterMultiFailure) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, StorageRepairTest,
                          ::testing::Values(Scheme::kTraditional, Scheme::kCar,
-                                           Scheme::kRpr),
+                                           Scheme::kRpr, Scheme::kRprChained),
                          [](const ::testing::TestParamInfo<Scheme>& i) {
                            switch (i.param) {
                              case Scheme::kTraditional: return "traditional";
                              case Scheme::kCar: return "car";
                              case Scheme::kRpr: return "rpr";
+                             case Scheme::kRprChained: return "rpr_chained";
                            }
                            return "unknown";
                          });

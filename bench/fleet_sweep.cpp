@@ -78,16 +78,11 @@ struct Fleet {
         cluster, kCfg, rpr::topology::PlacementPolicy::kRpr);
     placements.reserve(kStripes);
     for (std::size_t s = 0; s < kStripes; ++s) {
-      std::vector<rpr::topology::NodeId> nodes(kCfg.total());
+      placements.push_back(base.rotated(s));
       std::size_t failed = s % kCfg.total();
       for (std::size_t b = 0; b < kCfg.total(); ++b) {
-        const auto node = base.node_of(b);
-        const auto rack = (cluster.rack_of(node) + s) % cluster.racks();
-        nodes[b] = rack * cluster.nodes_per_rack() +
-                   node % cluster.nodes_per_rack();
-        if (nodes[b] == 0) failed = b;
+        if (placements.back().node_of(b) == 0) failed = b;
       }
-      placements.emplace_back(cluster, kCfg, std::move(nodes));
       StripeArrival arrival;
       arrival.problem.code = &code;
       arrival.problem.placement = &placements.back();

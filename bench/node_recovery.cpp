@@ -6,10 +6,45 @@
 // places many rack-rotated RS(8,4) stripes, kills one node, and repairs all
 // damaged stripes concurrently under each scheme, reporting the fleet
 // makespan and the per-rack cross-rack upload distribution.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include "bench_support.h"
-#include "repair/fleet.h"
+#include "sched/scheduler.h"
+
+namespace {
+
+/// Load-balance statistics over per-rack byte counts (racks with zero
+/// traffic included): max / mean and coefficient of variation.
+struct Balance {
+  double max_over_mean = 0.0;
+  double cv = 0.0;
+};
+
+Balance balance(const std::vector<std::uint64_t>& per_rack) {
+  double sum = 0.0;
+  double max = 0.0;
+  for (const auto bytes : per_rack) {
+    sum += static_cast<double>(bytes);
+    max = std::max(max, static_cast<double>(bytes));
+  }
+  const double racks = static_cast<double>(per_rack.size());
+  const double mean = racks > 0 ? sum / racks : 0.0;
+  double var = 0.0;
+  for (const auto bytes : per_rack) {
+    const double d = static_cast<double>(bytes) - mean;
+    var += d * d;
+  }
+  Balance b;
+  b.max_over_mean = mean > 0 ? max / mean : 0.0;
+  b.cv = mean > 0 ? std::sqrt(var / racks) / mean : 0.0;
+  return b;
+}
+
+}  // namespace
 
 int main() {
   using namespace rpr;
@@ -26,29 +61,23 @@ int main() {
   std::vector<topology::Placement> placements;
   placements.reserve(stripes);
   for (std::size_t s = 0; s < stripes; ++s) {
-    std::vector<topology::NodeId> nodes(cfg.total());
-    for (std::size_t b = 0; b < cfg.total(); ++b) {
-      const auto node = base.node_of(b);
-      const auto rack = (cluster.rack_of(node) + s) % cluster.racks();
-      nodes[b] = rack * cluster.nodes_per_rack() +
-                 node % cluster.nodes_per_rack();
-    }
-    placements.emplace_back(cluster, cfg, std::move(nodes));
+    placements.push_back(base.rotated(s));
   }
 
-  // Kill one node; collect the repair problem of every damaged stripe.
+  // Kill one node; every damaged stripe arrives at t=0 and is admitted at
+  // once, so the wave runs fully concurrent with nothing else on the wire.
   const topology::NodeId dead = cluster.slot(0, 0);
-  repair::FleetProblem fleet;
+  sched::FleetWorkload fleet;
   for (const auto& placement : placements) {
     for (std::size_t b = 0; b < cfg.total(); ++b) {
       if (placement.node_of(b) != dead) continue;
-      repair::RepairProblem p;
-      p.code = &code;
-      p.placement = &placement;
-      p.block_size = bench::kPaperBlock;
-      p.failed = {b};
-      p.choose_default_replacements();
-      fleet.stripes.push_back(std::move(p));
+      sched::StripeArrival arrival;
+      arrival.problem.code = &code;
+      arrival.problem.placement = &placement;
+      arrival.problem.block_size = bench::kPaperBlock;
+      arrival.problem.failed = {b};
+      arrival.problem.choose_default_replacements();
+      fleet.stripes.push_back(std::move(arrival));
       break;
     }
   }
@@ -63,17 +92,18 @@ int main() {
   double tra_makespan = 0;
   for (const auto scheme : {repair::Scheme::kTraditional, repair::Scheme::kCar,
                             repair::Scheme::kRpr}) {
-    const auto planner = repair::make_planner(scheme);
-    const auto out =
-        repair::simulate_fleet(*planner, fleet, cluster, params);
-    if (scheme == repair::Scheme::kTraditional) {
-      tra_makespan = util::to_sec(out.makespan);
-    }
-    t.add_row({planner->name(), util::fmt(util::to_sec(out.makespan), 1),
+    sched::SchedulerOptions opts;
+    opts.scheme = scheme;
+    opts.max_inflight = std::numeric_limits<std::size_t>::max();
+    const auto out = sched::run_fleet(fleet, cluster, params, opts);
+    if (scheme == repair::Scheme::kTraditional) tra_makespan = out.makespan_s;
+    const Balance up = balance(out.rack_upload_bytes);
+    const Balance down = balance(out.rack_download_bytes);
+    t.add_row({repair::make_planner(scheme)->name(),
+               util::fmt(out.makespan_s, 1),
                util::fmt(static_cast<double>(out.cross_rack_bytes) / 1e9, 1),
-               util::fmt(out.upload_imbalance, 2),
-               util::fmt(out.download_imbalance, 2),
-               util::fmt(out.download_cv, 2)});
+               util::fmt(up.max_over_mean, 2), util::fmt(down.max_over_mean, 2),
+               util::fmt(down.cv, 2)});
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("shape check: traditional funnels every download into the "

@@ -14,6 +14,7 @@
 #include "repair/executor_data.h"
 #include "repair/lowering.h"
 #include "repair/plan.h"
+#include "simnet/instrument.h"
 #include "simnet/simnet.h"
 #include "util/contracts.h"
 #include "util/units.h"
@@ -284,7 +285,10 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
   std::vector<OpId> cur_outputs = planned.outputs;
   std::vector<std::size_t> eq_of_output(eqs.size());
   for (std::size_t i = 0; i < eqs.size(); ++i) eq_of_output[i] = i;
-  std::vector<rs::Block> ext_stripe(stripe.begin(), stripe.end());
+  // The first attempt reads the caller's stripe in place; a re-plan that
+  // banks partials copies it once and appends them as pseudo slots.
+  std::vector<rs::Block> ext_stripe;
+  std::span<const rs::Block> cur_stripe = stripe;
 
   const auto salvage_throw = [&]() {
     std::size_t values = 0;
@@ -312,7 +316,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 
   for (std::size_t round = 0;; ++round) {
     check::point(check::PointKind::kReplan, round, 0, "resilient.attempt");
-    const AttemptOutcome a = attempt(cur_plan, cur_outputs, ext_stripe);
+    AttemptOutcome a = attempt(cur_plan, cur_outputs, cur_stripe);
     out.retries += a.retries;
     out.faults_injected += a.faults_injected;
     out.total_time_s += a.elapsed_s;
@@ -331,7 +335,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
                     "a completed attempt delivers every requested output");
       for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
         EqState& s = eqs[eq_of_output[i]];
-        s.result = a.outputs[i];
+        s.result = std::move(a.outputs[i]);
         s.done = true;
       }
       break;
@@ -448,7 +452,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     std::vector<OpId> next_outputs;
     std::vector<std::size_t> next_eq_of_output;
     std::vector<verify::RemainderCheck> audit;
-    ext_stripe.assign(stripe.begin(), stripe.end());
+    ext_stripe.clear();
 
     for (std::size_t e = 0; e < eqs.size(); ++e) {
       EqState& s = eqs[e];
@@ -535,6 +539,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       req.destination = s.destination;
       req.with_matrix = s.with_matrix;
       for (auto& p : s.partials) {
+        if (ext_stripe.empty()) ext_stripe.assign(stripe.begin(), stripe.end());
         p.slot = ext_stripe.size();
         req.partials.push_back(RemainderPartial{p.slot, p.node});
         ext_stripe.push_back(p.value);
@@ -586,6 +591,8 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     cur_plan = std::move(next_plan);
     cur_outputs = std::move(next_outputs);
     eq_of_output = std::move(next_eq_of_output);
+    cur_stripe = ext_stripe.empty() ? stripe
+                                    : std::span<const rs::Block>(ext_stripe);
   }
 
   out.outputs.resize(eqs.size());
@@ -601,13 +608,14 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 namespace {
 
 /// Discrete-event chaos engine: executes plans on SimNetwork under a fault
-/// schedule, on a session-wide simulated clock.
+/// schedule, on a session-wide simulated clock. Every attempt's run is
+/// recorded into `probe`, as repair::simulate records its one run.
 class SimChaosEngine {
  public:
   SimChaosEngine(const topology::Cluster& cluster,
                  const topology::NetworkParams& net,
-                 const fault::FaultSchedule& faults)
-      : cluster_(cluster), net_(net), faults_(faults) {
+                 const fault::FaultSchedule& faults, const obs::Probe& probe)
+      : cluster_(cluster), net_(net), faults_(faults), probe_(probe) {
     // Whole-rack deaths lower to per-node kills; the cut machinery below
     // then reports the whole failure domain in one abort.
     faults_.expand_racks(cluster);
@@ -651,6 +659,7 @@ class SimChaosEngine {
     const detail::LoweredPlan lowered =
         detail::lower_plan(sim, plan, net_.slice_size);
     const simnet::RunResult run = sim.run();
+    simnet::record_run(run, cluster_, probe_);
 
     // Earliest kill that bites this attempt: some task touching the killed
     // node would still be unfinished at the cut. Non-biting kills stay
@@ -814,6 +823,7 @@ class SimChaosEngine {
   const topology::Cluster& cluster_;
   topology::NetworkParams net_;
   fault::FaultSchedule faults_;
+  obs::Probe probe_;
   double clock_s_ = 0.0;
   std::set<topology::NodeId> dead_;
   std::set<topology::NodeId> straggles_counted_;
@@ -829,7 +839,7 @@ ResilientOutcome simulate_resilient(const RepairProblem& problem,
                                     const topology::NetworkParams& net,
                                     const fault::FaultSchedule& faults,
                                     const ResilientOptions& opts) {
-  SimChaosEngine engine(problem.placement->cluster(), net, faults);
+  SimChaosEngine engine(problem.placement->cluster(), net, faults, opts.probe);
   const AttemptFn attempt = [&engine](const RepairPlan& plan,
                                       std::span<const OpId> outputs,
                                       std::span<const rs::Block> view) {

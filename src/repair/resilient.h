@@ -100,6 +100,7 @@ struct ResilientOptions {
   std::function<void(double)> wait_for_heal;
   /// Telemetry: counters repair.replans / repair.retries /
   /// repair.faults_injected, plus one span per re-plan round.
+  /// simulate_resilient also records every attempt's run (sim.*).
   obs::Probe probe;
 };
 
@@ -170,7 +171,9 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 /// simulated time on a session-wide clock (attempt N+1 starts where attempt
 /// N was cut), stragglers scale the afflicted node's transfer durations, and
 /// values are bit-exact (DataExecutor). Deterministic: same schedule, same
-/// outcome.
+/// outcome. An empty schedule is the zero-fault session: one attempt whose
+/// bytes, traffic, time and sim.* telemetry are those of plan + simulate +
+/// execute_on_data.
 ResilientOutcome simulate_resilient(const RepairProblem& problem,
                                     const Planner& planner,
                                     std::span<const rs::Block> stripe,

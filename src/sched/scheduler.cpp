@@ -10,7 +10,6 @@
 #include <unordered_map>
 
 #include "repair/analysis.h"
-#include "repair/fleet.h"
 #include "repair/lowering.h"
 #include "simnet/instrument.h"
 #include "util/contracts.h"
@@ -80,6 +79,18 @@ struct ReadState {
   ReadPath path = ReadPath::kHealthy;
   TaskId done_task = simnet::kNoTask;
 };
+
+/// Nearest-rank percentile over an unsorted sample set (q in [0,1]): the
+/// smallest value with at least q * n samples <= it; 0 when empty.
+double percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  if (q <= 0.0) return samples.front();
+  if (q >= 1.0) return samples.back();
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(samples.size())));
+  return samples[rank == 0 ? 0 : rank - 1];
+}
 
 /// Deterministic uniform in [0,1) from a raw 64-bit draw (independent of
 /// libstdc++'s distribution implementations).
@@ -423,6 +434,8 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
   out.foreground_bytes = r.foreground_bytes;
   out.cross_rack_bytes = r.cross_rack_bytes;
   out.inner_rack_bytes = r.inner_rack_bytes;
+  out.rack_upload_bytes = r.rack_upload_bytes;
+  out.rack_download_bytes = r.rack_download_bytes;
 
   std::uint64_t rebuilt_bytes = 0;
   std::vector<double> completions;
@@ -435,9 +448,9 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
     rebuilt_bytes += workload.stripes[i].problem.block_size *
                      workload.stripes[i].problem.failed.size();
   }
-  out.completion_p50_s = repair::percentile(completions, 0.50);
-  out.completion_p95_s = repair::percentile(completions, 0.95);
-  out.completion_p99_s = repair::percentile(completions, 0.99);
+  out.completion_p50_s = percentile(completions, 0.50);
+  out.completion_p95_s = percentile(completions, 0.95);
+  out.completion_p99_s = percentile(completions, 0.99);
   out.repair_throughput_bps =
       out.last_commit_s > 0
           ? static_cast<double>(rebuilt_bytes) / out.last_commit_s
@@ -464,11 +477,11 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
       degraded_lat.push_back(rec.latency_s);
     }
   }
-  out.foreground_p50_s = repair::percentile(fg_lat, 0.50);
-  out.foreground_p95_s = repair::percentile(fg_lat, 0.95);
-  out.foreground_p99_s = repair::percentile(fg_lat, 0.99);
-  out.degraded_p50_s = repair::percentile(degraded_lat, 0.50);
-  out.degraded_p99_s = repair::percentile(degraded_lat, 0.99);
+  out.foreground_p50_s = percentile(fg_lat, 0.50);
+  out.foreground_p95_s = percentile(fg_lat, 0.95);
+  out.foreground_p99_s = percentile(fg_lat, 0.99);
+  out.degraded_p50_s = percentile(degraded_lat, 0.50);
+  out.degraded_p99_s = percentile(degraded_lat, 0.99);
 
   if (options.probe.metrics != nullptr) {
     obs::MetricsRegistry& m = *options.probe.metrics;

@@ -1,15 +1,17 @@
 // Fleet repair scheduler: admission control, bandwidth arbitration and
-// degraded reads over the discrete-event port model.
+// degraded reads over the discrete-event port model. It is the one fleet
+// entry point.
 //
-// `simulate_fleet` (repair/fleet.h) answers "how long does a recovery wave
-// take when every plan is dumped into the network at t=0" — no admission,
-// no competing traffic. Production repair is the opposite: stripes are
-// damaged over time, a controller bounds how many repair concurrently so
-// the wave does not flatten user traffic, a bandwidth arbiter caps the
-// repair class's share of every port, and a client read of a lost block is
-// served *from the repair in flight* (its published slice prefix) or by
-// promoting a one-equation degraded-read plan to the front of the queue —
-// never by waiting for the whole stripe to commit.
+// Production repair damages stripes over time, a controller bounds how
+// many repair concurrently so the wave does not flatten user traffic, a
+// bandwidth arbiter caps the repair class's share of every port, and a
+// client read of a lost block is served *from the repair in flight* (its
+// published slice prefix) or by promoting a one-equation degraded-read plan
+// to the front of the queue — never by waiting for the whole stripe to
+// commit. The planning question "how long does a recovery wave take when
+// every plan is dumped into the network at once" is the degenerate case:
+// every stripe arriving at t=0, max_inflight = SIZE_MAX, repair_share 1
+// and no reads.
 //
 // The scheduler drives one SimNetwork reactively through its finish hook:
 // arrival timers model the failure/read processes, admission lowers a
@@ -149,6 +151,11 @@ struct FleetSchedOutcome {
   std::uint64_t foreground_bytes = 0;
   std::uint64_t cross_rack_bytes = 0;
   std::uint64_t inner_rack_bytes = 0;
+  /// Cross-rack bytes uploaded / downloaded per rack, every traffic class
+  /// (the load-balance evidence: traditional repair funnels downloads into
+  /// the recovery rack, rack-aware schemes spread both directions).
+  std::vector<std::uint64_t> rack_upload_bytes;
+  std::vector<std::uint64_t> rack_download_bytes;
   /// Rebuilt bytes per wall second up to the last commit.
   double repair_throughput_bps = 0.0;
 };

@@ -1,13 +1,12 @@
 #include "storage/storage_system.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "repair/executor_data.h"
 #include "repair/resilient.h"
 #include "util/hash.h"
-#include "verify/plan_verifier.h"
 
 namespace rpr::storage {
 
@@ -24,6 +23,13 @@ topology::Cluster make_cluster(const StorageOptions& opts) {
   const std::size_t spares =
       opts.spares_per_rack ? opts.spares_per_rack : opts.code.k;
   return topology::Cluster(racks, slots, spares);
+}
+
+/// A session's summed seconds back on the simulator's ns clock, rounded:
+/// truncation would drop a nanosecond whenever the sum lands just below.
+util::SimTime to_sim_time(double seconds) {
+  return static_cast<util::SimTime>(
+      std::llround(seconds * static_cast<double>(util::kNsPerSec)));
 }
 
 }  // namespace
@@ -66,19 +72,16 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
 
   // Place with the configured policy, rotating racks per stripe so stripes
   // spread across the cluster the way consecutive stripes do in production.
-  const topology::Placement base =
-      topology::make_placement(cluster_, cfg, opts_.policy);
   const StripeId id = next_stripe_++;
-  const std::size_t rot = static_cast<std::size_t>(id) % cluster_.racks();
+  const topology::Placement placement =
+      topology::make_placement(cluster_, cfg, opts_.policy)
+          .rotated(static_cast<std::size_t>(id));
 
   Stripe s;
   s.object_size = object.size();
   s.node_of_block.resize(cfg.total());
   for (std::size_t b = 0; b < cfg.total(); ++b) {
-    const NodeId base_node = base.node_of(b);
-    const RackId rack = (cluster_.rack_of(base_node) + rot) % cluster_.racks();
-    const std::size_t offset = base_node % cluster_.nodes_per_rack();
-    s.node_of_block[b] = rack * cluster_.nodes_per_rack() + offset;
+    s.node_of_block[b] = placement.node_of(b);
   }
   for (std::size_t b = 0; b < cfg.total(); ++b) {
     digest_[{id, b}] = util::fnv1a64(blocks[b]);
@@ -280,10 +283,9 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   problem.placement = &placement;
   problem.block_size = opts_.block_size;
   problem.failed = failed;
-  std::vector<NodeId> replacements;
   for (std::size_t f : failed) {
     const NodeId repl = pick_replacement(s, placement.rack_of(f));
-    replacements.push_back(repl);
+    problem.replacements.push_back(repl);
     // Reserve: temporarily record so the next pick sees it as taken.
     s.node_of_block[f] = repl;
   }
@@ -291,101 +293,67 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   for (std::size_t i = 0; i < failed.size(); ++i) {
     s.node_of_block[failed[i]] = placement.node_of(failed[i]);
   }
-  problem.replacements = replacements;
 
   const repair::Planner& planner =
       use_fallback ? static_cast<const repair::Planner&>(multi_fallback)
                    : *planner_;
   const auto view = stripe_view(stripe, s);
 
-  std::vector<rs::Block> rebuilt;
-  std::vector<NodeId> destinations = replacements;
-  if (opts_.chaos.empty()) {
-    const repair::PlannedRepair planned = planner.plan(problem);
-    repair::validate(planned.plan, cluster_);
-    if (verify::online_verify_enabled() || verify::verify_plans_enabled()) {
-      // Online check before any bytes move: topology + conservation always,
-      // the algebraic fold once per distinct plan structure.
-      const bool skip =
-          !verify::verify_plans_enabled() &&
-          verify::algebra_cache_check_and_insert(
-              verify::plan_fingerprint(planned.plan, planned.outputs));
-      const repair::Scheme scheme =
-          use_fallback ? repair::Scheme::kRpr : opts_.repair_scheme;
-      verify::throw_if_violated(
-          verify::verify_planned_repair(planned, problem, scheme, skip),
-          "storage repair plan (stripe " + std::to_string(stripe) + ")");
-    }
-    rebuilt = repair::execute_on_data(planned.plan, planned.outputs, view);
-    const auto sim =
-        repair::simulate(planned.plan, cluster_, opts_.network, opts_.probe);
-    report.used_decoding_matrix = planned.used_decoding_matrix;
-    report.cross_rack_bytes = sim.cross_rack_bytes;
-    report.inner_rack_bytes = sim.inner_rack_bytes;
-    report.simulated_repair_time = sim.total_repair_time;
-  } else {
-    // Chaos session: kills/stragglers fire on the simulated clock, the
-    // driver re-plans around dead helpers and reuses banked partial sums.
-    repair::ResilientOptions ropts;
-    ropts.max_replans = opts_.max_replans;
-    ropts.probe = opts_.probe;
-    for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-      if (!alive_[node]) ropts.unavailable.insert(node);
-      // A full disk still serves reads and partial decodes but can never
-      // accept the committed block — the driver must plan around it.
-      if (opts_.chaos.diskfull(node)) ropts.no_commit.insert(node);
-    }
-    const repair::ResilientOutcome out = repair::simulate_resilient(
-        problem, planner, view, opts_.network, opts_.chaos, ropts);
-    rebuilt = out.outputs;
-    destinations = out.destinations;
-    report.used_decoding_matrix = out.used_decoding_matrix;
-    report.cross_rack_bytes = out.cross_rack_bytes;
-    report.inner_rack_bytes = out.inner_rack_bytes;
-    report.simulated_repair_time =
-        static_cast<util::SimTime>(out.total_time_s *
-                                   static_cast<double>(util::kNsPerSec));
-    report.replans = out.replans;
-    report.retries = out.retries;
-    report.faults_injected = out.faults_injected;
-    report.reused_values = out.reused_values;
-    report.scheme_switches = out.scheme_switches;
-    report.partition_waits = out.partition_waits;
+  // One resilient session for every repair: kills/stragglers fire on the
+  // simulated clock and the driver re-plans around dead helpers, reusing
+  // banked partial sums. An empty chaos schedule is the zero-fault session.
+  repair::ResilientOptions ropts;
+  ropts.max_replans = opts_.max_replans;
+  ropts.probe = opts_.probe;
+  for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
+    if (!alive_[node]) ropts.unavailable.insert(node);
+    // A full disk still serves reads and partial decodes but can never
+    // accept the committed block — the driver must plan around it.
+    if (opts_.chaos.diskfull(node)) ropts.no_commit.insert(node);
   }
+  repair::ResilientOutcome out = repair::simulate_resilient(
+      problem, planner, view, opts_.network, opts_.chaos, ropts);
+  report.used_decoding_matrix = out.used_decoding_matrix;
+  report.cross_rack_bytes = out.cross_rack_bytes;
+  report.inner_rack_bytes = out.inner_rack_bytes;
+  report.simulated_repair_time = to_sim_time(out.total_time_s);
+  report.replans = out.replans;
+  report.retries = out.retries;
+  report.faults_injected = out.faults_injected;
+  report.reused_values = out.reused_values;
+  report.scheme_switches = out.scheme_switches;
+  report.partition_waits = out.partition_waits;
 
   // Verified commit: a rebuilt block is installed only when its bytes hash
   // to the digest recorded at encode time — a wrong repair must never
   // replace good data with garbage.
   for (std::size_t i = 0; i < failed.size(); ++i) {
     const auto dg = digest_.find({stripe, failed[i]});
-    if (dg != digest_.end() && util::fnv1a64(rebuilt[i]) != dg->second) {
+    if (dg != digest_.end() && util::fnv1a64(out.outputs[i]) != dg->second) {
       throw std::runtime_error(
           "repair: rebuilt block " + std::to_string(failed[i]) +
           " failed digest verification; not committing");
     }
   }
   report.verified = true;
-  std::set<NodeId> no_commit;
-  for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-    if (opts_.chaos.diskfull(node)) no_commit.insert(node);
-  }
+  const std::set<NodeId>& no_commit = ropts.no_commit;
   for (std::size_t i = 0; i < failed.size(); ++i) {
     // Drop any corrupt stale copy still sitting at the old location.
     const NodeId old_node = placement.node_of(failed[i]);
     if (alive_[old_node]) store_[old_node].erase(stripe, failed[i]);
-    NodeId target = destinations[i];
+    NodeId target = out.destinations[i];
     if (no_commit.count(target) != 0) {
       // The rebuilt bytes landed on a disk that cannot keep them: relocate
       // the commit (the driver avoids full disks when it re-plans, but a
       // run with no mid-repair abort never re-chose its destination).
       std::set<NodeId> avoid = no_commit;
       for (std::size_t j = i + 1; j < failed.size(); ++j) {
-        avoid.insert(destinations[j]);
+        avoid.insert(out.destinations[j]);
       }
       target = pick_replacement(s, cluster_.rack_of(target), avoid);
       ++report.relocated_commits;
     }
-    store_[target].put(stripe, failed[i], std::move(rebuilt[i]));
+    store_[target].put(stripe, failed[i], std::move(out.outputs[i]));
     s.node_of_block[failed[i]] = target;
     report.repaired_blocks.push_back(failed[i]);
   }
@@ -461,40 +429,26 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
     const repair::DegradedReadPlanner planner(lost);
     const auto view = stripe_view(stripe, s);
 
-    if (opts_.chaos.empty()) {
-      const repair::PlannedRepair planned = planner.plan(problem);
-      repair::validate(planned.plan, cluster_);
-      const auto rebuilt =
-          repair::execute_on_data(planned.plan, planned.outputs, view);
-      report.data = rebuilt[0];
-      const auto sim = repair::simulate(planned.plan, cluster_,
-                                        opts_.network, opts_.probe);
-      report.simulated_read_time = sim.total_repair_time;
-      report.cross_rack_bytes = sim.cross_rack_bytes;
-      report.inner_rack_bytes = sim.inner_rack_bytes;
-    } else {
-      // Chaos session: a helper killed mid-read re-plans the equation
-      // around the loss instead of failing the read.
-      repair::ResilientOptions ropts;
-      ropts.max_replans = opts_.max_replans;
-      ropts.probe = opts_.probe;
-      for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-        if (!alive_[node]) ropts.unavailable.insert(node);
-      }
-      for (const std::size_t b : lost) {
-        if (b != block) ropts.unavailable.insert(s.node_of_block[b]);
-      }
-      const repair::ResilientOutcome out = repair::simulate_resilient(
-          problem, planner, view, opts_.network, opts_.chaos, ropts);
-      report.data = out.outputs[0];
-      report.simulated_read_time = static_cast<util::SimTime>(
-          out.total_time_s * static_cast<double>(util::kNsPerSec));
-      report.cross_rack_bytes = out.cross_rack_bytes;
-      report.inner_rack_bytes = out.inner_rack_bytes;
-      report.replans = out.replans;
-      report.retries = out.retries;
-      report.faults_injected = out.faults_injected;
+    // A helper killed mid-read re-plans the equation around the loss
+    // instead of failing the read.
+    repair::ResilientOptions ropts;
+    ropts.max_replans = opts_.max_replans;
+    ropts.probe = opts_.probe;
+    for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
+      if (!alive_[node]) ropts.unavailable.insert(node);
     }
+    for (const std::size_t b : lost) {
+      if (b != block) ropts.unavailable.insert(s.node_of_block[b]);
+    }
+    repair::ResilientOutcome out = repair::simulate_resilient(
+        problem, planner, view, opts_.network, opts_.chaos, ropts);
+    report.data = std::move(out.outputs[0]);
+    report.simulated_read_time = to_sim_time(out.total_time_s);
+    report.cross_rack_bytes = out.cross_rack_bytes;
+    report.inner_rack_bytes = out.inner_rack_bytes;
+    report.replans = out.replans;
+    report.retries = out.retries;
+    report.faults_injected = out.faults_injected;
   }
 
   // A read must never deliver wrong bytes: verify against the encode-time

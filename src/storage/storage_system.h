@@ -25,10 +25,12 @@
 //   * repair commits are verified: a rebuilt block is installed only after
 //     its digest matches the one recorded at encode time (a wrong repair
 //     throws instead of silently replacing good data with garbage);
-//   * with a chaos schedule (options.chaos) the repair runs as a resilient
-//     session (repair::simulate_resilient): helpers killed mid-repair cause
-//     equation-patching re-plans, stragglers slow transfers, and the report
-//     carries replans/retries/faults alongside the usual traffic numbers.
+//   * every repair and degraded read runs as a resilient session
+//     (repair::simulate_resilient); with no chaos schedule that is the
+//     zero-fault session. Under a schedule (options.chaos) helpers killed
+//     mid-repair cause equation-patching re-plans, stragglers slow
+//     transfers, and the report carries replans/retries/faults alongside
+//     the usual traffic numbers.
 //     Rack-scale failure domains ride the same schedule: a TOR death
 //     (rack:R@T) fails a whole rack in one re-plan, a fabric partition
 //     leaves helpers alive-but-unreachable (their banked partials stay
@@ -76,7 +78,8 @@ struct StorageOptions {
   obs::Probe probe{};
   /// Faults injected into every repair (kill/straggle on the simulated
   /// clock; corruptions are applied to the stored bytes once, before the
-  /// first repair). Empty = fault-free repairs on the plain executor.
+  /// first repair). Empty = the zero-fault session: one attempt, no
+  /// re-plans.
   fault::FaultSchedule chaos{};
   /// Re-plan budget for chaos repairs.
   std::size_t max_replans = 8;

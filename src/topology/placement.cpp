@@ -21,6 +21,17 @@ Placement::Placement(Cluster cluster, rs::CodeConfig cfg,
   }
 }
 
+Placement Placement::rotated(std::size_t shift) const {
+  std::vector<NodeId> nodes(node_of_.size());
+  for (std::size_t b = 0; b < nodes.size(); ++b) {
+    const RackId rack = (cluster_.rack_of(node_of_[b]) + shift) %
+                        cluster_.racks();
+    nodes[b] = rack * cluster_.nodes_per_rack() +
+               node_of_[b] % cluster_.nodes_per_rack();
+  }
+  return Placement(cluster_, cfg_, std::move(nodes));
+}
+
 std::vector<std::size_t> Placement::blocks_in_rack(RackId rack) const {
   std::vector<std::size_t> out;
   for (std::size_t b = 0; b < node_of_.size(); ++b) {

@@ -59,6 +59,11 @@ class Placement {
     return max_blocks_per_rack() <= cfg_.k;
   }
 
+  /// This placement with every block moved `shift` racks on (modulo the
+  /// rack count), keeping its slot within the rack: how consecutive
+  /// stripes spread across a cluster.
+  [[nodiscard]] Placement rotated(std::size_t shift) const;
+
  private:
   Cluster cluster_;
   rs::CodeConfig cfg_;

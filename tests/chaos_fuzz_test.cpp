@@ -171,14 +171,7 @@ struct FuzzFleet {
         cluster, cfg, rpr::topology::PlacementPolicy::kRpr);
     placements.reserve(stripes);
     for (std::size_t s = 0; s < stripes; ++s) {
-      std::vector<NodeId> nodes(cfg.total());
-      for (std::size_t b = 0; b < cfg.total(); ++b) {
-        const auto node = base.node_of(b);
-        const auto rack = (cluster.rack_of(node) + s) % cluster.racks();
-        nodes[b] = rack * cluster.nodes_per_rack() +
-                   node % cluster.nodes_per_rack();
-      }
-      placements.emplace_back(cluster, cfg, std::move(nodes));
+      placements.push_back(base.rotated(s));
     }
     for (const auto& placement : placements) {
       for (std::size_t b = 0; b < cfg.total(); ++b) {

@@ -7,9 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
-#include "repair/fleet.h"
+#include "repair/executor_sim.h"
 #include "simnet/simnet.h"
 #include "test_support.h"
 #include "topology/placement.h"
@@ -43,14 +44,7 @@ struct SchedHarness {
     const Placement base = rpr::topology::make_placement(
         cluster, cfg, rpr::topology::PlacementPolicy::kRpr);
     for (std::size_t s = 0; s < stripes; ++s) {
-      std::vector<rpr::topology::NodeId> nodes(cfg.total());
-      for (std::size_t b = 0; b < cfg.total(); ++b) {
-        const auto node = base.node_of(b);
-        const auto rack = (cluster.rack_of(node) + s) % cluster.racks();
-        nodes[b] = rack * cluster.nodes_per_rack() +
-                   node % cluster.nodes_per_rack();
-      }
-      placements.emplace_back(cluster, cfg, std::move(nodes));
+      placements.push_back(base.rotated(s));
     }
     for (const auto& placement : placements) {
       for (std::size_t b = 0; b < cfg.total(); ++b) {
@@ -399,19 +393,70 @@ TEST(Sched, RejectsBadArguments) {
 }
 
 TEST(Fleet, CompletionPercentilesComputed) {
-  // Satellite: simulate_fleet reports per-stripe completion percentiles.
+  // A whole wave at t=0 with unlimited admission reports per-stripe
+  // completion percentiles; its p99 over 9 stripes is the last commit.
   SchedHarness h(9);
-  rpr::repair::FleetProblem fleet;
-  fleet.stripes = h.damaged;
-  const rpr::repair::RprPlanner planner;
-  const auto out =
-      rpr::repair::simulate_fleet(planner, fleet, h.cluster, NetworkParams{});
-  ASSERT_EQ(out.stripe_completion_s.size(), fleet.stripes.size());
-  for (const double c : out.stripe_completion_s) {
+  SchedulerOptions opts;
+  opts.max_inflight = std::numeric_limits<std::size_t>::max();
+  const auto out = run_fleet(h.workload(), h.cluster, NetworkParams{}, opts);
+  ASSERT_EQ(out.completion_s.size(), h.damaged.size());
+  for (const double c : out.completion_s) {
     EXPECT_GT(c, 0.0);
-    EXPECT_LE(c, rpr::util::to_sec(out.makespan) + 1e-12);
+    EXPECT_LE(c, out.makespan_s + 1e-12);
   }
   EXPECT_LE(out.completion_p50_s, out.completion_p95_s);
   EXPECT_LE(out.completion_p95_s, out.completion_p99_s);
-  EXPECT_NEAR(out.completion_p99_s, rpr::util::to_sec(out.makespan), 1e-9);
+  EXPECT_NEAR(out.completion_p99_s, out.makespan_s, 1e-9);
+}
+
+TEST(Sched, SingleStripeMatchesSimulate) {
+  // One stripe arriving at t=0 is exactly that plan's simulate(): same
+  // makespan, traffic and per-rack load, whole-block and sliced.
+  std::size_t cases = 0;
+  for (const CodeConfig cfg : {CodeConfig{6, 3}, CodeConfig{8, 4},
+                               CodeConfig{12, 4}}) {
+    const RSCode code(cfg);
+    for (const auto policy : {rpr::topology::PlacementPolicy::kRpr,
+                              rpr::topology::PlacementPolicy::kFlat}) {
+      const auto placed = rpr::topology::make_placed_stripe(cfg, policy);
+      for (const auto scheme :
+           {rpr::repair::Scheme::kTraditional, rpr::repair::Scheme::kCar,
+            rpr::repair::Scheme::kRpr, rpr::repair::Scheme::kRprChained}) {
+        for (const std::size_t slice : {std::size_t{0}, std::size_t{1} << 18}) {
+          NetworkParams params = NetworkParams::simics_like();
+          params.slice_size = slice;
+          SchedulerOptions opts;
+          opts.scheme = scheme;
+          opts.slice_size = slice;
+          for (std::size_t b = 0; b < cfg.total(); ++b) {
+            RepairProblem p;
+            p.code = &code;
+            p.placement = &placed.placement;
+            p.block_size = 4u << 20;
+            p.failed = {b};
+            p.choose_default_replacements();
+            const auto planned = rpr::repair::make_planner(scheme)->plan(p);
+            const auto sim =
+                rpr::repair::simulate(planned.plan, placed.cluster, params);
+            FleetWorkload w;
+            w.stripes.push_back(StripeArrival{p, 0.0, 0});
+            const auto out = run_fleet(w, placed.cluster, params, opts);
+            SCOPED_TRACE(testing::Message()
+                         << "RS(" << cfg.n << "," << cfg.k << ") scheme "
+                         << static_cast<int>(scheme) << " slice " << slice
+                         << " block " << b);
+            EXPECT_EQ(out.makespan_s,
+                      rpr::util::to_sec(sim.total_repair_time));
+            EXPECT_EQ(out.completion_s[0], out.makespan_s);
+            EXPECT_EQ(out.cross_rack_bytes, sim.cross_rack_bytes);
+            EXPECT_EQ(out.inner_rack_bytes, sim.inner_rack_bytes);
+            EXPECT_EQ(out.rack_upload_bytes, sim.rack_upload_bytes);
+            EXPECT_EQ(out.rack_download_bytes, sim.rack_download_bytes);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 4u * 2u * (9u + 12u + 16u));
 }

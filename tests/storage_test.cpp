@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/metrics.h"
+#include "obs/sinks.h"
+#include "repair/executor_data.h"
 #include "sched/scheduler.h"
 #include "storage/failure.h"
 #include "util/rng.h"
@@ -186,6 +189,118 @@ TEST(Storage, ReadBlockHealthyAndDegraded) {
             healthy.cross_rack_bytes + healthy.inner_rack_bytes);
   // A degraded read serves the client without committing a repair.
   EXPECT_EQ(sys.lost_blocks(id), (std::vector<std::size_t>{0}));
+}
+
+TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
+  // With no chaos schedule, repair() and a degraded read_block() are the
+  // zero-fault resilient session: the same rebuilt bytes, traffic, time
+  // and sim.* telemetry as planning the problem and running simulate +
+  // execute_on_data on it directly.
+  for (const Scheme scheme : {Scheme::kTraditional, Scheme::kCar,
+                              Scheme::kRpr, Scheme::kRprChained}) {
+    for (const std::size_t lost : {std::size_t{1}, std::size_t{6}}) {
+      SCOPED_TRACE(testing::Message() << "scheme " << static_cast<int>(scheme)
+                                      << " lost block " << lost);
+      rpr::obs::MetricsRegistry sys_reg;
+      rpr::obs::MetricsRegistry ref_reg;
+      const rpr::obs::Probe ref_probe{&ref_reg, nullptr};
+      StorageOptions o = small_opts(scheme);
+      o.probe.metrics = &sys_reg;
+      StorageSystem sys(o);
+      const auto obj = random_object(6 * 1024, 41);
+      const auto id = sys.put(obj);
+      const auto& cfg = sys.code().config();
+      const auto& cluster = sys.cluster();
+
+      // The stripe's true blocks, encoded the way put() does.
+      std::vector<rpr::rs::Block> blocks(cfg.total());
+      for (std::size_t b = 0; b < cfg.n; ++b) {
+        const auto off = static_cast<std::ptrdiff_t>(b * o.block_size);
+        blocks[b].assign(obj.begin() + off,
+                         obj.begin() + off +
+                             static_cast<std::ptrdiff_t>(o.block_size));
+      }
+      sys.code().encode_stripe(blocks);
+      std::vector<rpr::rs::Block> view = blocks;
+      view[lost].clear();
+
+      const auto before = sys.stripe_nodes(id);
+      sys.fail_node(before[lost]);
+      const rpr::topology::Placement placement(cluster, cfg, before);
+      rpr::repair::RepairProblem problem;
+      problem.code = &sys.code();
+      problem.placement = &placement;
+      problem.block_size = o.block_size;
+      problem.failed = {lost};
+
+      // Degraded read, rooted at a reader holding nothing of the stripe.
+      rpr::topology::NodeId reader = 0;
+      for (rpr::topology::NodeId n = cluster.total_nodes(); n-- > 0;) {
+        if (std::find(before.begin(), before.end(), n) == before.end()) {
+          reader = n;
+          break;
+        }
+      }
+      const auto read = sys.read_block(id, lost, reader);
+      problem.replacements = {reader};
+      const auto read_plan =
+          rpr::repair::DegradedReadPlanner({lost}).plan(problem);
+      const auto read_sim = rpr::repair::simulate(read_plan.plan, cluster,
+                                                  o.network, ref_probe);
+      EXPECT_TRUE(read.degraded);
+      EXPECT_EQ(read.data, blocks[lost]);
+      EXPECT_EQ(read.data, rpr::repair::execute_on_data(
+                               read_plan.plan, read_plan.outputs, view)[0]);
+      EXPECT_EQ(read.cross_rack_bytes, read_sim.cross_rack_bytes);
+      EXPECT_EQ(read.inner_rack_bytes, read_sim.inner_rack_bytes);
+      EXPECT_EQ(read.simulated_read_time, read_sim.total_repair_time);
+      EXPECT_EQ(read.replans, 0u);
+      EXPECT_EQ(rpr::obs::to_json(sys_reg), rpr::obs::to_json(ref_reg));
+
+      // Repair, to the replacement the system picked.
+      const auto report = sys.repair(id);
+      problem.replacements = {sys.stripe_nodes(id)[lost]};
+      const auto planned =
+          rpr::repair::make_planner(scheme)->plan(problem);
+      const auto sim =
+          rpr::repair::simulate(planned.plan, cluster, o.network, ref_probe);
+      EXPECT_EQ(rpr::repair::execute_on_data(planned.plan, planned.outputs,
+                                             view)[0],
+                blocks[lost]);
+      EXPECT_EQ(report.cross_rack_bytes, sim.cross_rack_bytes);
+      EXPECT_EQ(report.inner_rack_bytes, sim.inner_rack_bytes);
+      EXPECT_EQ(report.simulated_repair_time, sim.total_repair_time);
+      EXPECT_EQ(report.used_decoding_matrix, planned.used_decoding_matrix);
+      EXPECT_EQ(report.replans, 0u);
+      EXPECT_EQ(report.faults_injected, 0u);
+      EXPECT_EQ(rpr::obs::to_json(sys_reg), rpr::obs::to_json(ref_reg));
+      EXPECT_EQ(sys.get(id), obj);
+    }
+  }
+}
+
+TEST(Storage, ChaosRepairRecordsSimMetrics) {
+  // Every attempt of a chaos session is recorded like a plain simulate(),
+  // so a repair that re-plans around a killed helper still reports sim.*.
+  StorageSystem twin(small_opts());
+  const auto obj = random_object(6 * 1024, 42);
+  const auto layout = twin.stripe_nodes(twin.put(obj));
+
+  rpr::obs::MetricsRegistry reg;
+  StorageOptions o = small_opts();
+  o.probe.metrics = &reg;
+  o.chaos.kills.push_back({layout[3], 0.0});
+  StorageSystem sys(o);
+  const auto id = sys.put(obj);
+  sys.fail_node(layout[0]);
+  const auto report = sys.repair(id);
+  EXPECT_GE(report.replans, 1u);
+  ASSERT_NE(reg.find_counter("sim.tasks"), nullptr);
+  EXPECT_GT(reg.find_counter("sim.tasks")->value(), 0u);
+  ASSERT_NE(reg.find_histogram("sim.queue_wait_s"), nullptr);
+  ASSERT_NE(reg.find_counter("repair.replans"), nullptr);
+  EXPECT_EQ(reg.find_counter("repair.replans")->value(), report.replans);
+  EXPECT_EQ(sys.get(id), obj);
 }
 
 TEST(Storage, RepairAllScheduledCommitsEverything) {

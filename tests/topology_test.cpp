@@ -124,6 +124,24 @@ TEST(Placement, RprExampleMatchesPaperFig4) {
   EXPECT_EQ(ps.placement.rack_of(1), 0u);  // d1 stays in r0
 }
 
+TEST(Placement, RotatedShiftsRacksAndKeepsSlots) {
+  const CodeConfig cfg{4, 2};
+  const auto ps = make_placed_stripe(cfg, PlacementPolicy::kRpr);
+  const auto& c = ps.cluster;
+  const Placement once = ps.placement.rotated(1);
+  for (std::size_t b = 0; b < cfg.total(); ++b) {
+    EXPECT_EQ(once.rack_of(b), (ps.placement.rack_of(b) + 1) % c.racks());
+    EXPECT_EQ(once.node_of(b) % c.nodes_per_rack(),
+              ps.placement.node_of(b) % c.nodes_per_rack());
+  }
+  EXPECT_EQ(once.max_blocks_per_rack(), ps.placement.max_blocks_per_rack());
+  // A full turn is the identity.
+  const Placement full = ps.placement.rotated(c.racks());
+  for (std::size_t b = 0; b < cfg.total(); ++b) {
+    EXPECT_EQ(full.node_of(b), ps.placement.node_of(b));
+  }
+}
+
 TEST(Placement, TooFewRacksRejected) {
   const Cluster small(2, 4, 1);
   EXPECT_THROW(

@@ -452,16 +452,11 @@ int run_fleet_mode(const rpr::rs::CodeConfig& cfg, std::uint64_t block,
   util::Xoshiro256 rng(fc.seed);
   double t = 0.0;
   for (std::size_t s = 0; s < fc.stripes; ++s) {
-    std::vector<topology::NodeId> nodes(cfg.total());
+    placements.push_back(base.rotated(s));
     std::size_t failed = s % cfg.total();
     for (std::size_t b = 0; b < cfg.total(); ++b) {
-      const auto node = base.node_of(b);
-      const auto rack = (cluster.rack_of(node) + s) % cluster.racks();
-      nodes[b] =
-          rack * cluster.nodes_per_rack() + node % cluster.nodes_per_rack();
-      if (nodes[b] == 0) failed = b;
+      if (placements.back().node_of(b) == 0) failed = b;
     }
-    placements.emplace_back(cluster, cfg, std::move(nodes));
     sched::StripeArrival arrival;
     arrival.problem.code = &code;
     arrival.problem.placement = &placements.back();

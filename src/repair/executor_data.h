@@ -4,6 +4,11 @@
 // reconstructed bytes must equal the lost blocks bit-for-bit. The storage
 // layer also uses it as its (non-throttled) repair engine, and the test
 // suite runs every planner x configuration x failure pattern through it.
+//
+// Values are views until they must be bytes: a read aliases its stripe
+// block and carries its coefficient, a send aliases its input, and a
+// combine folds the carried coefficients into its one fused pass — the only
+// op that allocates. Outputs are materialised (or moved out) at the end.
 #pragma once
 
 #include <vector>

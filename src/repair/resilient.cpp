@@ -794,10 +794,10 @@ class SimChaosEngine {
       if (dead_.count(plan.ops[id].node) != 0) continue;
       done_ops.push_back(id);
     }
-    const auto values = execute_on_data(plan, done_ops, stripe);
+    auto values = execute_on_data(plan, done_ops, stripe);
     a.finished.reserve(done_ops.size());
     for (std::size_t i = 0; i < done_ops.size(); ++i) {
-      a.finished.emplace_back(done_ops[i], values[i]);
+      a.finished.emplace_back(done_ops[i], std::move(values[i]));
     }
     return a;
   }

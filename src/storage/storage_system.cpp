@@ -4,9 +4,12 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "repair/resilient.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace rpr::storage {
 
@@ -32,6 +35,12 @@ util::SimTime to_sim_time(double seconds) {
       std::llround(seconds * static_cast<double>(util::kNsPerSec)));
 }
 
+void count_digested(const obs::Probe& probe, std::uint64_t bytes) {
+  if (probe.metrics != nullptr) {
+    probe.metrics->counter("storage.digest_bytes").add(bytes);
+  }
+}
+
 }  // namespace
 
 StorageSystem::StorageSystem(StorageOptions opts)
@@ -39,7 +48,6 @@ StorageSystem::StorageSystem(StorageOptions opts)
       code_(opts.code, opts.matrix),
       cluster_(make_cluster(opts)),
       planner_(repair::make_planner(opts.repair_scheme)),
-      store_(cluster_.total_nodes()),
       alive_(cluster_.total_nodes(), true) {
   if (opts_.block_size == 0) {
     throw std::invalid_argument("StorageSystem: block_size must be positive");
@@ -83,9 +91,19 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   for (std::size_t b = 0; b < cfg.total(); ++b) {
     s.node_of_block[b] = placement.node_of(b);
   }
+  // The n+k digests are independent: hash the blocks in parallel, small
+  // blocks a few to a chunk so the pool only engages when it pays.
+  s.digest.resize(cfg.total());
+  util::ThreadPool::shared().parallel_for(
+      cfg.total(), 1,
+      std::max<std::size_t>(1, (256 << 10) / opts_.block_size),
+      [&](std::size_t b, std::size_t e) {
+        for (; b < e; ++b) s.digest[b] = util::fnv1a64(blocks[b]);
+      });
+  count_digested(opts_.probe, cfg.total() * opts_.block_size);
+  s.blocks = std::move(blocks);
   for (std::size_t b = 0; b < cfg.total(); ++b) {
-    digest_[{id, b}] = util::fnv1a64(blocks[b]);
-    store_[s.node_of_block[b]].put(id, b, std::move(blocks[b]));
+    if (!alive_[s.node_of_block[b]]) s.blocks[b] = {};
   }
   stripes_[id] = std::move(s);
   return id;
@@ -98,33 +116,43 @@ std::vector<std::uint8_t> StorageSystem::get(StripeId stripe) const {
   const auto& cfg = code_.config();
 
   const auto lost = lost_blocks(stripe);
-  std::vector<rs::Block> view = stripe_view(stripe, s);
-
-  // Degraded read: rebuild lost data blocks in memory (no placement change).
-  std::vector<std::size_t> lost_data;
-  for (std::size_t b : lost) {
-    if (cfg.is_data(b)) lost_data.push_back(b);
-  }
-  if (!lost_data.empty()) {
-    if (lost.size() > cfg.k) {
-      throw std::runtime_error("get: stripe unrecoverable");
-    }
-    const auto selected = code_.default_selection(lost);
-    const auto eqs = code_.repair_equations(lost, selected);
-    for (const auto& eq : eqs) {
-      if (!cfg.is_data(eq.failed_block)) continue;
-      view[eq.failed_block] = code_.evaluate(eq, view);
-    }
-  }
 
   std::vector<std::uint8_t> object(s.object_size);
-  for (std::size_t b = 0; b < cfg.n; ++b) {
+  const auto place = [&](std::size_t b, const rs::Block& bytes) {
     const std::size_t off = b * opts_.block_size;
-    if (off >= object.size()) break;
+    if (off >= object.size()) return;
     const std::size_t len =
         std::min<std::size_t>(opts_.block_size, object.size() - off);
-    std::copy_n(view[b].begin(), len,
+    std::copy_n(bytes.begin(), len,
                 object.begin() + static_cast<std::ptrdiff_t>(off));
+  };
+  // Intact data blocks go straight from their slots into the object.
+  bool lost_data = false;
+  for (std::size_t b = 0; b < cfg.n; ++b) {
+    if (s.blocks[b].empty()) {
+      lost_data = true;
+    } else {
+      place(b, s.blocks[b]);
+    }
+  }
+  if (!lost_data) return object;
+
+  // Degraded read: decode only the lost data blocks, in memory (no
+  // placement change), and verify each before it joins the object.
+  if (lost.size() > cfg.k) {
+    throw std::runtime_error("get: stripe unrecoverable");
+  }
+  const auto selected = code_.default_selection(lost);
+  const auto eqs = code_.repair_equations(lost, selected);
+  for (const auto& eq : eqs) {
+    if (!cfg.is_data(eq.failed_block)) continue;
+    const rs::Block rebuilt = code_.evaluate(eq, s.blocks);
+    if (digest(rebuilt) != s.digest[eq.failed_block]) {
+      throw std::runtime_error("get: block " +
+                               std::to_string(eq.failed_block) +
+                               " failed digest verification");
+    }
+    place(eq.failed_block, rebuilt);
   }
   return object;
 }
@@ -134,7 +162,7 @@ void StorageSystem::fail_node(NodeId node) {
     throw std::out_of_range("fail_node: bad node");
   }
   alive_[node] = false;
-  store_[node].wipe();
+  wipe_node(node);
 }
 
 void StorageSystem::fail_rack(RackId rack) {
@@ -146,18 +174,24 @@ void StorageSystem::revive_node(NodeId node) {
     throw std::out_of_range("revive_node: bad node");
   }
   alive_[node] = true;
-  store_[node].wipe();
+  wipe_node(node);
 }
 
-bool StorageSystem::block_intact(StripeId id, std::size_t block,
-                                 NodeId node) const {
-  if (!alive_[node]) return false;
-  const rs::Block* data = store_[node].get(id, block);
-  if (data == nullptr) return false;
-  // Silent corruption is an erasure: a block whose bytes no longer hash to
-  // the encode-time digest must never feed a decode.
-  const auto dg = digest_.find({id, block});
-  return dg == digest_.end() || util::fnv1a64(*data) == dg->second;
+void StorageSystem::wipe_node(NodeId node) {
+  for (auto& [id, s] : stripes_) {
+    (void)id;
+    for (std::size_t b = 0; b < s.node_of_block.size(); ++b) {
+      if (s.node_of_block[b] != node) continue;
+      s.blocks[b] = {};  // release the bytes, not just the size
+      s.corrupt.erase(b);
+    }
+  }
+}
+
+std::uint64_t StorageSystem::digest(
+    std::span<const std::uint8_t> bytes) const {
+  count_digested(opts_.probe, bytes.size());
+  return util::fnv1a64(bytes);
 }
 
 std::vector<std::size_t> StorageSystem::lost_blocks(StripeId stripe) const {
@@ -165,10 +199,12 @@ std::vector<std::size_t> StorageSystem::lost_blocks(StripeId stripe) const {
   if (it == stripes_.end()) {
     throw std::out_of_range("lost_blocks: unknown stripe");
   }
+  // An empty slot is a dead node or corrupt bytes: both were recorded when
+  // they happened, so nothing is hashed here.
   std::vector<std::size_t> lost;
   const Stripe& s = it->second;
-  for (std::size_t b = 0; b < s.node_of_block.size(); ++b) {
-    if (!block_intact(stripe, b, s.node_of_block[b])) lost.push_back(b);
+  for (std::size_t b = 0; b < s.blocks.size(); ++b) {
+    if (s.blocks[b].empty()) lost.push_back(b);
   }
   return lost;
 }
@@ -178,16 +214,27 @@ void StorageSystem::corrupt_block(StripeId stripe, std::size_t block) {
   if (it == stripes_.end()) {
     throw std::out_of_range("corrupt_block: unknown stripe");
   }
-  const Stripe& s = it->second;
+  Stripe& s = it->second;
   if (block >= s.node_of_block.size()) {
     throw std::out_of_range("corrupt_block: bad block");
   }
-  rs::Block* data = store_[s.node_of_block[block]].mutable_get(stripe, block);
-  if (data == nullptr) {
+  // The block's bytes on its node: in the view, or already corrupt.
+  const auto stale = s.corrupt.find(block);
+  const bool in_view = !s.blocks[block].empty();
+  if (!in_view && stale == s.corrupt.end()) {
     throw std::runtime_error("corrupt_block: block not stored");
   }
+  rs::Block& data = in_view ? s.blocks[block] : stale->second;
   // Mix the block index into the seed so two corruptions differ.
-  fault::corrupt_bytes(*data, opts_.chaos.seed ^ (stripe * 1000003 + block));
+  fault::corrupt_bytes(data, opts_.chaos.seed ^ (stripe * 1000003 + block));
+  // Hash the new bytes once; moving them keeps the view digest-intact.
+  const bool intact = digest(data) == s.digest[block];
+  if (in_view && !intact) {
+    s.corrupt[block] = std::exchange(s.blocks[block], {});
+  } else if (!in_view && intact) {
+    s.blocks[block] = std::move(stale->second);
+    s.corrupt.erase(stale);
+  }
 }
 
 void StorageSystem::apply_chaos_corruptions() {
@@ -244,17 +291,6 @@ NodeId StorageSystem::pick_replacement(
   throw std::runtime_error("pick_replacement: no replacement node available");
 }
 
-std::vector<rs::Block> StorageSystem::stripe_view(StripeId id,
-                                                  const Stripe& s) const {
-  std::vector<rs::Block> view(s.node_of_block.size());
-  for (std::size_t b = 0; b < s.node_of_block.size(); ++b) {
-    const NodeId node = s.node_of_block[b];
-    if (!block_intact(id, b, node)) continue;  // lost or corrupt: excluded
-    view[b] = *store_[node].get(id, b);
-  }
-  return view;
-}
-
 RepairReport StorageSystem::repair(StripeId stripe) {
   const auto it = stripes_.find(stripe);
   if (it == stripes_.end()) throw std::out_of_range("repair: unknown stripe");
@@ -297,7 +333,6 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   const repair::Planner& planner =
       use_fallback ? static_cast<const repair::Planner&>(multi_fallback)
                    : *planner_;
-  const auto view = stripe_view(stripe, s);
 
   // One resilient session for every repair: kills/stragglers fire on the
   // simulated clock and the driver re-plans around dead helpers, reusing
@@ -312,7 +347,7 @@ RepairReport StorageSystem::repair(StripeId stripe) {
     if (opts_.chaos.diskfull(node)) ropts.no_commit.insert(node);
   }
   repair::ResilientOutcome out = repair::simulate_resilient(
-      problem, planner, view, opts_.network, opts_.chaos, ropts);
+      problem, planner, s.blocks, opts_.network, opts_.chaos, ropts);
   report.used_decoding_matrix = out.used_decoding_matrix;
   report.cross_rack_bytes = out.cross_rack_bytes;
   report.inner_rack_bytes = out.inner_rack_bytes;
@@ -328,8 +363,7 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   // to the digest recorded at encode time — a wrong repair must never
   // replace good data with garbage.
   for (std::size_t i = 0; i < failed.size(); ++i) {
-    const auto dg = digest_.find({stripe, failed[i]});
-    if (dg != digest_.end() && util::fnv1a64(out.outputs[i]) != dg->second) {
+    if (digest(out.outputs[i]) != s.digest[failed[i]]) {
       throw std::runtime_error(
           "repair: rebuilt block " + std::to_string(failed[i]) +
           " failed digest verification; not committing");
@@ -339,8 +373,7 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   const std::set<NodeId>& no_commit = ropts.no_commit;
   for (std::size_t i = 0; i < failed.size(); ++i) {
     // Drop any corrupt stale copy still sitting at the old location.
-    const NodeId old_node = placement.node_of(failed[i]);
-    if (alive_[old_node]) store_[old_node].erase(stripe, failed[i]);
+    s.corrupt.erase(failed[i]);
     NodeId target = out.destinations[i];
     if (no_commit.count(target) != 0) {
       // The rebuilt bytes landed on a disk that cannot keep them: relocate
@@ -353,7 +386,7 @@ RepairReport StorageSystem::repair(StripeId stripe) {
       target = pick_replacement(s, cluster_.rack_of(target), avoid);
       ++report.relocated_commits;
     }
-    store_[target].put(stripe, failed[i], std::move(out.outputs[i]));
+    s.blocks[failed[i]] = std::move(out.outputs[i]);
     s.node_of_block[failed[i]] = target;
     report.repaired_blocks.push_back(failed[i]);
   }
@@ -400,7 +433,7 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
     // Healthy read: hand back the stored (digest-intact) bytes; the cost
     // is one block transfer to the reader.
     const NodeId src = s.node_of_block[block];
-    report.data = *store_[src].get(stripe, block);
+    report.data = s.blocks[block];
     repair::RepairPlan plan;
     plan.block_size = opts_.block_size;
     const auto r = plan.read(src, block, 1);
@@ -427,7 +460,6 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
     problem.failed = {block};
     problem.replacements = {reader};
     const repair::DegradedReadPlanner planner(lost);
-    const auto view = stripe_view(stripe, s);
 
     // A helper killed mid-read re-plans the equation around the loss
     // instead of failing the read.
@@ -441,7 +473,7 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
       if (b != block) ropts.unavailable.insert(s.node_of_block[b]);
     }
     repair::ResilientOutcome out = repair::simulate_resilient(
-        problem, planner, view, opts_.network, opts_.chaos, ropts);
+        problem, planner, s.blocks, opts_.network, opts_.chaos, ropts);
     report.data = std::move(out.outputs[0]);
     report.simulated_read_time = to_sim_time(out.total_time_s);
     report.cross_rack_bytes = out.cross_rack_bytes;
@@ -453,8 +485,7 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
 
   // A read must never deliver wrong bytes: verify against the encode-time
   // digest before handing the block to the client.
-  const auto dg = digest_.find({stripe, block});
-  if (dg != digest_.end() && util::fnv1a64(report.data) != dg->second) {
+  if (digest(report.data) != s.digest[block]) {
     throw std::runtime_error("read_block: block " + std::to_string(block) +
                              " failed digest verification");
   }

@@ -2,8 +2,9 @@
 // rack topology — the system surface that ties the RS codec, placement
 // policies, repair planners and executors together.
 //
-// It is an in-process model (one BlockStore per node), but it exercises the
-// full production control flow the paper assumes:
+// It is an in-process model (each stripe holds its blocks in one slot per
+// block id, standing for the disk of the node the block lives on), but it
+// exercises the full production control flow the paper assumes:
 //
 //   put()            split an object into n data blocks, encode k parities,
 //                    place the stripe per the configured policy (stripes are
@@ -18,10 +19,15 @@
 //
 // Durability invariants (this layer's robustness contract):
 //
-//   * every block's FNV-1a digest is recorded at encode time; a stored block
-//     whose bytes no longer match (silent bit rot, corrupt_block()) is
-//     detected at read/repair time and treated as one more erasure — corrupt
-//     bytes never reach the decoder;
+//   * every block's FNV-1a digest is recorded at encode time, and bytes are
+//     hashed whenever they are written: at put (the n+k blocks in parallel),
+//     at a verified commit, and after corrupt_block() changes them. Bytes
+//     that no longer match (silent bit rot) leave their slot at once and
+//     count as one more erasure, so a scan is a lookup and corrupt bytes
+//     never reach a planner, executor or decoder;
+//   * every block leaving storage is hashed again before it is returned:
+//     read_block() checks the block it delivers, get() each block it
+//     decodes (intact blocks are copied straight from their slots);
 //   * repair commits are verified: a rebuilt block is installed only after
 //     its digest matches the one recorded at encode time (a wrong repair
 //     throws instead of silently replacing good data with garbage);
@@ -48,6 +54,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "fault/fault.h"
@@ -55,10 +62,11 @@
 #include "repair/planner.h"
 #include "rs/rs_code.h"
 #include "sched/scheduler.h"
-#include "storage/block_store.h"
 #include "topology/placement.h"
 
 namespace rpr::storage {
+
+using StripeId = std::uint64_t;
 
 struct StorageOptions {
   rs::CodeConfig code{6, 3};
@@ -73,7 +81,8 @@ struct StorageOptions {
   std::size_t extra_racks = 0;
   topology::NetworkParams network{};
   /// Optional telemetry sink: every repair / degraded-read simulation
-  /// records into it (counters and histograms accumulate across repairs).
+  /// records into it (counters and histograms accumulate across repairs),
+  /// and storage.digest_bytes counts every byte the integrity digest hashes.
   /// Both pointers null (the default) disables telemetry entirely.
   obs::Probe probe{};
   /// Faults injected into every repair (kill/straggle on the simulated
@@ -174,14 +183,17 @@ class StorageSystem {
     return alive_[node];
   }
 
-  /// Blocks of `stripe` currently lost: on dead nodes, missing from their
-  /// store, or failing their encode-time digest (silent corruption is an
-  /// erasure).
+  /// Blocks of `stripe` currently lost: on dead nodes, or holding bytes
+  /// that fail their encode-time digest (silent corruption is an erasure).
+  /// A lookup: intact state is recorded when bytes are written.
   [[nodiscard]] std::vector<std::size_t> lost_blocks(StripeId stripe) const;
 
   /// Silently corrupts the stored bytes of one block in place (seeded,
-  /// deterministic). The next read/repair detects it via the digest and
-  /// treats the block as lost. Throws if the block is not currently stored.
+  /// deterministic) and hashes them once: bytes that no longer match their
+  /// digest stay on their node but leave the stripe's view, so every later
+  /// read/repair treats the block as lost. Corrupting the same block again
+  /// XORs the same masks back and makes it intact again. Throws if the
+  /// block is not currently stored.
   void corrupt_block(StripeId stripe, std::size_t block);
 
   /// Repairs one stripe with the configured scheme. No-op (empty report)
@@ -232,29 +244,35 @@ class StorageSystem {
  private:
   struct Stripe {
     std::vector<topology::NodeId> node_of_block;
+    /// One slot per block id: the intact bytes stored on node_of_block[b],
+    /// or empty when that node is dead or its bytes fail their digest. The
+    /// slots are the stripe view every plan and decode reads in place.
+    std::vector<rs::Block> blocks;
+    /// Encode-time digest of each block's true contents (survives node
+    /// failures; a verified commit must reproduce it).
+    std::vector<std::uint64_t> digest;
+    /// Corrupt bytes still on their node, by block id: out of the view,
+    /// but there for a later corruption to XOR back.
+    std::map<std::size_t, rs::Block> corrupt;
     std::uint64_t object_size = 0;
   };
 
   [[nodiscard]] topology::NodeId pick_replacement(
       const Stripe& s, topology::RackId rack,
       const std::set<topology::NodeId>& avoid = {}) const;
-  [[nodiscard]] std::vector<rs::Block> stripe_view(StripeId id,
-                                                   const Stripe& s) const;
-  /// Stored, digest-verified block presence check.
-  [[nodiscard]] bool block_intact(StripeId id, std::size_t block,
-                                  topology::NodeId node) const;
+  /// FNV-1a of `bytes`, counted into storage.digest_bytes.
+  [[nodiscard]] std::uint64_t digest(
+      std::span<const std::uint8_t> bytes) const;
+  /// Drops every block `node` holds (disk loss or replaced hardware).
+  void wipe_node(topology::NodeId node);
   void apply_chaos_corruptions();
 
   StorageOptions opts_;
   rs::RSCode code_;
   topology::Cluster cluster_;
   std::unique_ptr<repair::Planner> planner_;
-  std::vector<BlockStore> store_;   // per node
-  std::vector<bool> alive_;         // per node
+  std::vector<bool> alive_;  // per node
   std::map<StripeId, Stripe> stripes_;
-  /// Encode-time digest of every block's true contents (updated when a
-  /// verified repair installs a block; survives node failures).
-  std::map<std::pair<StripeId, std::size_t>, std::uint64_t> digest_;
   StripeId next_stripe_ = 0;
   bool chaos_corruptions_applied_ = false;
 };

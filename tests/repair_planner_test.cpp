@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 
 #include "repair/executor_data.h"
+#include "gf/gf_region.h"
 #include "repair/executor_sim.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
@@ -315,4 +317,140 @@ TEST(SelectMinRacks, PrefersRecoveryRackAndFullRacks) {
       s.code, s.placed.placement, std::vector<std::size_t>{1}, 0);
   EXPECT_EQ(sel.size(), 6u);
   EXPECT_TRUE(std::find(sel.begin(), sel.end(), 0u) != sel.end());
+}
+
+// ---------------------------------------------------------------------------
+// DataExecutor: the aliasing evaluator agrees with a copy-per-op one.
+
+namespace {
+
+/// The copy-per-op evaluator execute_on_data used to be: every read
+/// materialises coeff * block, every send copies its input, every combine
+/// allocates. Kept as the oracle for the aliasing one.
+std::vector<rpr::rs::Block> execute_copying(
+    const rpr::repair::RepairPlan& plan,
+    std::span<const rpr::repair::OpId> outputs,
+    std::span<const rpr::rs::Block> stripe) {
+  using rpr::repair::OpKind;
+  std::vector<rpr::rs::Block> value(plan.ops.size());
+  for (rpr::repair::OpId id = 0; id < plan.ops.size(); ++id) {
+    const auto& op = plan.ops[id];
+    switch (op.kind) {
+      case OpKind::kRead:
+        value[id].assign(stripe[op.block].size(), 0);
+        rpr::gf::mul_region_add(op.coeff, value[id], stripe[op.block]);
+        break;
+      case OpKind::kSend:
+        value[id] = value[op.inputs[0]];
+        break;
+      case OpKind::kCombine:
+        value[id].assign(value[op.inputs[0]].size(), 0);
+        for (std::size_t i = 0; i < op.inputs.size(); ++i) {
+          const std::uint8_t c =
+              op.input_coeffs.empty() ? std::uint8_t{1} : op.input_coeffs[i];
+          rpr::gf::mul_region_add(c, value[id], value[op.inputs[i]]);
+        }
+        break;
+    }
+  }
+  std::vector<rpr::rs::Block> result;
+  for (const auto id : outputs) result.push_back(value[id]);
+  return result;
+}
+
+void expect_same_values(const rpr::repair::RepairPlan& plan,
+                        const std::vector<rpr::repair::OpId>& outputs,
+                        const std::vector<rpr::rs::Block>& stripe) {
+  const auto got = rpr::repair::execute_on_data(plan, outputs, stripe);
+  const auto want = execute_copying(plan, outputs, stripe);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "output " << i << " (op " << outputs[i]
+                               << ")";
+  }
+}
+
+}  // namespace
+
+TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
+  const rpr::repair::RprChainedPlanner chained;
+  const TraditionalPlanner tra;
+  const CarPlanner car;
+  const RprPlanner rpr_planner;
+  const std::vector<const Planner*> multi = {&tra, &rpr_planner, &chained};
+  // The larger block crosses the combine's sharding threshold, so the
+  // pooled path runs too (on fewer failure patterns: it is slow to copy).
+  const std::vector<std::pair<CodeConfig, std::size_t>> cases = {
+      {{6, 3}, 256}, {{12, 4}, 256}, {{6, 3}, 160 << 10}};
+  for (const auto kind :
+       {rpr::rs::MatrixKind::kCauchy, rpr::rs::MatrixKind::kVandermonde}) {
+    for (const auto& [cfg, block] : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << rpr::testing::config_name(cfg) << " block " << block
+                   << (kind == rpr::rs::MatrixKind::kCauchy ? " cauchy"
+                                                            : " vandermonde"));
+      const RSCode code(cfg, kind);
+      const auto placed =
+          rpr::topology::make_placed_stripe(cfg, PlacementPolicy::kRpr);
+      const auto stripe = rpr::testing::random_stripe(code, block, 0xA11A5);
+      rpr::util::Xoshiro256 rng(block + cfg.total());
+      const auto check = [&](const Planner& planner,
+                             std::vector<std::size_t> failed) {
+        SCOPED_TRACE(testing::Message()
+                     << planner.name() << " failed " << failed.size()
+                     << " first " << failed.front());
+        RepairProblem p;
+        p.code = &code;
+        p.placement = &placed.placement;
+        p.block_size = block;
+        p.failed = std::move(failed);
+        p.choose_default_replacements();
+        const PlannedRepair planned = planner.plan(p);
+        std::vector<std::size_t> expected;
+        for (const std::size_t f : p.failed) expected.push_back(f);
+        // The plan's own outputs, rebuilt bit-exactly.
+        const auto rebuilt = rpr::repair::execute_on_data(
+            planned.plan, planned.outputs, stripe);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(rebuilt[i], stripe[expected[i]]);
+        }
+        expect_same_values(planned.plan, planned.outputs, stripe);
+        // Every op at once: values that alias one combine buffer copy it
+        // before its last appearance moves it out.
+        std::vector<rpr::repair::OpId> all(planned.plan.ops.size());
+        for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+        expect_same_values(planned.plan, all, stripe);
+        // The abort path's done_ops: ordered subsets of the plan's ops.
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<rpr::repair::OpId> done;
+          for (const auto id : all) {
+            if (rng.below(2) == 0) done.push_back(id);
+          }
+          expect_same_values(planned.plan, done, stripe);
+        }
+      };
+      const std::size_t step = block > 256 ? cfg.total() : 2;
+      for (std::size_t f = 0; f < cfg.total(); f += step) {
+        check(car, {f});
+        for (const Planner* planner : multi) check(*planner, {f});
+      }
+      for (const Planner* planner : multi) {
+        check(*planner, {0, cfg.n});
+        check(*planner, {1, 2, cfg.total() - 1});
+      }
+
+      // Bare reads as outputs: scaled, unit and zero coefficients, one of
+      // them forwarded, and the same value requested twice.
+      rpr::repair::RepairPlan plan;
+      plan.block_size = block;
+      const auto node = placed.placement.node_of(3);
+      const auto scaled = plan.read(node, 3, 0x53);
+      const auto unit = plan.read(node, 3, 1);
+      const auto zero = plan.read(node, 3, 0);
+      const auto sent =
+          plan.send(scaled, node, placed.placement.node_of(4));
+      rpr::repair::validate(plan, placed.cluster);
+      expect_same_values(plan, {scaled, unit, zero, sent, scaled}, stripe);
+    }
+  }
 }

@@ -195,7 +195,8 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
   // With no chaos schedule, repair() and a degraded read_block() are the
   // zero-fault resilient session: the same rebuilt bytes, traffic, time
   // and sim.* telemetry as planning the problem and running simulate +
-  // execute_on_data on it directly.
+  // execute_on_data on it directly. The storage layer adds only its digest
+  // counter: the n+k blocks at put, then one block per read and repair.
   for (const Scheme scheme : {Scheme::kTraditional, Scheme::kCar,
                               Scheme::kRpr, Scheme::kRprChained}) {
     for (const std::size_t lost : {std::size_t{1}, std::size_t{6}}) {
@@ -211,6 +212,8 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
       const auto id = sys.put(obj);
       const auto& cfg = sys.code().config();
       const auto& cluster = sys.cluster();
+      auto& digested = ref_reg.counter("storage.digest_bytes");
+      digested.add(cfg.total() * o.block_size);
 
       // The stripe's true blocks, encoded the way put() does.
       std::vector<rpr::rs::Block> blocks(cfg.total());
@@ -255,6 +258,7 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
       EXPECT_EQ(read.inner_rack_bytes, read_sim.inner_rack_bytes);
       EXPECT_EQ(read.simulated_read_time, read_sim.total_repair_time);
       EXPECT_EQ(read.replans, 0u);
+      digested.add(o.block_size);
       EXPECT_EQ(rpr::obs::to_json(sys_reg), rpr::obs::to_json(ref_reg));
 
       // Repair, to the replacement the system picked.
@@ -273,6 +277,7 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
       EXPECT_EQ(report.used_decoding_matrix, planned.used_decoding_matrix);
       EXPECT_EQ(report.replans, 0u);
       EXPECT_EQ(report.faults_injected, 0u);
+      digested.add(o.block_size);
       EXPECT_EQ(rpr::obs::to_json(sys_reg), rpr::obs::to_json(ref_reg));
       EXPECT_EQ(sys.get(id), obj);
     }
@@ -500,4 +505,219 @@ TEST(Storage, ContiguousPolicyWithTraditionalScheme) {
   const auto report = sys.repair(id);
   EXPECT_TRUE(report.used_decoding_matrix);  // traditional always builds it
   EXPECT_EQ(sys.get(id), obj);
+}
+
+TEST(Storage, DigestsEachBlockOnce) {
+  // Intact state is recorded when bytes are written, so an operation hashes
+  // only the blocks it writes or hands out: a scan is a lookup.
+  rpr::obs::MetricsRegistry reg;
+  StorageOptions o = small_opts();
+  o.probe.metrics = &reg;
+  StorageSystem sys(o);
+  const auto& cfg = sys.code().config();
+  const auto obj = random_object(6 * 1024, 51);
+  const auto blocks_hashed = [&](const auto& op) {
+    auto& digested = reg.counter("storage.digest_bytes");
+    const std::uint64_t before = digested.value();
+    op();
+    return (digested.value() - before) / o.block_size;
+  };
+
+  rpr::storage::StripeId id = 0;
+  EXPECT_EQ(blocks_hashed([&] { id = sys.put(obj); }), cfg.total());
+  EXPECT_EQ(blocks_hashed([&] { EXPECT_EQ(sys.get(id), obj); }), 0u);
+  const auto nodes = sys.stripe_nodes(id);
+  rpr::topology::NodeId reader = 0;
+  for (rpr::topology::NodeId n = sys.cluster().total_nodes(); n-- > 0;) {
+    if (std::find(nodes.begin(), nodes.end(), n) == nodes.end()) {
+      reader = n;
+      break;
+    }
+  }
+  EXPECT_EQ(blocks_hashed([&] {
+              EXPECT_FALSE(sys.read_block(id, 2, reader).degraded);
+            }),
+            1u);
+  EXPECT_EQ(blocks_hashed([&] {
+              sys.fail_node(nodes[0]);
+              EXPECT_EQ(sys.lost_blocks(id), std::vector<std::size_t>{0});
+            }),
+            0u);
+  EXPECT_EQ(blocks_hashed([&] {
+              EXPECT_TRUE(sys.read_block(id, 0, reader).degraded);
+            }),
+            1u);
+  // A degraded get verifies each data block it decodes, and only those.
+  EXPECT_EQ(blocks_hashed([&] { EXPECT_EQ(sys.get(id), obj); }), 1u);
+  EXPECT_EQ(blocks_hashed([&] { EXPECT_TRUE(sys.repair(id).verified); }), 1u);
+  EXPECT_EQ(blocks_hashed([&] { sys.corrupt_block(id, 4); }), 1u);
+  EXPECT_EQ(blocks_hashed([&] {
+              EXPECT_EQ(sys.repair(id).repaired_blocks,
+                        std::vector<std::size_t>{4});
+            }),
+            1u);
+  EXPECT_EQ(blocks_hashed([&] { EXPECT_EQ(sys.get(id), obj); }), 0u);
+}
+
+TEST(Storage, IntactStateMatchesShadowModel) {
+  // Seeded random operation sequences against a model that tracks, per
+  // block, only whether its node still holds the bytes and how many times
+  // they were corrupted since (a second corruption XORs the first back).
+  // After every step lost_blocks() must match the model, and every byte
+  // handed out must be the original.
+  std::size_t xor_backs = 0;
+  std::size_t rebuilt = 0;
+  std::size_t degraded_reads = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    rpr::util::Xoshiro256 rng(seed);
+    StorageSystem sys(small_opts());
+    const auto& cfg = sys.code().config();
+    const std::size_t nodes = sys.cluster().total_nodes();
+
+    struct Shadow {
+      std::vector<std::uint8_t> object;
+      std::vector<rpr::rs::Block> blocks;  // the true n+k blocks
+      std::vector<bool> held;              // bytes on the block's node
+      std::vector<bool> corrupt;           // odd corruption count
+    };
+    std::vector<Shadow> shadow;
+    std::vector<bool> alive(nodes, true);
+    std::size_t dead = 0;
+    std::size_t last_corrupt_stripe = 0;
+    std::size_t last_corrupt_block = 0;
+
+    const auto expected_lost = [&](std::size_t id) {
+      std::vector<std::size_t> lost;
+      for (std::size_t b = 0; b < cfg.total(); ++b) {
+        if (!shadow[id].held[b] || shadow[id].corrupt[b]) lost.push_back(b);
+      }
+      return lost;
+    };
+    const auto wipe = [&](rpr::topology::NodeId node) {
+      for (std::size_t id = 0; id < shadow.size(); ++id) {
+        const auto where = sys.stripe_nodes(id);
+        for (std::size_t b = 0; b < cfg.total(); ++b) {
+          if (where[b] != node) continue;
+          shadow[id].held[b] = false;
+          shadow[id].corrupt[b] = false;
+        }
+      }
+    };
+    const auto put = [&] {
+      Shadow sh;
+      const std::size_t size = 1 + rng.below(cfg.n * 1024);
+      sh.object = random_object(size, rng());
+      sh.blocks.assign(cfg.total(), rpr::rs::Block(1024, 0));
+      for (std::size_t i = 0; i < sh.object.size(); ++i) {
+        sh.blocks[i / 1024][i % 1024] = sh.object[i];
+      }
+      sys.code().encode_stripe(sh.blocks);
+      const auto id = sys.put(sh.object);
+      ASSERT_EQ(id, shadow.size());
+      const auto where = sys.stripe_nodes(id);
+      sh.held.resize(cfg.total());
+      for (std::size_t b = 0; b < cfg.total(); ++b) {
+        sh.held[b] = alive[where[b]];
+      }
+      sh.corrupt.assign(cfg.total(), false);
+      shadow.push_back(std::move(sh));
+    };
+
+    put();
+    put();
+    for (int step = 0; step < 80; ++step) {
+      const std::size_t id = rng.below(shadow.size());
+      const auto lost = expected_lost(id);
+      const bool recoverable = lost.size() <= cfg.k;
+      const auto op = rng.below(9);
+      SCOPED_TRACE(testing::Message() << "step " << step << " op " << op
+                                      << " stripe " << id);
+      if (op == 0 && shadow.size() < 5) {
+        put();
+      } else if (op == 1 && dead < 3) {
+        auto node = static_cast<rpr::topology::NodeId>(rng.below(nodes));
+        if (alive[node]) {
+          sys.fail_node(node);
+          alive[node] = false;
+          ++dead;
+          wipe(node);
+        }
+      } else if (op == 2) {
+        // Replaced hardware: alive again, but empty.
+        const auto node = static_cast<rpr::topology::NodeId>(rng.below(nodes));
+        sys.revive_node(node);
+        if (!alive[node]) --dead;
+        alive[node] = true;
+        wipe(node);
+      } else if (op == 3 || op == 4) {
+        // Half the time corrupt the last corrupted block again.
+        std::size_t cs = id;
+        std::size_t cb = rng.below(cfg.total());
+        if (op == 4 && last_corrupt_stripe < shadow.size()) {
+          cs = last_corrupt_stripe;
+          cb = last_corrupt_block;
+        }
+        if (shadow[cs].held[cb]) {
+          sys.corrupt_block(cs, cb);
+          if (shadow[cs].corrupt[cb]) ++xor_backs;
+          shadow[cs].corrupt[cb] = !shadow[cs].corrupt[cb];
+          last_corrupt_stripe = cs;
+          last_corrupt_block = cb;
+        } else {
+          EXPECT_THROW(sys.corrupt_block(cs, cb), std::runtime_error);
+        }
+      } else if (op == 5) {
+        if (!recoverable) {
+          EXPECT_THROW((void)sys.repair(id), std::runtime_error);
+          ++refused;
+        } else {
+          const auto report = sys.repair(id);
+          rebuilt += lost.size();
+          EXPECT_EQ(report.repaired_blocks, lost);
+          EXPECT_TRUE(lost.empty() || report.verified);
+          for (std::size_t b = 0; b < cfg.total(); ++b) {
+            shadow[id].held[b] = true;
+            shadow[id].corrupt[b] = false;
+          }
+        }
+      } else if (op == 6 || op == 7) {
+        const std::size_t b = rng.below(cfg.total());
+        const auto where = sys.stripe_nodes(id);
+        rpr::topology::NodeId reader = 0;
+        do {
+          reader = static_cast<rpr::topology::NodeId>(rng.below(nodes));
+        } while (!alive[reader] ||
+                 std::find(where.begin(), where.end(), reader) != where.end());
+        const bool degraded =
+            std::find(lost.begin(), lost.end(), b) != lost.end();
+        if (degraded && !recoverable) {
+          EXPECT_THROW((void)sys.read_block(id, b, reader),
+                       std::runtime_error);
+        } else {
+          const auto r = sys.read_block(id, b, reader);
+          EXPECT_EQ(r.degraded, degraded);
+          degraded_reads += degraded ? 1 : 0;
+          EXPECT_TRUE(r.verified);
+          EXPECT_EQ(r.data, shadow[id].blocks[b]);
+        }
+      } else {
+        const bool lost_data = !lost.empty() && cfg.is_data(lost.front());
+        if (lost_data && !recoverable) {
+          EXPECT_THROW((void)sys.get(id), std::runtime_error);
+        } else {
+          EXPECT_EQ(sys.get(id), shadow[id].object);
+        }
+      }
+      for (std::size_t s = 0; s < shadow.size(); ++s) {
+        ASSERT_EQ(sys.lost_blocks(s), expected_lost(s)) << "stripe " << s;
+      }
+    }
+  }
+  // The sequences reach every state change the model distinguishes.
+  EXPECT_GT(xor_backs, 0u);
+  EXPECT_GT(rebuilt, 0u);
+  EXPECT_GT(degraded_reads, 0u);
+  EXPECT_GT(refused, 0u);
 }

@@ -38,9 +38,9 @@ int main() {
     const auto id = sys.put(obj);
 
     const auto reader = sys.cluster().spare(0, 0);
-    const auto healthy = sys.degraded_read_cost(id, 1, reader);
+    const auto healthy = sys.read_block(id, 1, reader);
     sys.fail_node(sys.stripe_nodes(id)[1]);
-    const auto degraded = sys.degraded_read_cost(id, 1, reader);
+    const auto degraded = sys.read_block(id, 1, reader);
 
     // Reads must still return correct data while degraded.
     if (sys.get(id) != obj) {
@@ -48,8 +48,8 @@ int main() {
       return 1;
     }
 
-    const double h = util::to_ms(healthy.total_repair_time);
-    const double d = util::to_ms(degraded.total_repair_time);
+    const double h = util::to_ms(healthy.simulated_read_time);
+    const double d = util::to_ms(degraded.simulated_read_time);
     std::printf("%-12s %16.1f %18.1f %13.1fx\n",
                 policy == topology::PlacementPolicy::kContiguous
                     ? "contiguous"

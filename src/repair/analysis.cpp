@@ -187,13 +187,9 @@ PredictedTraffic predicted_traffic(Scheme scheme, const RepairProblem& problem,
   }
   PredictedTraffic t;
   for (std::size_t e = 0; e < planned.equations.size(); ++e) {
-    const rs::RepairEquation& eq = planned.equations[e];
-    LeafTerms terms;
-    for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-      if (eq.coefficients[i] != 0) terms[eq.sources[i]] = eq.coefficients[i];
-    }
     const PredictedTraffic one = predicted_equation_traffic(
-        *problem.placement, terms, problem.replacements[e]);
+        *problem.placement, leaf_terms(planned.equations[e]),
+        problem.replacements[e]);
     t.cross_transfers += one.cross_transfers;
     t.inner_transfers += one.inner_transfers;
   }
@@ -208,9 +204,9 @@ MakespanBound makespan_lower_bound(const RepairPlan& plan,
   const std::uint64_t b = plan.block_size;
   const std::size_t nslices = util::slice_count(b, slice_size);
   const double first_len =
-      static_cast<double>(nslices == 1 ? b : slice_size);
-  const double last_len = static_cast<double>(
-      nslices == 1 ? b : util::slice_len(b, slice_size, nslices - 1));
+      static_cast<double>(util::slice_len(b, slice_size, 0));
+  const double last_len =
+      static_cast<double>(util::slice_len(b, slice_size, nslices - 1));
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   // Per-op stage rate in bytes/s, mirroring lower_plan's cost model. An

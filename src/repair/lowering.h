@@ -59,8 +59,7 @@ LoweredPlan lower_plan(Network& net, const RepairPlan& plan,
       for (OpId in : op.inputs) deps.push_back(lowered.slice_tasks[in][s]);
       if (s > 0) deps.push_back(mine[s - 1]);
       const std::uint64_t bytes =
-          nslices == 1 ? plan.block_size
-                       : util::slice_len(plan.block_size, slice_size, s);
+          util::slice_len(plan.block_size, slice_size, s);
       switch (op.kind) {
         case OpKind::kRead:
           mine.push_back(

@@ -13,6 +13,14 @@
 //    reduction), §3.3 XOR fast path, and the §3.4 multi-failure extension
 //    (one sub-equation per failed block, rack intermediates per
 //    sub-equation, pipelined cross-rack reductions).
+//  * RprChainedPlanner — RPR with an ECPipe-style relay chain in place of
+//    the cross-rack merge tree.
+//
+// Every rack-aware equation (RPR, chained RPR, degraded reads, mid-repair
+// re-plans) is built by plan_remainder (repair/replan.h); a first attempt is
+// a remainder with no banked partials. CAR and traditional keep their own
+// planners: their baselines use other inner shapes (CAR stars each rack;
+// traditional ships raw blocks and scales them with combine_scaled).
 //
 // Planners emit a RepairPlan DAG; all timing decisions (who goes first when
 // ports contend) are taken greedily by the executor, which is what makes the
@@ -105,17 +113,11 @@ class RprPlanner final : public Planner {
   RprOptions opts_;
 };
 
-/// Chained variant of RPR (ECPipe-style repair pipelining composed with the
-/// paper's rack-local aggregation): instead of reducing the rack
-/// intermediates with a greedy merge tree rooted at the recovery rack, the
-/// contributing racks are ordered into a single relay chain. Each rack's
-/// aggregator combines its local partial into the slice arriving from the
-/// upstream rack and forwards the running sum, so under slice pipelining
-/// every cross-rack port carries exactly one stream and is busy every slice
-/// interval — the recovery rack's cross-RX port receives one stream instead
-/// of q, which is what collapses its port wait. Cross-rack byte totals are
-/// identical to the star/tree shapes (one crossing per contributing rack);
-/// only the schedule's shape changes.
+/// Chained variant of RPR: RprPlanner's selection and inner-rack trees, with
+/// the rack intermediates relayed along one chain into the recovery rack
+/// (RemainderScheme::kChain). Same cross-rack bytes as the merge tree; under
+/// slice pipelining the recovery rack's cross-RX port receives one stream
+/// instead of q.
 class RprChainedPlanner final : public Planner {
  public:
   explicit RprChainedPlanner(RprOptions opts = {}) : opts_(opts) {}

@@ -1,6 +1,7 @@
 #include "repair/reduction.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/contracts.h"
 
@@ -154,6 +155,63 @@ Value cross_reduce(RepairPlan& plan, std::vector<Value> values,
   RPR_ENSURE(have_recovery && recovery.node == replacement,
              "cross reduction must terminate at the replacement node");
   return recovery;
+}
+
+Value chain_reduce(RepairPlan& plan, std::vector<Value> values,
+                   topology::NodeId replacement,
+                   const topology::Cluster& cluster,
+                   const CrossCostFn& cost) {
+  RPR_REQUIRE(!values.empty(), "chain_reduce needs at least one value");
+  const auto link_cost = [&](topology::NodeId a, topology::NodeId b) {
+    if (!cost) return kCrossCost;
+    return cost(cluster.rack_of(a), cluster.rack_of(b));
+  };
+
+  // The recovery-resident value waits at the replacement node as the
+  // chain's terminal summand; every other value is a relay station.
+  std::optional<Value> recovery;
+  std::vector<Value> relays;
+  for (const Value& v : values) {
+    if (v.at_recovery) {
+      RPR_INVARIANT(!recovery.has_value(),
+                    "at most one recovery-resident intermediate per equation");
+      recovery = v;
+    } else {
+      relays.push_back(v);
+    }
+  }
+
+  // Earliest-ready first, so the head starts streaming while downstream
+  // racks are still partial-decoding — each station only needs its local
+  // partial by the time the upstream slice arrives.
+  std::stable_sort(relays.begin(), relays.end(),
+                   [](const Value& a, const Value& b) {
+                     return a.ready < b.ready;
+                   });
+  // Every value already in the recovery rack: nothing crosses.
+  if (relays.empty()) return *recovery;
+
+  // Relay the running sum: send it to the next station, XOR it in there.
+  const auto hop = [&](const Value& running, const Value& station) {
+    const OpId sent =
+        plan.send(running.op, running.node, station.node, "chain:send");
+    const OpId merged =
+        plan.combine(station.node, {sent, station.op}, false, "chain:merge");
+    return Value{merged, station.node,
+                 std::max(running.ready + link_cost(running.node, station.node),
+                          station.ready),
+                 station.at_recovery};
+  };
+  Value running = relays.front();
+  for (std::size_t i = 1; i < relays.size(); ++i) {
+    running = hop(running, relays[i]);
+  }
+  // Final hop into the recovery rack, merged with its resident value.
+  if (recovery.has_value()) return hop(running, *recovery);
+  const OpId sent =
+      plan.send(running.op, running.node, replacement, "chain:send");
+  return Value{sent, replacement,
+               running.ready + link_cost(running.node, replacement), true};
 }
 
 }  // namespace rpr::repair::detail

@@ -70,4 +70,14 @@ Value cross_reduce(RepairPlan& plan, std::vector<Value> values,
                    const topology::Cluster& cluster,
                    const CrossCostFn& cost = {});
 
+/// Relay chain across racks (ECPipe-style): the non-recovery
+/// intermediates are ordered earliest-ready first; each hop sends the
+/// running sum to the next one's node and XORs it in there, and the last
+/// hop lands at `replacement`, merging with the recovery-resident value
+/// (at most one) when there is one. Hop costs as in cross_reduce.
+Value chain_reduce(RepairPlan& plan, std::vector<Value> values,
+                   topology::NodeId replacement,
+                   const topology::Cluster& cluster,
+                   const CrossCostFn& cost = {});
+
 }  // namespace rpr::repair::detail

@@ -86,6 +86,14 @@ void substitute_source(const rs::RSCode& code, LeafTerms& terms,
              "patched equation must not reference the lost block");
 }
 
+LeafTerms leaf_terms(const rs::RepairEquation& eq) {
+  LeafTerms terms;
+  for (std::size_t i = 0; i < eq.sources.size(); ++i) {
+    if (eq.coefficients[i] != 0) terms[eq.sources[i]] = eq.coefficients[i];
+  }
+  return terms;
+}
+
 OpId plan_remainder(RepairPlan& plan, const topology::Placement& placement,
                     const RemainderEquation& eq, const RprOptions& opts,
                     std::size_t round) {
@@ -130,42 +138,36 @@ OpId plan_remainder(RepairPlan& plan, const topology::Placement& placement,
   // the invariant the traffic closed forms assume.
   for (auto& [rack, values] : by_rack) {
     (void)rack;
-    std::vector<Value> merged;
-    merged.reserve(values.size());
+    auto kept = values.begin();  // [begin, kept): one value per node
     for (const Value& v : values) {
-      auto it = std::find_if(
-          merged.begin(), merged.end(),
+      const auto it = std::find_if(
+          values.begin(), kept,
           [&](const Value& m) { return m.node == v.node; });
-      if (it == merged.end()) {
-        merged.push_back(v);
+      if (it == kept) {
+        *kept++ = v;
         continue;
       }
       it->op = plan.combine(v.node, {it->op, v.op}, false, "local:merge");
       it->ready = std::max(it->ready, v.ready);
       it->at_recovery = it->at_recovery || v.at_recovery;
     }
-    values = std::move(merged);
+    values.erase(kept, values.end());
   }
 
-  if (eq.scheme == RemainderScheme::kDirect) {
-    // Traditional shape: every value ships straight to the destination and
-    // is XOR-reduced there — no per-rack aggregation at all.
-    std::vector<Value> values;
-    for (auto& [rack, rack_values] : by_rack) {
-      (void)rack;
-      for (auto& v : rack_values) values.push_back(v);
+  // The values the cross-rack shape reduces: every value as-is for the
+  // traditional shape, else one intermediate per rack (Algorithm 1).
+  // Recovery-rack values reduce pairwise too, and their intermediate then
+  // hops (inner-rack) to the destination.
+  std::vector<Value> values;
+  for (auto& [rack, rack_values] : by_rack) {
+    if (eq.scheme == RemainderScheme::kDirect) {
+      values.insert(values.end(), rack_values.begin(), rack_values.end());
+      continue;
     }
-    Value final_value = detail::star_aggregate(
-        plan, std::move(values), eq.destination, true, detail::kCrossCost,
-        "direct");
-    return plan.combine(eq.destination, {final_value.op}, eq.with_matrix,
-                        "finalize b" + std::to_string(eq.failed_block));
-  }
-
-  std::vector<Value> intermediates;
-  for (auto& [rack, values] : by_rack) {
-    Value v = detail::pairwise_tree(plan, std::move(values),
+    Value v = detail::pairwise_tree(plan, std::move(rack_values),
                                     detail::kInnerCost);
+    // Later sub-equations contend for the same node ports; shift their
+    // estimated readiness so the merge tree pairs likes with likes.
     v.ready += static_cast<double>(round) * detail::kInnerCost;
     if (rack == recovery_rack) {
       if (v.node != eq.destination) {
@@ -176,19 +178,51 @@ OpId plan_remainder(RepairPlan& plan, const topology::Placement& placement,
         v.at_recovery = true;
       }
     }
-    intermediates.push_back(v);
+    values.push_back(v);
   }
 
   Value final_value;
-  const bool pipeline =
-      eq.scheme == RemainderScheme::kPipeline && opts.pipeline_cross;
-  if (pipeline) {
+  if (eq.scheme == RemainderScheme::kDirect) {
+    // Traditional shape: every value ships straight to the destination and
+    // is XOR-reduced there — no per-rack aggregation at all.
+    final_value = detail::star_aggregate(plan, std::move(values),
+                                         eq.destination, true,
+                                         detail::kCrossCost, "direct");
+  } else if (eq.scheme == RemainderScheme::kChain) {
+    // RPR-chained: the paper's rack-aware aggregation composed with
+    // ECPipe-style repair pipelining (Li et al., "Repair Pipelining for
+    // Erasure-Coded Storage"; the rack-aware optimal-bandwidth framework
+    // confirms chaining composes with rack-local partial decoding).
+    //
+    // Rather than a greedy merge tree rooted at the recovery rack (whose
+    // cross-RX port then serializes the incoming intermediates — 80.8% of
+    // the traditional star's makespan is that port's wait), the
+    // contributing racks form one relay chain ordered earliest-ready-first.
+    // Each hop sends the running sum to the next rack's aggregator, which
+    // XORs in its own local partial and forwards; the final hop lands at
+    // the destination. Every cross-rack link carries exactly one block's
+    // worth of bytes (same totals as the star), but under slice pipelining
+    // each link is busy every slice interval, so the makespan approaches
+    // the pipeline-depth bound (b/s + L - 1) * s / B_min instead of q
+    // serialized cross transfers.
+    //
+    // Whole-block execution of a chain serializes the hops
+    // (store-and-forward), which is *slower* than the greedy tree —
+    // chained schedules are a slice-mode scheme; the sweeps and benches
+    // run them with --slice-size. The chain ignores
+    // RprOptions::pipeline_cross.
     final_value =
-        detail::cross_reduce(plan, std::move(intermediates), eq.destination,
+        detail::chain_reduce(plan, std::move(values), eq.destination,
+                             cluster, opts.cross_cost);
+  } else if (eq.scheme == RemainderScheme::kPipeline && opts.pipeline_cross) {
+    final_value =
+        detail::cross_reduce(plan, std::move(values), eq.destination,
                              cluster, opts.cross_cost);
   } else {
+    // kStar, and the ablation mode of kPipeline: partial decoding without
+    // the pipeline (Fig. 5 schedule 1).
     final_value =
-        detail::star_aggregate(plan, std::move(intermediates), eq.destination,
+        detail::star_aggregate(plan, std::move(values), eq.destination,
                                true, detail::kCrossCost, "cross");
   }
   return plan.combine(eq.destination, {final_value.op}, eq.with_matrix,

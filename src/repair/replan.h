@@ -69,12 +69,16 @@ struct RemainderPartial {
   topology::NodeId node = 0;
 };
 
-/// Cross-rack reduction shape for a remainder plan — the scheme-switch
-/// lever the resilient driver pulls when the recovery rack degrades.
+/// Cross-rack reduction shape for a remainder plan: first attempts use
+/// kPipeline (RPR) or kChain (chained RPR); the resilient driver switches
+/// shape when it relocates a destination.
 enum class RemainderScheme {
-  kPipeline,  ///< RPR: per-rack Algorithm 1, pipelined cross-rack chain
-  kStar,      ///< CAR: per-rack aggregation, starred into the destination
+  kPipeline,  ///< pairwise per rack, Algorithm 2 merge tree (star when
+              ///< RprOptions::pipeline_cross is off)
+  kStar,      ///< pairwise per rack, then a star into the destination
+              ///< (not CAR: CAR stars within each rack too)
   kDirect,    ///< traditional: every value shipped straight to destination
+  kChain,     ///< pairwise per rack, then a relay chain across the racks
 };
 
 /// What is still to be computed for one failed block mid-repair.
@@ -94,12 +98,18 @@ struct RemainderEquation {
   RemainderScheme scheme = RemainderScheme::kPipeline;
 };
 
-/// Plans the evaluation of a remainder equation with the planner's
-/// rack-aware machinery (Algorithm 1 per rack, then the cross-rack shape
-/// selected by eq.scheme, rooted at the destination). Partials are read at
-/// their resident nodes and seed their racks' reductions. Returns the op
-/// producing the finished block at eq.destination. `round` staggers
-/// readiness estimates exactly as in multi-failure planning.
+/// The outstanding terms of a first attempt: `eq`'s nonzero coefficients.
+[[nodiscard]] LeafTerms leaf_terms(const rs::RepairEquation& eq);
+
+/// Plans the evaluation of a remainder equation with the rack-aware
+/// machinery (Algorithm 1 per rack, then the cross-rack shape selected by
+/// eq.scheme, rooted at the destination). The one builder of rack-aware
+/// equations: a planner's first attempt is a remainder with no partials.
+/// Partials are read at their resident nodes and seed their racks'
+/// reductions. Returns the op producing the finished block at
+/// eq.destination. `round` is the equation's index within its plan; it
+/// staggers readiness estimates so later sub-equations account for port
+/// contention with earlier ones.
 OpId plan_remainder(RepairPlan& plan, const topology::Placement& placement,
                     const RemainderEquation& eq, const RprOptions& opts,
                     std::size_t round);

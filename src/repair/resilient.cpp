@@ -57,6 +57,18 @@ void drop_zero_terms(LeafTerms& terms) {
   std::erase_if(terms, [](const auto& kv) { return kv.second == 0; });
 }
 
+/// Drops the partials whose node `gone` rejects: their terms go back
+/// outstanding.
+template <typename Pred>
+void unbank_if(EqState& s, Pred gone) {
+  std::erase_if(s.partials, [&](const BankedPartial& p) {
+    if (!gone(p.node)) return false;
+    for (const auto& [b, c] : p.terms) s.remaining[b] ^= c;
+    return true;
+  });
+  drop_zero_terms(s.remaining);
+}
+
 /// Banks every reusable finished value of the failed attempt into the
 /// equation's partial set: a value at any alive node is folded in when its
 /// leaf contributions exactly match a subset of the outstanding terms
@@ -267,10 +279,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     const rs::RepairEquation& eq = planned.equations[e];
     EqState s;
     s.failed_block = eq.failed_block;
-    for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-      if (eq.coefficients[i] != 0) s.remaining[eq.sources[i]] =
-          eq.coefficients[i];
-    }
+    s.remaining = leaf_terms(eq);
     s.destination = problem.replacements[e];
     s.with_matrix = planned.used_decoding_matrix;
     eqs.push_back(std::move(s));
@@ -345,54 +354,48 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       throw std::runtime_error(
           "execute_resilient: attempt aborted without naming a dead node");
     }
-    if (round >= opts.max_replans) {
-      // Budget gone — but the aborting attempt's finished work still counts.
-      // Bank it (and drop partials stranded on the casualties) so the
-      // salvage report describes exactly what a future session can reuse.
-      if (!a.partitioned) {
-        for (const auto n : a.dead_nodes) dead.insert(n);
-        if (a.dead_nodes.empty()) dead.insert(a.dead_node);
-      }
-      const auto contrib = leaf_contributions(cur_plan);
-      for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
-        EqState& s = eqs[eq_of_output[i]];
-        for (const auto& f : a.finished) {
-          if (f.first == cur_outputs[i]) {
-            s.result = f.second;
-            s.done = true;
-            break;
-          }
-        }
-      }
-      for (EqState& s : eqs) {
-        if (s.done) continue;
-        for (auto it = s.partials.begin(); it != s.partials.end();) {
-          if (dead.count(it->node) != 0) {
-            for (const auto& [b, c] : it->terms) s.remaining[b] ^= c;
-            it = s.partials.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        drop_zero_terms(s.remaining);
-        check::point(check::PointKind::kBank, s.failed_block, 0,
-                     "resilient.bank");
-        fold_finished_values(s, cur_plan, contrib, a.finished, dead);
-      }
-      salvage_throw();
-    }
-    ++out.replans;
-    ++out.faults_injected;
-
-    const bool heal_expected = a.partitioned && a.heal_wait_s >= 0.0;
+    // Bank the aborting attempt's finished work — also when the budget is
+    // gone, so the salvage report describes exactly what a future session
+    // can reuse. Partitioned helpers are NOT dead: their blocks and partials
+    // stay candidates (usable after heal, or near-side under a permanent
+    // split).
     std::vector<topology::NodeId> casualties;
     if (!a.partitioned) {
       casualties = a.dead_nodes;
       if (casualties.empty()) casualties.push_back(a.dead_node);
       for (const auto n : casualties) dead.insert(n);
-    } else if (heal_expected) {
+    }
+    // An output that finished before the failure is simply done — its bytes
+    // were delivered at a (still alive) destination.
+    const auto contrib = leaf_contributions(cur_plan);
+    for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
+      EqState& s = eqs[eq_of_output[i]];
+      for (const auto& f : a.finished) {
+        if (f.first == cur_outputs[i]) {
+          s.result = f.second;
+          s.done = true;
+          break;
+        }
+      }
+    }
+    for (EqState& s : eqs) {
+      if (s.done) continue;
+      unbank_if(s, [&](topology::NodeId n) { return dead.count(n) != 0; });
+      // Bank freshly finished values wherever they survived — including a
+      // partitioned helper's rack aggregate; unreachable is not lost.
+      check::point(check::PointKind::kBank, s.failed_block, 0,
+                   "resilient.bank");
+      out.reused_values +=
+          fold_finished_values(s, cur_plan, contrib, a.finished, dead);
+    }
+    if (round >= opts.max_replans) salvage_throw();
+    ++out.replans;
+    ++out.faults_injected;
+
+    const bool heal_expected = a.partitioned && a.heal_wait_s >= 0.0;
+    if (heal_expected) {
       ++out.partition_waits;
-    } else if (!a.partition_side.empty()) {
+    } else if (a.partitioned && !a.partition_side.empty()) {
       perm_side = a.partition_side;
     }
 
@@ -425,25 +428,9 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       opts.probe.trace->add_span(std::move(span));
     }
 
-    // Every block on a dead node is gone for good. Partitioned helpers are
-    // NOT dead: their blocks stay candidates (usable after heal, or
-    // near-side sources under a permanent split).
+    // Every block on a dead node is gone for good.
     for (std::size_t b = 0; b < total; ++b) {
       if (dead.count(placement.node_of(b)) != 0) unusable.insert(b);
-    }
-
-    // An output that finished before the failure is simply done — its bytes
-    // were delivered at a (still alive) destination.
-    const auto contrib = leaf_contributions(cur_plan);
-    for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
-      EqState& s = eqs[eq_of_output[i]];
-      for (const auto& f : a.finished) {
-        if (f.first == cur_outputs[i]) {
-          s.result = f.second;
-          s.done = true;
-          break;
-        }
-      }
     }
 
     std::size_t next_round_index = 0;
@@ -457,24 +444,6 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     for (std::size_t e = 0; e < eqs.size(); ++e) {
       EqState& s = eqs[e];
       if (s.done) continue;
-
-      // Partials on dead nodes are gone: their terms go back outstanding.
-      for (auto it = s.partials.begin(); it != s.partials.end();) {
-        if (dead.count(it->node) != 0) {
-          for (const auto& [b, c] : it->terms) s.remaining[b] ^= c;
-          it = s.partials.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      drop_zero_terms(s.remaining);
-
-      // Bank freshly finished values wherever they survived — including a
-      // partitioned helper's rack aggregate; unreachable is not lost.
-      check::point(check::PointKind::kBank, s.failed_block, 0,
-                   "resilient.bank");
-      out.reused_values +=
-          fold_finished_values(s, cur_plan, contrib, a.finished, dead);
 
       // Relocate the destination when it died or cannot commit; this is
       // the scheme-switch point — the new recovery rack may favor a
@@ -497,15 +466,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       std::set<std::size_t> eq_unusable = unusable;
       if (!perm_side.empty()) {
         const int near = perm_side[s.destination];
-        for (auto it = s.partials.begin(); it != s.partials.end();) {
-          if (perm_side[it->node] != near) {
-            for (const auto& [b, c] : it->terms) s.remaining[b] ^= c;
-            it = s.partials.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        drop_zero_terms(s.remaining);
+        unbank_if(s, [&](topology::NodeId n) { return perm_side[n] != near; });
         for (std::size_t b = 0; b < total; ++b) {
           if (perm_side[placement.node_of(b)] != near) eq_unusable.insert(b);
         }

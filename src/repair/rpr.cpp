@@ -27,76 +27,93 @@
 //    them: while sub-equation 0's intermediates cross racks, sub-equation
 //    1's inner-rack decodes proceed — the paper's worst case of k * t_i
 //    inner time plus ceil(log2 q) * t_c per sub-equation emerges naturally.
+//
+// Each sub-equation is built by plan_remainder (repair/replan.h), the
+// builder mid-repair re-plans use too.
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "repair/planner.h"
-#include "repair/reduction.h"
+#include "repair/replan.h"
 #include "verify/plan_verifier.h"
 
 namespace rpr::repair {
 
 namespace {
 
-using detail::Value;
+RemainderEquation first_attempt(const rs::RepairEquation& eq,
+                                topology::NodeId destination,
+                                bool with_matrix, RemainderScheme scheme) {
+  return {.failed_block = eq.failed_block,
+          .terms = leaf_terms(eq),
+          .partials = {},
+          .destination = destination,
+          .with_matrix = with_matrix,
+          .scheme = scheme};
+}
 
-/// Builds one sub-equation's rack intermediates and cross-rack reduction.
-/// `round` staggers the readiness estimates of later sub-equations so the
-/// greedy tree shape accounts for port contention with earlier ones.
-OpId plan_one_equation(RepairPlan& plan, const RepairProblem& p,
-                       const rs::RepairEquation& eq,
-                       topology::NodeId replacement,
-                       const RprOptions& opts, bool with_matrix,
-                       std::size_t round) {
-  const auto& cluster = p.placement->cluster();
-  const topology::RackId recovery_rack = cluster.rack_of(replacement);
-
-  // Scaled leaf reads grouped by rack.
-  std::map<topology::RackId, std::vector<Value>> by_rack;
-  for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-    if (eq.coefficients[i] == 0) continue;
-    const std::size_t b = eq.sources[i];
-    const topology::NodeId node = p.placement->node_of(b);
-    const OpId r = plan.read(node, b, eq.coefficients[i],
-                             "read b" + std::to_string(b));
-    by_rack[cluster.rack_of(node)].push_back(Value{r, node, 0.0, false});
+/// The plan body RprPlanner and RprChainedPlanner share; `scheme` (kRpr or
+/// kRprChained) only picks the cross-rack shape. Survivor selection is the
+/// same for both: the chain changes the schedule's shape, not which blocks
+/// participate.
+PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
+                              Scheme scheme) {
+  const bool chained = scheme == Scheme::kRprChained;
+  const std::string name = chained ? "rpr-chained" : "rpr";
+  if (p.code == nullptr || p.placement == nullptr) {
+    throw std::invalid_argument(name + ": problem not fully specified");
+  }
+  if (p.failed.empty() || p.failed.size() != p.replacements.size()) {
+    throw std::invalid_argument(name + ": bad failed/replacement sets");
+  }
+  const auto& cfg = p.code->config();
+  if (p.failed.size() > cfg.k) {
+    throw std::invalid_argument(name +
+                                ": more than k failures is unrecoverable");
   }
 
-  // Algorithm 1 per rack. Recovery-rack survivors reduce pairwise too, and
-  // their intermediate then hops (inner-rack) to the replacement node.
-  std::vector<Value> intermediates;
-  for (auto& [rack, values] : by_rack) {
-    Value v = detail::pairwise_tree(plan, std::move(values),
-                                    detail::kInnerCost);
-    // Later sub-equations contend for the same node ports; shift their
-    // estimated readiness so the merge tree pairs likes with likes.
-    v.ready += static_cast<double>(round) * detail::kInnerCost;
-    if (rack == recovery_rack) {
-      if (v.node != replacement) {
-        const OpId sent = plan.send(v.op, v.node, replacement, "inner:send");
-        v = Value{sent, replacement, v.ready + detail::kInnerCost, true};
-      } else {
-        v.at_recovery = true;
-      }
-    }
-    intermediates.push_back(v);
-  }
+  PlannedRepair out;
+  out.plan.block_size = p.block_size;
 
-  Value final_value;
-  if (opts.pipeline_cross) {
-    final_value = detail::cross_reduce(plan, std::move(intermediates),
-                                       replacement, cluster, opts.cross_cost);
+  const topology::RackId primary_rack =
+      p.placement->cluster().rack_of(p.replacements[0]);
+
+  // Survivor selection (§3.3): XOR set when it applies, else rack-minimal.
+  const bool want_xor =
+      opts.prefer_xor_set && p.failed.size() == 1 &&
+      cfg.is_data(p.failed[0]) &&
+      p.failed[0] != rs::p0_index(cfg);  // P0 itself is not a data block
+  if (want_xor) {
+    out.selected = p.code->default_selection(p.failed);  // prefers XOR set
   } else {
-    // Ablation mode: partial decoding without the pipeline — star the
-    // intermediates into the replacement node (Fig. 5 schedule 1).
-    final_value = detail::star_aggregate(plan, std::move(intermediates),
-                                         replacement, true,
-                                         detail::kCrossCost, "cross");
+    out.selected =
+        select_min_racks(*p.code, *p.placement, p.failed, primary_rack);
   }
-  return plan.combine(replacement, {final_value.op}, with_matrix,
-                      "finalize b" + std::to_string(eq.failed_block));
+  out.equations = p.code->repair_equations(p.failed, out.selected);
+  // Without the §3.3 optimization a generic decoder (e.g. Jerasure's)
+  // builds the decoding matrix unconditionally, even when the selected set
+  // happens to be the XOR set — so the fast path is only taken when the
+  // optimization is enabled.
+  out.used_decoding_matrix = !(opts.prefer_xor_set && p.failed.size() == 1 &&
+                               out.equations[0].xor_only());
+
+  const RemainderScheme shape =
+      chained ? RemainderScheme::kChain : RemainderScheme::kPipeline;
+  out.outputs.resize(p.failed.size(), kNoOp);
+  for (std::size_t e = 0; e < out.equations.size(); ++e) {
+    out.outputs[e] = plan_remainder(
+        out.plan, *p.placement,
+        first_attempt(out.equations[e], p.replacements[e],
+                      out.used_decoding_matrix, shape),
+        opts, e);
+  }
+  if (verify::verify_plans_enabled()) {
+    verify::throw_if_violated(verify::verify_planned_repair(out, p, scheme),
+                              name + " planner");
+  }
+  return out;
 }
 
 }  // namespace
@@ -117,22 +134,15 @@ PlannedRead plan_degraded_read(const rs::RSCode& code,
     throw std::invalid_argument("plan_degraded_read: unrecoverable");
   }
 
-  // Build a problem so the shared machinery (selection, per-equation
-  // planning) applies, but evaluate only the target's sub-equation.
-  RepairProblem p;
-  p.code = &code;
-  p.placement = &placement;
-  p.block_size = block_size;
-  p.failed.assign(lost.begin(), lost.end());
-
+  // RPR's selection, but only the target's sub-equation is evaluated.
   const topology::RackId reader_rack =
       placement.cluster().rack_of(destination);
   const bool want_xor = opts.prefer_xor_set && lost.size() == 1 &&
                         cfg.is_data(target);
   const auto selected =
-      want_xor ? code.default_selection(p.failed)
-               : select_min_racks(code, placement, p.failed, reader_rack);
-  const auto eqs = code.repair_equations(p.failed, selected);
+      want_xor ? code.default_selection(lost)
+               : select_min_racks(code, placement, lost, reader_rack);
+  const auto eqs = code.repair_equations(lost, selected);
   const auto it = std::find_if(
       eqs.begin(), eqs.end(),
       [&](const rs::RepairEquation& e) { return e.failed_block == target; });
@@ -143,8 +153,11 @@ PlannedRead plan_degraded_read(const rs::RSCode& code,
   out.equation = *it;
   out.selected = selected;
   out.used_decoding_matrix = !(opts.prefer_xor_set && it->xor_only());
-  out.output = plan_one_equation(out.plan, p, *it, destination, opts,
-                                 out.used_decoding_matrix, 0);
+  out.output = plan_remainder(
+      out.plan, placement,
+      first_attempt(*it, destination, out.used_decoding_matrix,
+                    RemainderScheme::kPipeline),
+      opts, 0);
   if (verify::verify_plans_enabled()) {
     verify::throw_if_violated(
         verify::verify_planned_read(out, code, placement, lost, target,
@@ -163,13 +176,8 @@ PlannedRepair DegradedReadPlanner::plan(const RepairProblem& p) const {
         "degraded-read: exactly one failed block (the read target) with the "
         "reader as its replacement");
   }
-  const std::size_t target = p.failed[0];
-  if (std::find(lost_.begin(), lost_.end(), target) == lost_.end()) {
-    throw std::invalid_argument(
-        "degraded-read: target must be in the lost set");
-  }
   PlannedRead read = plan_degraded_read(*p.code, *p.placement, p.block_size,
-                                        lost_, target, p.replacements[0],
+                                        lost_, p.failed[0], p.replacements[0],
                                         opts_);
   PlannedRepair out;
   out.plan = std::move(read.plan);
@@ -181,53 +189,11 @@ PlannedRepair DegradedReadPlanner::plan(const RepairProblem& p) const {
 }
 
 PlannedRepair RprPlanner::plan(const RepairProblem& p) const {
-  if (p.code == nullptr || p.placement == nullptr) {
-    throw std::invalid_argument("rpr: problem not fully specified");
-  }
-  if (p.failed.empty() || p.failed.size() != p.replacements.size()) {
-    throw std::invalid_argument("rpr: bad failed/replacement sets");
-  }
-  const auto& cfg = p.code->config();
-  if (p.failed.size() > cfg.k) {
-    throw std::invalid_argument("rpr: more than k failures is unrecoverable");
-  }
+  return plan_rack_aware(p, opts_, Scheme::kRpr);
+}
 
-  PlannedRepair out;
-  out.plan.block_size = p.block_size;
-
-  const topology::RackId primary_rack =
-      p.placement->cluster().rack_of(p.replacements[0]);
-
-  // Survivor selection (§3.3): XOR set when it applies, else rack-minimal.
-  const bool want_xor =
-      opts_.prefer_xor_set && p.failed.size() == 1 &&
-      cfg.is_data(p.failed[0]) &&
-      p.failed[0] != rs::p0_index(cfg);  // P0 itself is not a data block
-  if (want_xor) {
-    out.selected = p.code->default_selection(p.failed);  // prefers XOR set
-  } else {
-    out.selected =
-        select_min_racks(*p.code, *p.placement, p.failed, primary_rack);
-  }
-  out.equations = p.code->repair_equations(p.failed, out.selected);
-  // Without the §3.3 optimization a generic decoder (e.g. Jerasure's)
-  // builds the decoding matrix unconditionally, even when the selected set
-  // happens to be the XOR set — so the fast path is only taken when the
-  // optimization is enabled.
-  out.used_decoding_matrix = !(opts_.prefer_xor_set && p.failed.size() == 1 &&
-                               out.equations[0].xor_only());
-
-  out.outputs.resize(p.failed.size(), kNoOp);
-  for (std::size_t e = 0; e < out.equations.size(); ++e) {
-    out.outputs[e] = plan_one_equation(
-        out.plan, p, out.equations[e], p.replacements[e], opts_,
-        out.used_decoding_matrix, e);
-  }
-  if (verify::verify_plans_enabled()) {
-    verify::throw_if_violated(verify::verify_planned_repair(out, p, Scheme::kRpr),
-                              "rpr planner");
-  }
-  return out;
+PlannedRepair RprChainedPlanner::plan(const RepairProblem& p) const {
+  return plan_rack_aware(p, opts_, Scheme::kRprChained);
 }
 
 }  // namespace rpr::repair

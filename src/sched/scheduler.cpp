@@ -122,8 +122,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
 
   simnet::SimNetwork net(cluster, params);
   if (options.repair_share < 1.0) {
-    net.set_arbiter(simnet::ArbiterConfig{options.repair_share,
-                                          options.arbiter_burst_s});
+    net.set_arbiter(simnet::ArbiterConfig{options.repair_share});
   }
 
   FleetSchedOutcome out;
@@ -340,9 +339,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
           std::vector<TaskId> deps{slices[s]};
           if (prev != simnet::kNoTask) deps.push_back(prev);
           const std::uint64_t bytes =
-              slices.size() == 1
-                  ? block
-                  : util::slice_len(block, options.slice_size, s);
+              util::slice_len(block, options.slice_size, s);
           prev = net.add_transfer(from, r.ev.reader, bytes, std::move(deps),
                                   "sched:bank r" + std::to_string(ri));
           net.set_class(prev, simnet::TrafficClass::kForeground);

@@ -94,7 +94,6 @@ struct SchedulerOptions {
   std::size_t max_inflight = 4;
   /// Repair class's port share in (0,1]; < 1 installs the simnet arbiter.
   double repair_share = 1.0;
-  double arbiter_burst_s = 0.0;
   repair::Scheme scheme = repair::Scheme::kRpr;
   /// Pick star (kRpr) vs chained (kRprChained) per stripe from the
   /// makespan_lower_bound floors instead of `scheme`.

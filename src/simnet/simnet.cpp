@@ -112,9 +112,6 @@ void SimNetwork::set_arbiter(ArbiterConfig cfg) {
   if (!(cfg.repair_share > 0.0) || cfg.repair_share > 1.0) {
     throw std::invalid_argument("set_arbiter: repair_share must be in (0,1]");
   }
-  if (cfg.burst_s < 0.0) {
-    throw std::invalid_argument("set_arbiter: burst_s must be >= 0");
-  }
   arbiter_ = cfg;
   arbiter_enabled_ = cfg.repair_share < 1.0;
 }
@@ -157,25 +154,24 @@ RunResult SimNetwork::run() {
   std::vector<SimTime> rack_rx(cluster_.racks(), 0);
 
   // Deficit token buckets for the repair class, one per port (node TX/RX
-  // and rack cross TX/RX). `credit` is in port-seconds; see ArbiterConfig.
+  // and rack cross TX/RX). `credit` is in port-nanoseconds, capped at 0;
+  // see ArbiterConfig.
   struct Bucket {
     double credit = 0.0;
     SimTime last = 0;
   };
-  const double burst_ns =
-      arbiter_.burst_s * static_cast<double>(util::kNsPerSec);
   std::vector<Bucket> tok_node_tx, tok_node_rx, tok_rack_tx, tok_rack_rx;
   if (arbiter_enabled_) {
-    tok_node_tx.assign(cluster_.total_nodes(), Bucket{burst_ns, 0});
-    tok_node_rx.assign(cluster_.total_nodes(), Bucket{burst_ns, 0});
-    tok_rack_tx.assign(cluster_.racks(), Bucket{burst_ns, 0});
-    tok_rack_rx.assign(cluster_.racks(), Bucket{burst_ns, 0});
+    tok_node_tx.assign(cluster_.total_nodes(), Bucket{});
+    tok_node_rx.assign(cluster_.total_nodes(), Bucket{});
+    tok_rack_tx.assign(cluster_.racks(), Bucket{});
+    tok_rack_rx.assign(cluster_.racks(), Bucket{});
   }
   const double rate = arbiter_.repair_share;  // credit ns per elapsed ns
   auto refill = [&](Bucket& b, SimTime now) {
     if (b.last < now) {
       b.credit = std::min(
-          burst_ns, b.credit + static_cast<double>(now - b.last) * rate);
+          0.0, b.credit + static_cast<double>(now - b.last) * rate);
       b.last = now;
     }
   };

@@ -49,15 +49,15 @@ enum class TrafficClass : std::uint8_t { kRepair = 0, kForeground = 1 };
 /// Hierarchical token-bucket bandwidth arbiter. Each node TX/RX port and
 /// each rack cross-TX/RX channel carries a deficit bucket for the repair
 /// class: credit accrues at `repair_share` port-seconds per second (capped
-/// at `burst_s`), a repair transfer may start once every port it occupies
-/// has non-negative credit, and starting deducts the full port occupancy
-/// (credit may go negative — the borrow is what throttles the *next*
-/// repair transfer, so arbitrary transfer sizes never starve). Long-run
-/// repair usage of every port is therefore at most `repair_share`,
-/// regardless of task granularity. Foreground traffic is never gated.
+/// at zero, so idle time banks no burst), a repair transfer may start once
+/// every port it occupies has non-negative credit, and starting deducts the
+/// full port occupancy (credit may go negative — the borrow is what
+/// throttles the *next* repair transfer, so arbitrary transfer sizes never
+/// starve). Long-run repair usage of every port is therefore at most
+/// `repair_share`, regardless of task granularity. Foreground traffic is
+/// never gated.
 struct ArbiterConfig {
   double repair_share = 1.0;  ///< (0, 1]; 1.0 disables gating
-  double burst_s = 0.0;       ///< credit cap in port-seconds
 };
 
 struct TaskStats {

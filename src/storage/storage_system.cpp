@@ -541,47 +541,6 @@ FleetRepairReport StorageSystem::repair_all_scheduled(
   return report;
 }
 
-repair::SimOutcome StorageSystem::degraded_read_cost(
-    StripeId stripe, std::size_t block, NodeId reader) const {
-  const auto it = stripes_.find(stripe);
-  if (it == stripes_.end()) {
-    throw std::out_of_range("degraded_read_cost: unknown stripe");
-  }
-  const Stripe& s = it->second;
-  if (block >= s.node_of_block.size()) {
-    throw std::out_of_range("degraded_read_cost: bad block");
-  }
-  if (reader >= cluster_.total_nodes()) {
-    throw std::out_of_range("degraded_read_cost: bad reader");
-  }
-
-  const auto lost = lost_blocks(stripe);
-  const bool block_lost =
-      std::find(lost.begin(), lost.end(), block) != lost.end();
-
-  if (!block_lost) {
-    // Healthy read: one block transfer from its node to the reader.
-    repair::RepairPlan plan;
-    plan.block_size = opts_.block_size;
-    const NodeId src = s.node_of_block[block];
-    const auto r = plan.read(src, block, 1);
-    (void)plan.send(r, src, reader);
-    return repair::simulate(plan, cluster_, opts_.network, opts_.probe);
-  }
-
-  if (lost.size() > code_.config().k) {
-    throw std::runtime_error("degraded_read_cost: stripe unrecoverable");
-  }
-  // Degraded read: reconstruct only the requested block, rooted at the
-  // reader, with RPR's rack-aware pipeline (the other lost blocks are
-  // merely excluded as sources).
-  const topology::Placement placement(cluster_, code_.config(),
-                                      s.node_of_block);
-  const auto planned = repair::plan_degraded_read(
-      code_, placement, opts_.block_size, lost, block, reader);
-  return repair::simulate(planned.plan, cluster_, opts_.network, opts_.probe);
-}
-
 std::vector<NodeId> StorageSystem::stripe_nodes(StripeId stripe) const {
   const auto it = stripes_.find(stripe);
   if (it == stripes_.end()) {

@@ -225,14 +225,6 @@ class StorageSystem {
       const sched::SchedulerOptions& sopts,
       const sched::ForegroundWorkload& foreground = {});
 
-  /// Cost of serving one block of `stripe` to a client at `reader`:
-  /// a healthy block is a plain transfer; a lost block is reconstructed
-  /// with the configured scheme, rooted at the reader (a *degraded read* —
-  /// the latency the paper's motivation cites for RS-coded stores). Only
-  /// costs are computed; nothing is repaired or modified.
-  [[nodiscard]] repair::SimOutcome degraded_read_cost(
-      StripeId stripe, std::size_t block, topology::NodeId reader) const;
-
   /// Where each block of a stripe currently lives.
   [[nodiscard]] std::vector<topology::NodeId> stripe_nodes(
       StripeId stripe) const;

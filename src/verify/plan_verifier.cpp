@@ -510,12 +510,8 @@ VerifyReport verify_planned_repair(const repair::PlannedRepair& planned,
               std::to_string(problem.failed[e])});
       continue;
     }
-    LeafTerms terms;
-    for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-      if (eq.coefficients[i] != 0) terms[eq.sources[i]] = eq.coefficients[i];
-    }
     v.expect_output(planned.outputs[e], eq.failed_block,
-                    problem.replacements[e], std::move(terms));
+                    problem.replacements[e], repair::leaf_terms(eq));
   }
   if (!pre.ok()) return pre;
 

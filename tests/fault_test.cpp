@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 
@@ -18,6 +19,7 @@
 using rpr::fault::FaultSchedule;
 using rpr::fault::RetryPolicy;
 using rpr::repair::LeafTerms;
+using rpr::repair::leaf_terms;
 using rpr::repair::OpId;
 using rpr::repair::RepairPlan;
 using rpr::rs::Block;
@@ -34,14 +36,6 @@ Block evaluate(const LeafTerms& terms, std::span<const Block> stripe) {
     }
   }
   return acc;
-}
-
-LeafTerms terms_of(const rpr::rs::RepairEquation& eq) {
-  LeafTerms terms;
-  for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-    if (eq.coefficients[i] != 0) terms[eq.sources[i]] = eq.coefficients[i];
-  }
-  return terms;
 }
 
 }  // namespace
@@ -151,8 +145,7 @@ TEST(Replan, SubstituteSourcePreservesTheEquation) {
     std::vector<std::size_t> selected;
     for (std::size_t b = 1; b <= cfg.n; ++b) selected.push_back(b);
     const std::array<std::size_t, 1> failed = {0};
-    auto terms =
-        terms_of(code.repair_equations(failed, selected).at(0));
+    auto terms = leaf_terms(code.repair_equations(failed, selected).at(0));
     ASSERT_EQ(evaluate(terms, stripe), stripe[0]);
 
     // Helper holding block 1 dies: patch it out. The equation must still
@@ -178,7 +171,7 @@ TEST(Replan, SubstituteSourceThrowsWhenUnrecoverable) {
   std::vector<std::size_t> selected;
   for (std::size_t b = 1; b <= cfg.n; ++b) selected.push_back(b);
   const std::array<std::size_t, 1> failed = {0};
-  auto terms = terms_of(code.repair_equations(failed, selected).at(0));
+  auto terms = leaf_terms(code.repair_equations(failed, selected).at(0));
   // 0,1,2,3 unusable = 4 losses > k = 3: no n healthy blocks remain.
   EXPECT_THROW(
       rpr::repair::substitute_source(code, terms, 1, {0, 1, 2, 3}),
@@ -195,7 +188,7 @@ TEST(Replan, PlanRemainderEvaluatesTheEquation) {
   std::vector<std::size_t> selected;
   for (std::size_t b = 1; b <= cfg.n; ++b) selected.push_back(b);
   const std::array<std::size_t, 1> failed = {0};
-  auto terms = terms_of(code.repair_equations(failed, selected).at(0));
+  auto terms = leaf_terms(code.repair_equations(failed, selected).at(0));
   rpr::repair::substitute_source(code, terms, 3, {0, 3});
 
   rpr::repair::RemainderEquation eq;
@@ -225,7 +218,7 @@ TEST(Replan, PlanRemainderFoldsInAPartial) {
   std::vector<std::size_t> selected;
   for (std::size_t b = 1; b <= cfg.n; ++b) selected.push_back(b);
   const std::array<std::size_t, 1> failed = {0};
-  auto terms = terms_of(code.repair_equations(failed, selected).at(0));
+  auto terms = leaf_terms(code.repair_equations(failed, selected).at(0));
 
   // Pretend blocks 1 and 2 were already delivered and summed at the
   // destination: bank coeff1*b1 + coeff2*b2 as a partial, drop the terms.
@@ -252,6 +245,59 @@ TEST(Replan, PlanRemainderFoldsInAPartial) {
   const std::array<OpId, 1> outputs = {out};
   const auto values = rpr::repair::execute_on_data(plan, outputs, stripe);
   EXPECT_EQ(values.at(0), stripe[0]);
+}
+
+TEST(Replan, PlanRemainderEveryShapeFoldsInPartials) {
+  // Every cross-rack shape evaluates the same remainder: one partial banked
+  // at the destination, one at a helper in another rack. The flat placement
+  // puts each block in its own rack, so the chain really relays.
+  const rpr::rs::CodeConfig cfg{6, 3};
+  const rpr::rs::RSCode code(cfg);
+  const auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kFlat);
+  auto stripe = rpr::testing::random_stripe(code, 512, 17);
+
+  std::vector<std::size_t> selected;
+  for (std::size_t b = 1; b <= cfg.n; ++b) selected.push_back(b);
+  const std::array<std::size_t, 1> failed = {0};
+  auto terms = leaf_terms(code.repair_equations(failed, selected).at(0));
+
+  rpr::repair::RemainderEquation eq;
+  eq.failed_block = 0;
+  eq.destination = placed.cluster.spare(placed.placement.rack_of(0), 0);
+  eq.with_matrix = true;
+  const auto bank = [&](std::size_t b, rpr::topology::NodeId node) {
+    Block partial(512, 0);
+    for (std::size_t i = 0; i < partial.size(); ++i) {
+      partial[i] = rpr::gf::mul(terms.at(b), stripe[b][i]);
+    }
+    terms.erase(b);
+    eq.partials.push_back({stripe.size(), node});
+    stripe.push_back(std::move(partial));
+  };
+  bank(1, eq.destination);
+  bank(4, placed.placement.node_of(5));
+  eq.terms = terms;
+
+  using rpr::repair::RemainderScheme;
+  for (const RemainderScheme scheme :
+       {RemainderScheme::kPipeline, RemainderScheme::kStar,
+        RemainderScheme::kDirect, RemainderScheme::kChain}) {
+    eq.scheme = scheme;
+    RepairPlan plan;
+    plan.block_size = 512;
+    const OpId out = rpr::repair::plan_remainder(
+        plan, placed.placement, eq, rpr::repair::RprOptions{}, 0);
+    EXPECT_NO_THROW(rpr::repair::validate(plan, placed.cluster));
+    EXPECT_EQ(plan.node_of(out), eq.destination);
+    const std::array<OpId, 1> outputs = {out};
+    const auto values = rpr::repair::execute_on_data(plan, outputs, stripe);
+    EXPECT_EQ(values.at(0), stripe[0]) << static_cast<int>(scheme);
+    const bool relays = std::any_of(
+        plan.ops.begin(), plan.ops.end(),
+        [](const rpr::repair::PlanOp& op) { return op.label == "chain:send"; });
+    EXPECT_EQ(relays, scheme == RemainderScheme::kChain);
+  }
 }
 
 TEST(FaultSchedule, ParsesFailureDomainKinds) {

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "rs/partial.h"
+#include "gf/gf_region.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -97,10 +97,10 @@ TEST_P(RsCodeTest, PartialDecodingAnyGroupingMatchesDirectDecode) {
     Block left(kBlockSize, 0);
     Block right(kBlockSize, 0);
     for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-      rpr::rs::accumulate(i < split ? left : right, stripe[eq.sources[i]],
-                          eq.coefficients[i]);
+      rpr::gf::mul_region_add(eq.coefficients[i], i < split ? left : right,
+                              stripe[eq.sources[i]]);
     }
-    rpr::rs::combine(left, right);
+    rpr::gf::xor_region(left, right);
     EXPECT_EQ(left, direct) << "split=" << split;
   }
 }
@@ -131,7 +131,7 @@ TEST(RsCode, EncodeP0IsXorOfData) {
   const RSCode code({5, 3});
   const auto stripe = rpr::testing::random_stripe(code, 128, 7);
   Block expect(128, 0);
-  for (std::size_t b = 0; b < 5; ++b) rpr::rs::combine(expect, stripe[b]);
+  for (std::size_t b = 0; b < 5; ++b) rpr::gf::xor_region(expect, stripe[b]);
   EXPECT_EQ(stripe[5], expect);
 }
 

@@ -109,7 +109,7 @@ TEST(SchedSimNet, ArbiterCapsRepairThroughputAtShare) {
       if (prev != rpr::simnet::kNoTask) deps.push_back(prev);
       prev = net.add_transfer(0, 1, 1 << 20, std::move(deps));
     }
-    if (share < 1.0) net.set_arbiter({share, 0.0});
+    if (share < 1.0) net.set_arbiter({share});
     return net.run().makespan;
   };
   const auto full = run_with(1.0);
@@ -126,7 +126,7 @@ TEST(SchedSimNet, ForegroundClassIsNeverThrottled) {
   rpr::simnet::SimNetwork net(cluster, NetworkParams{});
   const auto t = net.add_transfer(0, 1, 1 << 20, {});
   net.set_class(t, rpr::simnet::TrafficClass::kForeground);
-  net.set_arbiter({0.1, 0.0});
+  net.set_arbiter({0.1});
   const auto r = net.run();
   EXPECT_EQ(r.tasks[t].start, 0);
   EXPECT_EQ(r.foreground_bytes, std::uint64_t{1} << 20);

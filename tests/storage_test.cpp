@@ -419,12 +419,15 @@ TEST(Storage, DegradedReadCostHealthyVsLost) {
   const auto nodes = sys.stripe_nodes(id);
   const auto reader = sys.cluster().spare(0, 0);
 
-  const auto healthy = sys.degraded_read_cost(id, 0, reader);
+  const auto healthy = sys.read_block(id, 0, reader);
   sys.fail_node(nodes[0]);
-  const auto degraded = sys.degraded_read_cost(id, 0, reader);
+  const auto degraded = sys.read_block(id, 0, reader);
+  EXPECT_FALSE(healthy.degraded);
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(degraded.data, healthy.data);
   // A degraded read moves strictly more data and takes longer than a
   // healthy read of the same block.
-  EXPECT_GT(degraded.total_repair_time, healthy.total_repair_time);
+  EXPECT_GT(degraded.simulated_read_time, healthy.simulated_read_time);
   EXPECT_GE(degraded.cross_rack_bytes + degraded.inner_rack_bytes,
             healthy.cross_rack_bytes + healthy.inner_rack_bytes);
 }
@@ -436,8 +439,9 @@ TEST(Storage, DegradedReadCostWithMultipleLost) {
   sys.fail_node(nodes[1]);
   sys.fail_node(nodes[2]);
   const auto reader = sys.cluster().spare(1, 0);
-  const auto cost = sys.degraded_read_cost(id, 1, reader);
-  EXPECT_GT(cost.total_repair_time, 0);
+  const auto cost = sys.read_block(id, 1, reader);
+  EXPECT_TRUE(cost.degraded);
+  EXPECT_GT(cost.simulated_read_time, 0);
   // Only the requested sub-equation is evaluated: traffic is bounded by
   // one intermediate per involved rack.
   EXPECT_LE(cost.cross_rack_bytes / sys.options().block_size,
@@ -447,9 +451,9 @@ TEST(Storage, DegradedReadCostWithMultipleLost) {
 TEST(Storage, DegradedReadCostRejectsBadArgs) {
   StorageSystem sys(small_opts());
   const auto id = sys.put(random_object(100, 22));
-  EXPECT_THROW((void)sys.degraded_read_cost(999, 0, 0), std::out_of_range);
-  EXPECT_THROW((void)sys.degraded_read_cost(id, 99, 0), std::out_of_range);
-  EXPECT_THROW((void)sys.degraded_read_cost(id, 0, 9999), std::out_of_range);
+  EXPECT_THROW((void)sys.read_block(999, 0, 0), std::out_of_range);
+  EXPECT_THROW((void)sys.read_block(id, 99, 0), std::out_of_range);
+  EXPECT_THROW((void)sys.read_block(id, 0, 9999), std::out_of_range);
 }
 
 TEST(Storage, ReviveNodeReturnsEmptyHealthyNode) {

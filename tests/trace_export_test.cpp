@@ -1,6 +1,5 @@
-// Chrome-trace export tests.
-#include "simnet/trace_export.h"
-
+// Chrome-trace export tests: a simulated schedule goes through
+// simnet::record_spans into an obs::Recorder and out of the obs sinks.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,6 +7,7 @@
 
 #include "obs/recorder.h"
 #include "obs/sinks.h"
+#include "simnet/instrument.h"
 
 using rpr::simnet::SimNetwork;
 using rpr::topology::Cluster;
@@ -25,12 +25,18 @@ rpr::simnet::RunResult small_run(const Cluster& cluster) {
   return net.run();
 }
 
+std::string chrome_trace(const rpr::simnet::RunResult& result,
+                         const Cluster& cluster) {
+  rpr::obs::Recorder rec;
+  rpr::simnet::record_spans(result, cluster, rec);
+  return rpr::obs::to_chrome_trace(rec);
+}
+
 }  // namespace
 
 TEST(TraceExport, ContainsLanesAndSlices) {
   const Cluster cluster(2, 2, 0);
-  const auto json =
-      rpr::simnet::to_chrome_trace(small_run(cluster), cluster);
+  const auto json = chrome_trace(small_run(cluster), cluster);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -43,8 +49,7 @@ TEST(TraceExport, ContainsLanesAndSlices) {
 
 TEST(TraceExport, EscapesQuotesInLabels) {
   const Cluster cluster(2, 2, 0);
-  const auto json =
-      rpr::simnet::to_chrome_trace(small_run(cluster), cluster);
+  const auto json = chrome_trace(small_run(cluster), cluster);
   // The label cross "hop" must appear with escaped quotes.
   EXPECT_NE(json.find("cross \\\"hop\\\""), std::string::npos);
   // Balanced quotes overall (crude JSON sanity: even count of unescaped ").
@@ -123,8 +128,9 @@ TEST(TraceExport, WritesFile) {
   const auto path =
       std::filesystem::temp_directory_path() / "rpr_trace_test.json";
   std::filesystem::remove(path);
-  rpr::simnet::write_chrome_trace(small_run(cluster), cluster,
-                                  path.string());
+  rpr::obs::Recorder rec;
+  rpr::simnet::record_spans(small_run(cluster), cluster, rec);
+  rpr::obs::write_chrome_trace(rec, path.string());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string contents((std::istreambuf_iterator<char>(in)),

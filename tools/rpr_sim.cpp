@@ -125,7 +125,6 @@
 #include "runtime/region_net.h"
 #include "sched/scheduler.h"
 #include "simnet/fluid.h"
-#include "simnet/trace_export.h"
 #include "topology/placement.h"
 #include "util/rng.h"
 #include "util/slice.h"

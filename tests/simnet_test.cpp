@@ -182,3 +182,21 @@ TEST(SimNet, RunTwiceRejected) {
   net.run();
   EXPECT_THROW(net.run(), std::logic_error);
 }
+
+TEST(SimNet, TimedTaskStartsWhileOthersArePortBlocked) {
+  // Two 1 s transfers 0->1 (the second waits for the port) and a transfer
+  // 2->3 on free ports that may not start before 0.3 s: it must start at
+  // 0.3 s, not when the blocked transfer's port frees at 1 s.
+  SimNetwork net(Cluster(2, 2, 2), round_params());
+  const std::uint64_t one_second = 1'000'000'000;
+  const auto a = net.add_transfer(0, 1, one_second, {});
+  const auto b = net.add_transfer(0, 1, one_second, {});
+  const auto c = net.add_transfer(2, 3, kBlock, {});
+  net.set_earliest_start(c, 300 * kMs);
+  const auto r = net.run();
+  EXPECT_EQ(r.tasks[a].start, 0);
+  EXPECT_EQ(r.tasks[b].start, 1000 * kMs);
+  EXPECT_EQ(r.tasks[c].ready, 300 * kMs);
+  EXPECT_EQ(r.tasks[c].start, 300 * kMs);
+  EXPECT_EQ(r.tasks[c].finish, 301 * kMs);
+}

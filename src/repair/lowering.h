@@ -47,6 +47,7 @@ LoweredPlan lower_plan(Network& net, const RepairPlan& plan,
   const std::size_t nslices = util::slice_count(plan.block_size, slice_size);
   LoweredPlan lowered;
   lowered.slice_tasks.resize(plan.ops.size());
+  std::vector<simnet::TaskId> deps;  // reused: the network copies it
   for (OpId id = 0; id < plan.ops.size(); ++id) {
     const PlanOp& op = plan.ops[id];
     std::vector<simnet::TaskId>& mine = lowered.slice_tasks[id];
@@ -54,26 +55,24 @@ LoweredPlan lower_plan(Network& net, const RepairPlan& plan,
     const std::uint64_t passes =
         op.inputs.size() >= 2 ? op.inputs.size() - 1 : 1;
     for (std::size_t s = 0; s < nslices; ++s) {
-      std::vector<simnet::TaskId> deps;
-      deps.reserve(op.inputs.size() + 1);
+      deps.clear();
       for (OpId in : op.inputs) deps.push_back(lowered.slice_tasks[in][s]);
       if (s > 0) deps.push_back(mine[s - 1]);
       const std::uint64_t bytes =
           util::slice_len(plan.block_size, slice_size, s);
       switch (op.kind) {
         case OpKind::kRead:
-          mine.push_back(
-              net.add_compute(op.node, 0, std::move(deps), op.label));
+          mine.push_back(net.add_compute(op.node, 0, deps, op.label));
           break;
         case OpKind::kSend:
-          mine.push_back(net.add_transfer(op.from, op.node, bytes,
-                                          std::move(deps), op.label));
+          mine.push_back(
+              net.add_transfer(op.from, op.node, bytes, deps, op.label));
           break;
         case OpKind::kCombine:
           mine.push_back(net.add_compute(
               op.node,
-              net.decode_duration(bytes * passes, op.with_matrix_cost),
-              std::move(deps), op.label));
+              net.decode_duration(bytes * passes, op.with_matrix_cost), deps,
+              op.label));
           break;
       }
       // Stamp the task with its plan identity where the network supports

@@ -20,57 +20,42 @@ FluidNetwork::FluidNetwork(topology::Cluster cluster,
   }
 }
 
-TaskId FluidNetwork::add_task(Task t) {
-  for (TaskId d : t.deps) {
-    if (d >= tasks_.size()) {
-      throw std::invalid_argument("FluidNetwork: dependency on unknown task");
-    }
-  }
-  t.unmet_deps = t.deps.size();
-  const TaskId id = tasks_.size();
-  tasks_.push_back(std::move(t));
-  for (TaskId d : tasks_.back().deps) tasks_[d].dependents.push_back(id);
-  return id;
-}
-
 TaskId FluidNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
-                                  std::vector<TaskId> deps,
-                                  std::string label) {
+                                  const std::vector<TaskId>& deps,
+                                  std::string_view label) {
   if (from >= cluster_.total_nodes() || to >= cluster_.total_nodes()) {
     throw std::invalid_argument("add_transfer: node out of range");
   }
-  Task t;
-  t.kind = TaskKind::kTransfer;
-  t.from = from;
-  t.to = to;
-  t.remaining = static_cast<double>(bytes);
-  t.deps = std::move(deps);
-  t.label = std::move(label);
-  return add_task(std::move(t));
+  TaskStats st;
+  st.kind = TaskKind::kTransfer;
+  st.from = from;
+  st.node = to;
+  st.bytes = bytes;
+  st.cross_rack = from != to && cluster_.rack_of(from) != cluster_.rack_of(to);
+  const TaskId id = tasks_.add(st, deps, label);
+  remaining_.push_back(static_cast<double>(bytes));
+  return id;
 }
 
 TaskId FluidNetwork::add_compute(NodeId at, SimTime duration,
-                                 std::vector<TaskId> deps,
-                                 std::string label) {
+                                 const std::vector<TaskId>& deps,
+                                 std::string_view label) {
   if (at >= cluster_.total_nodes()) {
     throw std::invalid_argument("add_compute: node out of range");
   }
-  Task t;
-  t.kind = TaskKind::kCompute;
-  t.from = at;
-  t.to = at;
-  t.remaining = util::to_sec(duration);  // cpu-seconds
-  t.deps = std::move(deps);
-  t.label = std::move(label);
-  return add_task(std::move(t));
+  TaskStats st;
+  st.kind = TaskKind::kCompute;
+  st.from = at;
+  st.node = at;
+  const TaskId id = tasks_.add(st, deps, label);
+  remaining_.push_back(util::to_sec(duration));  // cpu-seconds
+  return id;
 }
 
 void FluidNetwork::tag_task(TaskId id, std::int64_t op, std::int64_t slice) {
-  if (id >= tasks_.size()) {
-    throw std::invalid_argument("tag_task: unknown task");
-  }
-  tasks_[id].op = op;
-  tasks_[id].slice = slice;
+  TaskStats& st = tasks_.at(id, "tag_task");
+  st.op = op;
+  st.slice = slice;
 }
 
 SimTime FluidNetwork::decode_duration(std::uint64_t bytes,
@@ -123,17 +108,17 @@ RunResult FluidNetwork::run() {
   }
 
   // Resources each task occupies while active.
-  auto resources_of = [&](const Task& t) {
+  auto resources_of = [&](const TaskStats& t) {
     std::vector<std::size_t> out;
     if (t.kind == TaskKind::kCompute) {
       out.push_back(rmap.cpu(t.from));
       return out;
     }
-    if (t.from == t.to) return out;  // local move: free
+    if (t.from == t.node) return out;  // local move: free
     out.push_back(rmap.node_tx(t.from));
-    out.push_back(rmap.node_rx(t.to));
+    out.push_back(rmap.node_rx(t.node));
     const RackId rf = cluster_.rack_of(t.from);
-    const RackId rt = cluster_.rack_of(t.to);
+    const RackId rt = cluster_.rack_of(t.node);
     if (rf != rt) {
       out.push_back(rmap.rack_tx(rf));
       out.push_back(rmap.rack_rx(rt));
@@ -141,8 +126,7 @@ RunResult FluidNetwork::run() {
     return out;
   };
 
-  RunResult result;
-  result.tasks.resize(tasks_.size());
+  RunResult& result = tasks_.result();
   result.rack_upload_bytes.assign(cluster_.racks(), 0);
   result.rack_download_bytes.assign(cluster_.racks(), 0);
 
@@ -162,10 +146,10 @@ RunResult FluidNetwork::run() {
     std::vector<double> tx(cluster_.racks(), 0.0);
     std::vector<double> rx(cluster_.racks(), 0.0);
     for (TaskId id : active) {
-      const Task& t = tasks_[id];
-      if (t.kind != TaskKind::kTransfer || t.from == t.to) continue;
+      const TaskStats& t = tasks_[id];
+      if (t.kind != TaskKind::kTransfer || t.from == t.node) continue;
       const RackId rf = cluster_.rack_of(t.from);
-      const RackId rt = cluster_.rack_of(t.to);
+      const RackId rt = cluster_.rack_of(t.node);
       if (rf == rt || !std::isfinite(rate[id])) continue;
       tx[rf] += rate[id];
       rx[rt] += rate[id];
@@ -188,32 +172,18 @@ RunResult FluidNetwork::run() {
   };
 
   auto record_start = [&](TaskId id) {
-    auto& st = result.tasks[id];
-    const Task& t = tasks_[id];
-    st.kind = t.kind;
-    st.label = t.label;
-    st.node = t.to;
-    st.from = t.from;
-    st.op = t.op;
-    st.slice = t.slice;
-    st.deps = t.deps;
+    TaskStats& st = tasks_[id];
     st.ready = static_cast<SimTime>(now * 1e9);
     st.start = st.ready;
-    if (t.kind == TaskKind::kTransfer) {
-      st.bytes = static_cast<std::uint64_t>(std::llround(t.remaining));
-      st.cross_rack = t.from != t.to &&
-                      cluster_.rack_of(t.from) != cluster_.rack_of(t.to);
-    }
   };
 
-  std::vector<TaskId> finish_queue;
+  std::vector<std::size_t> unmet(tasks_.size());
   auto finish_task = [&](TaskId id) {
-    auto& st = result.tasks[id];
+    TaskStats& st = tasks_[id];
     st.finish = static_cast<SimTime>(now * 1e9);
-    const Task& t = tasks_[id];
-    if (t.kind == TaskKind::kTransfer && t.from != t.to) {
-      const RackId rf = cluster_.rack_of(t.from);
-      const RackId rt = cluster_.rack_of(t.to);
+    if (st.kind == TaskKind::kTransfer && st.from != st.node) {
+      const RackId rf = cluster_.rack_of(st.from);
+      const RackId rt = cluster_.rack_of(st.node);
       if (rf != rt) {
         result.cross_rack_bytes += st.bytes;
         ++result.cross_rack_transfers;
@@ -225,13 +195,14 @@ RunResult FluidNetwork::run() {
       }
     }
     ++completed;
-    for (TaskId dep : tasks_[id].dependents) {
-      if (--tasks_[dep].unmet_deps == 0) newly_ready.push_back(dep);
-    }
+    tasks_.for_each_dependent(id, [&](TaskId dep) {
+      if (--unmet[dep] == 0) newly_ready.push_back(dep);
+    });
   };
 
   for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].unmet_deps == 0) newly_ready.push_back(id);
+    unmet[id] = tasks_.deps(id).size();
+    if (unmet[id] == 0) newly_ready.push_back(id);
   }
 
   while (true) {
@@ -242,10 +213,10 @@ RunResult FluidNetwork::run() {
       batch.swap(newly_ready);
       for (TaskId id : batch) {
         record_start(id);
-        const Task& t = tasks_[id];
+        const TaskStats& t = tasks_[id];
         const bool instant =
-            t.remaining <= kEps ||
-            (t.kind == TaskKind::kTransfer && t.from == t.to);
+            remaining_[id] <= kEps ||
+            (t.kind == TaskKind::kTransfer && t.from == t.node);
         if (instant) {
           finish_task(id);
         } else {
@@ -308,7 +279,7 @@ RunResult FluidNetwork::run() {
     for (TaskId id : active) {
       if (rate[id] <= 0) continue;  // fully starved: cannot happen with
                                     // positive capacities, defensive
-      dt = std::min(dt, tasks_[id].remaining / rate[id]);
+      dt = std::min(dt, remaining_[id] / rate[id]);
     }
     if (!std::isfinite(dt)) {
       // All remaining active tasks are unconstrained/instant.
@@ -317,13 +288,13 @@ RunResult FluidNetwork::run() {
     now += dt;
     std::vector<TaskId> still_active;
     for (TaskId id : active) {
-      Task& t = tasks_[id];
+      double& left = remaining_[id];
       if (std::isinf(rate[id])) {
-        t.remaining = 0.0;
+        left = 0.0;
       } else {
-        t.remaining -= rate[id] * dt;
+        left -= rate[id] * dt;
       }
-      if (t.remaining <= kEps * std::max(1.0, rate[id])) {
+      if (left <= kEps * std::max(1.0, rate[id])) {
         finish_task(id);
       } else {
         still_active.push_back(id);
@@ -339,7 +310,7 @@ RunResult FluidNetwork::run() {
   // Close every sampled series at the makespan (active is empty here).
   sample_uplinks(std::vector<double>(tasks_.size(), 0.0));
   result.makespan = static_cast<SimTime>(now * 1e9);
-  return result;
+  return std::move(result);
 }
 
 }  // namespace rpr::simnet

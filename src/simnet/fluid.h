@@ -37,10 +37,11 @@ class FluidNetwork {
   void set_recorder(obs::Recorder* rec) noexcept { recorder_ = rec; }
 
   TaskId add_transfer(topology::NodeId from, topology::NodeId to,
-                      std::uint64_t bytes, std::vector<TaskId> deps,
-                      std::string label = {});
+                      std::uint64_t bytes, const std::vector<TaskId>& deps,
+                      std::string_view label = {});
   TaskId add_compute(topology::NodeId at, util::SimTime duration,
-                     std::vector<TaskId> deps, std::string label = {});
+                     const std::vector<TaskId>& deps,
+                     std::string_view label = {});
   /// Stamps a task with the plan op/slice it was lowered from (see
   /// SimNetwork::tag_task).
   void tag_task(TaskId id, std::int64_t op, std::int64_t slice);
@@ -54,24 +55,11 @@ class FluidNetwork {
   RunResult run();
 
  private:
-  struct Task {
-    TaskKind kind;
-    topology::NodeId from = 0;
-    topology::NodeId to = 0;
-    double remaining = 0;  // bytes (transfers) or cpu-seconds (computes)
-    std::vector<TaskId> deps;
-    std::string label;
-    std::int64_t op = -1;
-    std::int64_t slice = -1;
-    std::size_t unmet_deps = 0;
-    std::vector<TaskId> dependents;
-  };
-
-  TaskId add_task(Task t);
-
   topology::Cluster cluster_;
   topology::NetworkParams params_;
-  std::vector<Task> tasks_;
+  TaskTable tasks_;
+  /// Bytes (transfers) or cpu-seconds (computes) each task has left.
+  std::vector<double> remaining_;
   obs::Recorder* recorder_ = nullptr;
   bool ran_ = false;
 };

@@ -12,14 +12,14 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-std::string span_name(const TaskStats& t) {
+std::string span_name(const TaskStats& t, const std::string& label) {
   std::string name;
   if (t.kind == TaskKind::kTransfer) {
     name = t.cross_rack ? "cross-rack transfer" : "inner-rack transfer";
   } else {
     name = "compute";
   }
-  if (!t.label.empty()) name += " [" + t.label + "]";
+  if (!label.empty()) name += " [" + label + "]";
   return name;
 }
 
@@ -37,8 +37,10 @@ Phase phase_of_label(const std::string& label, bool is_transfer,
   return Phase::kOther;
 }
 
-Phase phase_of(const TaskStats& t) {
-  return phase_of_label(t.label, t.kind == TaskKind::kTransfer, t.cross_rack);
+Phase phase_of(const RunResult& result, TaskId id) {
+  const TaskStats& t = result.tasks[id];
+  return phase_of_label(result.label(id), t.kind == TaskKind::kTransfer,
+                        t.cross_rack);
 }
 
 const char* phase_name(Phase p) {
@@ -76,8 +78,9 @@ PhaseStats& PhaseBreakdown::of(Phase p) {
 
 PhaseBreakdown phase_breakdown(const RunResult& result) {
   PhaseBreakdown out;
-  for (const TaskStats& t : result.tasks) {
-    PhaseStats& s = out.of(phase_of(t));
+  for (TaskId id = 0; id < result.tasks.size(); ++id) {
+    const TaskStats& t = result.tasks[id];
+    PhaseStats& s = out.of(phase_of(result, id));
     if (s.tasks == 0 || t.start < s.first_start) s.first_start = t.start;
     s.last_finish = std::max(s.last_finish, t.finish);
     s.busy += t.finish - t.start;
@@ -99,8 +102,9 @@ void record_spans(const RunResult& result, const topology::Cluster& cluster,
   for (std::size_t id = 0; id < result.tasks.size(); ++id) {
     const TaskStats& t = result.tasks[id];
     obs::Span s;
-    s.name = span_name(t);
-    s.category = phase_name(phase_of(t));
+    const Phase phase = phase_of(result, id);
+    s.name = span_name(t, result.label(id));
+    s.category = phase_name(phase);
     s.track = t.node;
     s.start_ns = t.start;
     s.dur_ns = t.finish - t.start;
@@ -113,7 +117,7 @@ void record_spans(const RunResult& result, const topology::Cluster& cluster,
                : t.cross_rack  ? obs::SpanKind::kTransferCross
                                : obs::SpanKind::kTransferInner;
     } else {
-      s.kind = phase_of(t) == Phase::kRead ? obs::SpanKind::kRead
+      s.kind = phase == Phase::kRead ? obs::SpanKind::kRead
                                            : obs::SpanKind::kCompute;
     }
     s.args.emplace_back("task", static_cast<double>(id));
@@ -121,7 +125,7 @@ void record_spans(const RunResult& result, const topology::Cluster& cluster,
       s.args.emplace_back("queue_wait_s", util::to_sec(t.start - t.ready));
     }
     rec.add_span(std::move(s));
-    for (const TaskId d : t.deps) rec.add_flow(base + d, base + id);
+    for (const TaskId d : result.deps(id)) rec.add_flow(base + d, base + id);
   }
 }
 
@@ -129,6 +133,7 @@ void record_metrics(const RunResult& result, const topology::Cluster& cluster,
                     obs::MetricsRegistry& reg) {
   reg.gauge("sim.makespan_s").set(util::to_sec(result.makespan));
   reg.counter("sim.tasks").add(result.tasks.size());
+  reg.counter("sim.start_attempts").add(result.start_attempts);
   reg.counter("sim.cross_rack_bytes").add(result.cross_rack_bytes);
   reg.counter("sim.inner_rack_bytes").add(result.inner_rack_bytes);
   reg.counter("sim.cross_rack_transfers").add(result.cross_rack_transfers);

@@ -20,7 +20,7 @@ namespace rpr::simnet {
 
 enum class Phase { kRead, kInner, kCross, kDecode, kOther };
 
-[[nodiscard]] Phase phase_of(const TaskStats& t);
+[[nodiscard]] Phase phase_of(const RunResult& result, TaskId id);
 /// Label-only variant shared with the wall-clock executors (testbed, TCP
 /// runtime), which classify plan ops rather than simulator tasks.
 [[nodiscard]] Phase phase_of_label(const std::string& label, bool is_transfer,
@@ -60,7 +60,8 @@ void record_spans(const RunResult& result, const topology::Cluster& cluster,
 
 /// Snapshots a run into the registry under the "sim." prefix: traffic
 /// counters, per-rack upload/download, per-node and per-rack port busy
-/// gauges, queue-wait and duration histograms, per-phase gauges.
+/// gauges, queue-wait and duration histograms, per-phase gauges, and the
+/// simulator's own cost (sim.start_attempts).
 void record_metrics(const RunResult& result, const topology::Cluster& cluster,
                     obs::MetricsRegistry& reg);
 

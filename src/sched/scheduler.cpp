@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 
 #include "repair/analysis.h"
 #include "repair/lowering.h"
@@ -154,10 +153,10 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
   }
 
   // --- timers: zero-byte same-node transfers are instant and portless,
-  // so they fire at exactly their earliest_start and cost nothing.
-  std::unordered_map<TaskId, std::size_t> arrival_timer_of;
-  std::unordered_map<TaskId, std::size_t> read_timer_of;
-  std::unordered_map<TaskId, std::size_t> read_done_of;
+  // so they fire at exactly their earliest_start and cost nothing. They
+  // are the first tasks added: arrival timers (task id -> stripe), then
+  // one read timer per read (task id first_read_timer + ri).
+  std::vector<std::size_t> arrival_stripe;
 
   for (std::size_t i = 0; i < workload.stripes.size(); ++i) {
     const StripeArrival& sa = workload.stripes[i];
@@ -172,14 +171,16 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
     const TaskId timer = net.add_transfer(
         timer_node, timer_node, 0, {}, "sched:arrive s" + std::to_string(i));
     net.set_earliest_start(timer, st.arrival);
-    arrival_timer_of.emplace(timer, i);
+    RPR_INVARIANT(timer == arrival_stripe.size(),
+                  "arrival timers are the first tasks");
+    arrival_stripe.push_back(i);
   }
+  const TaskId first_read_timer = net.task_count();
   for (std::size_t i = 0; i < reads.size(); ++i) {
     const TaskId timer =
         net.add_transfer(reads[i].ev.reader, reads[i].ev.reader, 0, {},
                          "sched:read r" + std::to_string(i));
     net.set_earliest_start(timer, reads[i].arrival);
-    read_timer_of.emplace(timer, i);
   }
 
   // --- scheduler state driven by the finish hook.
@@ -279,13 +280,6 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
                                               : block;
   };
 
-  // Issues the final transfer(s) answering read `ri` and registers its
-  // completion task.
-  const auto finish_read_with = [&](std::size_t ri, TaskId done) {
-    reads[ri].done_task = done;
-    read_done_of.emplace(done, ri);
-  };
-
   const auto serve_from_replacement = [&](std::size_t ri, ReadPath path) {
     ReadState& r = reads[ri];
     const StripeState& st = stripes[r.ev.stripe];
@@ -296,7 +290,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
     net.set_class(t, simnet::TrafficClass::kForeground);
     net.set_priority(t, kForegroundPriority);
     r.path = path;
-    finish_read_with(ri, t);
+    r.done_task = t;
   };
 
   const auto resolve_read = [&](std::size_t ri) {
@@ -315,7 +309,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
       net.set_class(t, simnet::TrafficClass::kForeground);
       net.set_priority(t, kForegroundPriority);
       r.path = ReadPath::kHealthy;
-      finish_read_with(ri, t);
+      r.done_task = t;
       return;
     }
 
@@ -346,7 +340,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
           net.set_priority(prev, kDegradedPriority);
         }
         r.path = ReadPath::kBanked;
-        finish_read_with(ri, prev);
+        r.done_task = prev;
         return;
       }
       case StripeState::Phase::kQueued: {
@@ -368,7 +362,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
           net.set_priority(t, kDegradedPriority);
         }
         r.path = ReadPath::kPromoted;
-        finish_read_with(ri, lowered.last(pr.output));
+        r.done_task = lowered.last(pr.output);
         return;
       }
     }
@@ -387,9 +381,10 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
     st.waiting_reads.clear();
   };
 
+  std::vector<std::size_t> committed;  // per batch, reused
   net.set_finish_hook([&](SimTime now, std::span<const TaskId> done) {
     // 1) account repair-task completions; collect commits.
-    std::vector<std::size_t> committed;
+    committed.clear();
     for (const TaskId id : done) {
       auto it = std::upper_bound(
           ranges.begin(), ranges.end(), id,
@@ -405,15 +400,14 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
 
     // 2) arrivals join the queue; 3) reads resolve against current state.
     for (const TaskId id : done) {
-      if (const auto it = arrival_timer_of.find(id);
-          it != arrival_timer_of.end()) {
-        stripes[it->second].arrived = true;
-        queue.push_back(it->second);
+      if (id < arrival_stripe.size()) {
+        stripes[arrival_stripe[id]].arrived = true;
+        queue.push_back(arrival_stripe[id]);
       }
     }
     for (const TaskId id : done) {
-      if (const auto it = read_timer_of.find(id); it != read_timer_of.end()) {
-        resolve_read(it->second);
+      if (id >= first_read_timer && id - first_read_timer < reads.size()) {
+        resolve_read(id - first_read_timer);
       }
     }
 

@@ -10,7 +10,9 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gf/gf256.h"
@@ -105,13 +107,31 @@ bool generator_identity(const rpr::rs::RSCode& code, const LeafTerms& terms,
   return true;
 }
 
-/// Scoped RPR_VERIFY_PLANS so one test cannot leak the debug mode into the
-/// rest of the binary.
-struct ScopedVerifyEnv {
+/// Scoped RPR_VERIFY_PLANS (nullptr clears it), restoring the previous
+/// value afterwards, so one test cannot leak the debug mode into the rest
+/// of the binary or depend on how the binary was launched.
+class ScopedVerifyEnv {
+ public:
   explicit ScopedVerifyEnv(const char* value) {
-    ::setenv("RPR_VERIFY_PLANS", value, 1);
+    if (const char* old = std::getenv("RPR_VERIFY_PLANS")) saved_ = old;
+    if (value != nullptr) {
+      ::setenv("RPR_VERIFY_PLANS", value, 1);
+    } else {
+      ::unsetenv("RPR_VERIFY_PLANS");
+    }
   }
-  ~ScopedVerifyEnv() { ::unsetenv("RPR_VERIFY_PLANS"); }
+  ~ScopedVerifyEnv() {
+    if (saved_) {
+      ::setenv("RPR_VERIFY_PLANS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("RPR_VERIFY_PLANS");
+    }
+  }
+  ScopedVerifyEnv(const ScopedVerifyEnv&) = delete;
+  ScopedVerifyEnv& operator=(const ScopedVerifyEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
 };
 
 }  // namespace
@@ -432,6 +452,7 @@ TEST(PlanVerifierProperty, RemainderPlansVerifyAcrossRandomKills) {
 // --- debug mode ------------------------------------------------------------
 
 TEST(VerifyPlansEnv, TogglesPerCall) {
+  const ScopedVerifyEnv cleared(nullptr);
   EXPECT_FALSE(rpr::verify::verify_plans_enabled());
   {
     ScopedVerifyEnv on("1");

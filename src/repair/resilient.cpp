@@ -46,8 +46,10 @@ struct EqState {
   std::vector<BankedPartial> partials;
   topology::NodeId destination = 0;
   bool with_matrix = false;
-  /// Cross-rack shape for the next remainder plan; switched when the
-  /// destination is relocated (recovery rack died or cannot commit).
+  /// Cross-rack shape for the next remainder plan: the session planner's
+  /// own shape (a relay chain for rpr-chained, the merge tree otherwise);
+  /// switched when the destination is relocated (recovery rack died or
+  /// cannot commit).
   RemainderScheme scheme = RemainderScheme::kPipeline;
   bool done = false;
   rs::Block result;
@@ -273,6 +275,9 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
   out.used_decoding_matrix = planned.used_decoding_matrix;
   out.destinations = problem.replacements;
 
+  const RemainderScheme first_scheme = planner.name() == "rpr-chained"
+                                           ? RemainderScheme::kChain
+                                           : RemainderScheme::kPipeline;
   std::vector<EqState> eqs;
   eqs.reserve(planned.equations.size());
   for (std::size_t e = 0; e < planned.equations.size(); ++e) {
@@ -282,6 +287,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     s.remaining = leaf_terms(eq);
     s.destination = problem.replacements[e];
     s.with_matrix = planned.used_decoding_matrix;
+    s.scheme = first_scheme;
     eqs.push_back(std::move(s));
   }
 

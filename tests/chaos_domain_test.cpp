@@ -17,6 +17,7 @@
 #include "net/tcp_runtime.h"
 #include "obs/metrics.h"
 #include "repair/planner.h"
+#include "simnet/simnet.h"
 #include "runtime/testbed.h"
 #include "storage/storage_system.h"
 #include "test_support.h"
@@ -412,6 +413,58 @@ TEST(ChainedDomainSimnet, MidChainKillBanksUpstreamPartialsAndRebuilds) {
   EXPECT_GE(outcome.replans, 1u);
   EXPECT_GE(outcome.reused_values, 1u)
       << "finished upstream chain merges must be banked, not refetched";
+}
+
+TEST(ChainedDomainSimnet, HelperLossReplansAsRelayChain) {
+  ChainedDomainCase c(64ull << 20, 4096);
+  // Per simulated attempt: how many sends relay the running sum across
+  // racks ("chain:send" between racks).
+  std::vector<std::size_t> cross_relays;
+  const rpr::simnet::RunObserver observer(
+      [&](const rpr::simnet::RunResult& r) {
+        std::size_t n = 0;
+        for (std::size_t t = 0; t < r.tasks.size(); ++t) {
+          n += static_cast<std::size_t>(r.tasks[t].cross_rack &&
+                                        r.label(t) == "chain:send");
+        }
+        cross_relays.push_back(n);
+      });
+  // Kill the third relay mid-chain (as in MidChainKill above): the
+  // remainder still spans several racks, so a chained session must
+  // re-plan it as a chain again, not as the merge tree.
+  FaultSchedule chaos;
+  chaos.kills.push_back({c.relays()[2], 1.2});
+
+  // Online verification is on by default: the re-plan passes the verifier
+  // or the session throws.
+  const auto outcome = rpr::repair::simulate_resilient(
+      c.problem, *c.planner, c.stripe, rpr::topology::NetworkParams{}, chaos,
+      {});
+  c.expect_rebuilt(outcome);
+  ASSERT_EQ(outcome.replans, 1u);
+  EXPECT_EQ(outcome.scheme_switches, 0u);
+  EXPECT_GE(outcome.reused_values, 1u);
+  ASSERT_EQ(cross_relays.size(), 2u);
+  EXPECT_GE(cross_relays[0], 3u);
+  EXPECT_GE(cross_relays[1], 2u)
+      << "the re-plan must relay the running sum across racks";
+
+  // Out of budget at the first abort: the salvage report surfaces the
+  // banked chain prefix like every other scheme's.
+  rpr::repair::ResilientOptions ropts;
+  ropts.max_replans = 0;
+  try {
+    (void)rpr::repair::simulate_resilient(c.problem, *c.planner, c.stripe,
+                                          rpr::topology::NetworkParams{},
+                                          chaos, ropts);
+    FAIL() << "expected ReplanBudgetExhausted";
+  } catch (const ReplanBudgetExhausted& e) {
+    EXPECT_NE(std::string(e.what()).find("budget"), std::string::npos);
+    EXPECT_NE(e.report().find("outstanding"), std::string::npos)
+        << e.report();
+    EXPECT_GE(e.salvaged_values(), 1u);
+    EXPECT_GT(e.salvaged_bytes(), 0u);
+  }
 }
 
 TEST(ChainedDomainSimnet, RackCutMidChainRelocatesAndRebuilds) {

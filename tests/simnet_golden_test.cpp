@@ -410,15 +410,15 @@ const std::vector<Golden> kGolden = {
     {"resilient/trial2", 0x4f13961d92690e1eULL},
     {"resilient/trial3", 0x6cfd517bc78460f2ULL},
     {"resilient/trial4", 0x63d6e2c2ec4c6113ULL},
-    {"resilient/trial5", 0xa240d59739613a03ULL},
+    {"resilient/trial5", 0x1c8d199aaf812aa3ULL},
     {"resilient/trial6", 0x4beb40ea3075e2cfULL},
     {"resilient/trial7", 0xe934aa2f7d61fb55ULL},
     {"resilient/trial8", 0x60403c284baf625eULL},
     {"resilient/trial9", 0x6a00d98af02b2e8bULL},
     {"resilient/trial10", 0xe3757764d92ed16cULL},
-    {"resilient/trial11", 0xd8f7126deec8eeeeULL},
+    {"resilient/trial11", 0x2e41f03fae0e4260ULL},
     {"resilient/trial12", 0x76c3067c04a4db89ULL},
-    {"resilient/trial13", 0x4868cba482f0cb35ULL},
+    {"resilient/trial13", 0x050c85509afef891ULL},
     {"resilient/trial14", 0x3faa52c379337734ULL},
     {"resilient/trial15", 0x66214be75f327e25ULL},
 };

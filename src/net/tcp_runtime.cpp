@@ -172,13 +172,20 @@ Xfer TcpTransport::move(Run& run, OpId id, std::size_t first,
   const runtime::detail::ExecState& st = run.state;
   const runtime::ExecutorParams& params = run.ex.params();
   const topology::Cluster& c = run.ex.cluster();
+  // A cut that opens mid-stream drops the attempt at the next slice range,
+  // as it does on the paced channel; the retry resends the value and the
+  // receiver keeps the prefix it already published.
+  if (run.ex.active_partition(c.rack_of(op.from), c.rack_of(op.node)) !=
+      nullptr) {
+    return Xfer::kCut;
+  }
   const double chunk_s =
       static_cast<double>(kPaceChunk) /
       (params.net.between_racks(c.rack_of(op.from), c.rack_of(op.node))
            .as_bytes_per_sec() *
        params.time_scale);
   // Stable once slice 0 published: producers stream into a pre-sized
-  // accumulator that is never reallocated.
+  // value buffer that is never reallocated.
   const std::uint8_t* src = st.value[op.inputs[0]].data();
   bool sent = false;
   try {
@@ -284,7 +291,7 @@ void TcpTransport::ingest_conn(Run& run, NodeId n, Socket peer) {
 }
 
 // Ingests one frame whose header has been read: drains slice-sized pieces
-// straight into the op's accumulator and publishes each one. A resumed
+// straight into the op's value buffer and publishes each one. A resumed
 // (retried) stream re-reads the published prefix into scratch — those
 // regions are concurrently read by consumers and must not be rewritten,
 // and the resent bytes are content-identical anyway. Returns false when

@@ -11,8 +11,9 @@
 // A send attempt writes one frame header declaring the whole value, then
 // streams each slice range as its input publishes it, holding the sender's
 // TX port per range. Receivers run one frame loop per connection and
-// ingest every slice straight into the op's pre-sized accumulator,
-// publishing it at once, so the downstream chain overlaps the transfer. A
+// read every slice off the wire straight into the op's value buffer
+// (overwriting its recycled bytes), publishing it at once, so the
+// downstream chain overlaps the transfer. A
 // retried attempt resends from slice 0; the receiver skips the prefix it
 // already published. Rack uplinks and RX ports are not modeled — loopback
 // has no TOR switch — so this runtime validates *correctness over a real
@@ -30,7 +31,8 @@
 // and its sends are abandoned mid-stream (peers observe EOF/connection
 // errors, bounded by the retry policy's timeouts — never a hang, see
 // net/socket.h); a partition fails cross-cut connections as retryable
-// errors; a connection error is retried and, once retries run out, the
+// errors, at open and between slice ranges of a stream already under way;
+// a connection error is retried and, once retries run out, the
 // receiver is declared lost.
 #pragma once
 

@@ -269,7 +269,7 @@ bool Executor::read(Run& run, OpId id, double& stall_s) {
     if (slowdisk_counted_.insert(op.node).second) ++run.faults;
   }
   // Reads are local and instant: every slice becomes available at once.
-  gf::mul_region_add(op.coeff, run.state.storage(id), run.stripe[op.block]);
+  gf::mul_region(op.coeff, run.state.storage(id), run.stripe[op.block]);
   run.state.publish_all(id);
   return true;
 }

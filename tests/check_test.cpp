@@ -363,6 +363,30 @@ TEST(ExecStateTest, FirstWinsFail) {
   EXPECT_EQ(st.progress(0), 0u);
 }
 
+TEST(ExecStateTest, PublishWakesOnlyWaitersItSatisfies) {
+  ExecState st(2, 8 * 64, 64);  // 8 slices
+  ASSERT_EQ(st.slices(), 8u);
+  // One consumer needs slice 3 of op 0, another slice 0 of op 1.
+  std::thread at3([&] { EXPECT_TRUE(st.wait_inputs_slice({0}, 3)); });
+  std::thread at0([&] { EXPECT_FALSE(st.wait_inputs_slice({1}, 0)); });
+  while (st.waiting_on(0) + st.waiting_on(1) < 2) std::this_thread::yield();
+
+  st.publish_slices(0, 3);  // slices 0..2: short of slice 3
+  EXPECT_EQ(st.wakes(), 0u);
+  st.publish_slices(0, 4);  // crosses slice 3
+  EXPECT_EQ(st.wakes(), 1u);
+  at3.join();
+  EXPECT_EQ(st.waiting_on(0), 0u);
+  EXPECT_EQ(st.waiting_on(1), 1u);
+  st.publish_slices(0, 8);  // nobody waits on op 0 any more
+  EXPECT_EQ(st.wakes(), 1u);
+
+  st.fail(1);  // a failure wakes every waiter on the op
+  EXPECT_EQ(st.wakes(), 2u);
+  at0.join();
+  EXPECT_EQ(st.waiting_on(1), 0u);
+}
+
 TEST(ExecStateTest, EventsReachTheGlobalObserver) {
   std::vector<check::Event> seen;
   check::set_event_observer([&](const check::Event& e) {

@@ -38,18 +38,6 @@ void append_span_args(std::ostringstream& out, const Span& s) {
   }
 }
 
-const char* kind_name(SpanKind k) {
-  switch (k) {
-    case SpanKind::kRead: return "read";
-    case SpanKind::kTransferInner: return "transfer_inner";
-    case SpanKind::kTransferCross: return "transfer_cross";
-    case SpanKind::kCompute: return "compute";
-    case SpanKind::kStall: return "stall";
-    case SpanKind::kOther: break;
-  }
-  return "other";
-}
-
 /// Span indices sorted by start time (stable, so same-timestamp records
 /// keep insertion order). Perfetto's importer wants monotonic timestamps.
 std::vector<std::size_t> spans_by_time(const Recorder& rec) {
@@ -159,42 +147,6 @@ std::string to_chrome_trace(const Recorder& rec) {
 
 void write_chrome_trace(const Recorder& rec, const std::string& path) {
   write_file(path, to_chrome_trace(rec), "write_chrome_trace");
-}
-
-std::string to_jsonl(const Recorder& rec) {
-  std::ostringstream out;
-  for (const Span& s : rec.spans()) {
-    out << "{\"type\":\"span\",\"name\":\"" << json_escape(s.name)
-        << "\",\"category\":\"" << json_escape(s.category)
-        << "\",\"track\":" << s.track << ",\"start_ns\":" << s.start_ns
-        << ",\"dur_ns\":" << s.dur_ns;
-    if (s.span_id != 0) {
-      out << ",\"span_id\":" << s.span_id << ",\"kind\":\""
-          << kind_name(s.kind) << "\"";
-    }
-    out << ",";
-    append_span_args(out, s);
-    out << "}\n";
-  }
-  for (const Flow& f : rec.flows()) {
-    out << "{\"type\":\"flow\",\"from\":" << f.from << ",\"to\":" << f.to
-        << "}\n";
-  }
-  for (const Event& e : rec.events()) {
-    out << "{\"type\":\"event\",\"name\":\"" << json_escape(e.name)
-        << "\",\"track\":" << e.track << ",\"time_ns\":" << e.time_ns
-        << "}\n";
-  }
-  for (const Sample& s : rec.samples()) {
-    out << "{\"type\":\"sample\",\"series\":\"" << json_escape(s.series)
-        << "\",\"time_ns\":" << s.time_ns
-        << ",\"value\":" << json_number(s.value) << "}\n";
-  }
-  return out.str();
-}
-
-void write_jsonl(const Recorder& rec, const std::string& path) {
-  write_file(path, to_jsonl(rec), "write_jsonl");
 }
 
 std::string to_json(const MetricsRegistry& reg) {

@@ -1,12 +1,10 @@
 // Export sinks for the obs layer.
 //
-// Three formats, all derivable from the same Recorder / MetricsRegistry:
+// Two families, derivable from the same Recorder / MetricsRegistry:
 //
 //   * Chrome Trace Event JSON — load in chrome://tracing or
 //     https://ui.perfetto.dev; spans become "X" slices (one row per track),
 //     events become instants, samples become "C" counter plots;
-//   * JSON lines — one self-contained JSON object per span/event/sample
-//     per line, for ad-hoc processing (jq, pandas);
 //   * metrics JSON / CSV — full registry snapshots.
 //
 // All writers overwrite the target file and throw std::runtime_error on
@@ -26,10 +24,6 @@ namespace rpr::obs {
 
 [[nodiscard]] std::string to_chrome_trace(const Recorder& rec);
 void write_chrome_trace(const Recorder& rec, const std::string& path);
-
-/// One JSON object per line: spans, then events, then samples.
-[[nodiscard]] std::string to_jsonl(const Recorder& rec);
-void write_jsonl(const Recorder& rec, const std::string& path);
 
 /// {"counters":{...},"gauges":{...},"histograms":{...}}
 [[nodiscard]] std::string to_json(const MetricsRegistry& reg);

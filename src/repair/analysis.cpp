@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.h"
@@ -305,6 +306,26 @@ MakespanBound makespan_lower_bound(const RepairPlan& plan,
   for (const auto& [port, dur] : busy) {
     (void)port;
     if (dur > out.port_load_s) out.port_load_s = dur;
+  }
+  return out;
+}
+
+StarOrChain choose_star_or_chain(const RepairProblem& problem,
+                                 const topology::Cluster& cluster,
+                                 const topology::NetworkParams& net,
+                                 std::size_t slice_size) {
+  StarOrChain out;
+  PlannedRepair star = RprPlanner{}.plan(problem);
+  PlannedRepair chained = RprChainedPlanner{}.plan(problem);
+  out.star_floor_s =
+      makespan_lower_bound(star.plan, cluster, net, slice_size).seconds();
+  out.chain_floor_s =
+      makespan_lower_bound(chained.plan, cluster, net, slice_size).seconds();
+  if (out.chain_floor_s < out.star_floor_s) {
+    out.scheme = Scheme::kRprChained;
+    out.planned = std::move(chained);
+  } else {
+    out.planned = std::move(star);
   }
   return out;
 }

@@ -170,4 +170,18 @@ struct MakespanBound {
     const RepairPlan& plan, const topology::Cluster& cluster,
     const topology::NetworkParams& net, std::size_t slice_size);
 
+/// The adaptive star-vs-chain pick (the fleet scheduler's auto_scheme and
+/// `rpr_sim --scheme auto`): plans `problem` with RprPlanner and
+/// RprChainedPlanner and keeps the shape whose makespan_lower_bound floor
+/// is smaller for this cluster + slice geometry; a tie keeps the star.
+struct StarOrChain {
+  Scheme scheme = Scheme::kRpr;
+  PlannedRepair planned;  ///< the kept shape's plan
+  double star_floor_s = 0.0;
+  double chain_floor_s = 0.0;
+};
+[[nodiscard]] StarOrChain choose_star_or_chain(
+    const RepairProblem& problem, const topology::Cluster& cluster,
+    const topology::NetworkParams& net, std::size_t slice_size);
+
 }  // namespace rpr::repair::analysis

@@ -17,11 +17,10 @@
 
 #include "repair/planner.h"
 #include "repair/reduction.h"
-#include "verify/plan_verifier.h"
 
 namespace rpr::repair {
 
-PlannedRepair CarPlanner::plan(const RepairProblem& p) const {
+PlannedRepair CarPlanner::do_plan(const RepairProblem& p) const {
   if (p.code == nullptr || p.placement == nullptr) {
     throw std::invalid_argument("car: problem not fully specified");
   }
@@ -71,10 +70,6 @@ PlannedRepair CarPlanner::plan(const RepairProblem& p) const {
       detail::kCrossCost, "cross");
   out.outputs = {out.plan.combine(replacement, {final_value.op},
                                   /*with_matrix_cost=*/true, "decode")};
-  if (verify::verify_plans_enabled()) {
-    verify::throw_if_violated(verify::verify_planned_repair(out, p, Scheme::kCar),
-                              "car planner");
-  }
   return out;
 }
 

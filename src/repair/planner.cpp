@@ -4,7 +4,32 @@
 #include <map>
 #include <stdexcept>
 
+#include "verify/plan_verifier.h"
+
 namespace rpr::repair {
+
+const char* to_string(Scheme scheme) {
+  switch (scheme) {
+    case Scheme::kTraditional:
+      return "traditional";
+    case Scheme::kCar:
+      return "car";
+    case Scheme::kRpr:
+      return "rpr";
+    case Scheme::kRprChained:
+      return "rpr-chained";
+  }
+  throw std::logic_error("to_string: unknown scheme");
+}
+
+PlannedRepair Planner::plan(const RepairProblem& p) const {
+  PlannedRepair out = do_plan(p);
+  if (verify::verify_plans_enabled()) {
+    verify::throw_if_violated(verify::verify_planned_repair(out, p, scheme()),
+                              name() + " planner");
+  }
+  return out;
+}
 
 void RepairProblem::choose_default_replacements() {
   if (placement == nullptr) {

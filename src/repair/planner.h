@@ -15,12 +15,22 @@
 //    sub-equation, pipelined cross-rack reductions).
 //  * RprChainedPlanner — RPR with an ECPipe-style relay chain in place of
 //    the cross-rack merge tree.
+//  * DegradedReadPlanner — a degraded read is a one-block RPR repair whose
+//    replacement is the reader: the same planning body as RprPlanner, with
+//    every unavailable block kept out of the survivor selection.
 //
-// Every rack-aware equation (RPR, chained RPR, degraded reads, mid-repair
-// re-plans) is built by plan_remainder (repair/replan.h); a first attempt is
-// a remainder with no banked partials. CAR and traditional keep their own
-// planners: their baselines use other inner shapes (CAR stars each rack;
-// traditional ships raw blocks and scales them with combine_scaled).
+// Every rack-aware plan (RPR, chained RPR, degraded reads) comes from one
+// planning body in rpr.cpp, and every rack-aware equation — first attempt
+// or mid-repair re-plan — is built by plan_remainder (repair/replan.h); a
+// first attempt is a remainder with no banked partials. CAR and traditional
+// keep their own planners: their baselines use other inner shapes (CAR
+// stars each rack; traditional ships raw blocks and scales them with
+// combine_scaled).
+//
+// Every planner has one contract: Planner::plan runs the scheme's body and,
+// under RPR_VERIFY_PLANS, verifies the output against scheme() before
+// returning it. scheme() is also how the resilient driver verifies the
+// initial plan online and picks the re-plan shape.
 //
 // Planners emit a RepairPlan DAG; all timing decisions (who goes first when
 // ports contend) are taken greedily by the executor, which is what makes the
@@ -67,23 +77,39 @@ struct PlannedRepair {
   std::vector<std::size_t> selected;
 };
 
+enum class Scheme { kTraditional, kCar, kRpr, kRprChained };
+
+/// The scheme's short name: "traditional", "car", "rpr" or "rpr-chained".
+[[nodiscard]] const char* to_string(Scheme scheme);
+
 class Planner {
  public:
   virtual ~Planner() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual PlannedRepair plan(const RepairProblem& p) const = 0;
+  /// The scheme whose closed-form traffic the plan is held to.
+  [[nodiscard]] virtual Scheme scheme() const = 0;
+  [[nodiscard]] std::string name() const { return to_string(scheme()); }
+  /// Plans `p`; under RPR_VERIFY_PLANS the output is verified against
+  /// scheme() first and a violation throws std::logic_error.
+  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const;
+
+ private:
+  [[nodiscard]] virtual PlannedRepair do_plan(const RepairProblem& p) const = 0;
 };
 
 class TraditionalPlanner final : public Planner {
  public:
-  [[nodiscard]] std::string name() const override { return "traditional"; }
-  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const override;
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kTraditional; }
+
+ private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
 };
 
 class CarPlanner final : public Planner {
  public:
-  [[nodiscard]] std::string name() const override { return "car"; }
-  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const override;
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kCar; }
+
+ private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
 };
 
 struct RprOptions {
@@ -106,10 +132,10 @@ struct RprOptions {
 class RprPlanner final : public Planner {
  public:
   explicit RprPlanner(RprOptions opts = {}) : opts_(opts) {}
-  [[nodiscard]] std::string name() const override { return "rpr"; }
-  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const override;
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
 
  private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
   RprOptions opts_;
 };
 
@@ -121,55 +147,32 @@ class RprPlanner final : public Planner {
 class RprChainedPlanner final : public Planner {
  public:
   explicit RprChainedPlanner(RprOptions opts = {}) : opts_(opts) {}
-  [[nodiscard]] std::string name() const override { return "rpr-chained"; }
-  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const override;
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kRprChained; }
 
  private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
   RprOptions opts_;
 };
 
-enum class Scheme { kTraditional, kCar, kRpr, kRprChained };
 [[nodiscard]] std::unique_ptr<Planner> make_planner(Scheme scheme);
 
-/// Plans the reconstruction of ONE unavailable block, delivered to an
-/// arbitrary `destination` node, using RPR's rack-aware pipeline. This is
-/// the degraded-read path: `lost` lists every currently-unavailable block
-/// (so none is used as a source), but only `target`'s sub-equation is
-/// evaluated. Returns the plan and the op producing the block at
-/// `destination`.
-struct PlannedRead {
-  RepairPlan plan;
-  OpId output = kNoOp;
-  bool used_decoding_matrix = false;
-  /// The target's sub-equation (what the plan evaluates) and the survivor
-  /// selection behind it — enough to hand the read to the resilient driver
-  /// as a one-equation repair so helper failures mid-read re-plan instead
-  /// of failing the read.
-  rs::RepairEquation equation;
-  std::vector<std::size_t> selected;
-};
-[[nodiscard]] PlannedRead plan_degraded_read(
-    const rs::RSCode& code, const topology::Placement& placement,
-    std::uint64_t block_size, std::span<const std::size_t> lost,
-    std::size_t target, topology::NodeId destination, RprOptions opts = {});
-
-/// Presents a degraded read as a one-equation repair so the resilient
-/// driver (repair/resilient.h) can execute it: a helper that dies
-/// mid-read triggers the driver's equation-patching re-plan instead of
-/// failing the read. The caller passes the FULL lost set here (none of
-/// those blocks may serve as a source); the driven problem must then name
-/// exactly one failed block — the read target — with the reader node as
-/// its "replacement", and list the remaining lost blocks' nodes in
-/// ResilientOptions::unavailable.
+/// A degraded read as a one-block RPR repair: the problem names exactly one
+/// failed block (the read target) with the reader as its replacement. The
+/// planner is given the FULL lost set, none of which may serve as a source;
+/// only the target's sub-equation is evaluated. The resilient driver
+/// (repair/resilient.h) runs it like any repair, so a helper that dies
+/// mid-read triggers an equation-patching re-plan; the caller lists the
+/// other lost blocks' nodes in ResilientOptions::unavailable. Held to RPR's
+/// closed form (scheme() is kRpr).
 class DegradedReadPlanner final : public Planner {
  public:
   explicit DegradedReadPlanner(std::vector<std::size_t> lost,
                                RprOptions opts = {})
       : lost_(std::move(lost)), opts_(opts) {}
-  [[nodiscard]] std::string name() const override { return "degraded-read"; }
-  [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const override;
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
 
  private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
   std::vector<std::size_t> lost_;
   RprOptions opts_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -222,9 +221,21 @@ topology::NodeId pick_new_destination(
 }
 
 /// The always-on verification gate: online by default, and RPR_VERIFY_PLANS
-/// additionally forces the full uncached algebraic fold.
-bool verification_on() {
-  return verify::online_verify_enabled() || verify::verify_plans_enabled();
+/// additionally forces the full uncached algebraic fold. `run(skip_algebra)`
+/// builds the report; a violation throws. The algebraic fold runs once per
+/// distinct plan structure (a fingerprint is cached only after its fold
+/// passed); topology and conservation are checked every time.
+template <typename Run>
+void verify_online(const RepairPlan& plan, std::span<const OpId> outputs,
+                   const Run& run, const std::string& context) {
+  if (!verify::online_verify_enabled() && !verify::verify_plans_enabled()) {
+    return;
+  }
+  const std::uint64_t fp = verify::plan_fingerprint(plan, outputs);
+  const bool skip =
+      !verify::verify_plans_enabled() && verify::algebra_cache_contains(fp);
+  verify::throw_if_violated(run(skip), context);
+  if (!skip) verify::algebra_cache_insert(fp);
 }
 
 }  // namespace
@@ -244,40 +255,22 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 
   const PlannedRepair planned = planner.plan(problem);
 
-  // Online verification of the initial plan, whenever the planner's name
-  // maps to a scheme with a closed-form traffic prediction. The algebraic
-  // fold runs once per distinct plan structure (fingerprint cache);
-  // topology and conservation are checked every time.
-  if (verification_on()) {
-    const std::string name = planner.name();
-    std::optional<Scheme> scheme;
-    if (name == "rpr") {
-      scheme = Scheme::kRpr;
-    } else if (name == "rpr-chained") {
-      scheme = Scheme::kRprChained;
-    } else if (name == "car") {
-      scheme = Scheme::kCar;
-    } else if (name == "traditional") {
-      scheme = Scheme::kTraditional;
-    }
-    if (scheme.has_value()) {
-      const bool skip =
-          !verify::verify_plans_enabled() &&
-          verify::algebra_cache_check_and_insert(
-              verify::plan_fingerprint(planned.plan, planned.outputs));
-      verify::throw_if_violated(
-          verify::verify_planned_repair(planned, problem, *scheme, skip),
-          "initial " + name + " plan");
-    }
-  }
+  // Online verification of the initial plan against the planner's scheme.
+  verify_online(
+      planned.plan, planned.outputs,
+      [&](bool skip) {
+        return verify::verify_planned_repair(planned, problem,
+                                             planner.scheme(), skip);
+      },
+      "initial " + planner.name() + " plan");
 
   ResilientOutcome out;
   out.used_decoding_matrix = planned.used_decoding_matrix;
   out.destinations = problem.replacements;
 
-  const RemainderScheme first_scheme = planner.name() == "rpr-chained"
-                                           ? RemainderScheme::kChain
-                                           : RemainderScheme::kPipeline;
+  const RemainderScheme first_scheme =
+      planner.scheme() == Scheme::kRprChained ? RemainderScheme::kChain
+                                              : RemainderScheme::kPipeline;
   std::vector<EqState> eqs;
   eqs.reserve(planned.equations.size());
   for (std::size_t e = 0; e < planned.equations.size(); ++e) {
@@ -536,14 +529,13 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       audit.push_back(std::move(check));
     }
 
-    if (!next_outputs.empty() && verification_on()) {
-      const bool skip =
-          !verify::verify_plans_enabled() &&
-          verify::algebra_cache_check_and_insert(
-              verify::plan_fingerprint(next_plan, next_outputs));
-      verify::throw_if_violated(
-          verify::verify_remainder_plan(next_plan, placement, code, audit,
-                                        unusable, skip),
+    if (!next_outputs.empty()) {
+      verify_online(
+          next_plan, next_outputs,
+          [&](bool skip) {
+            return verify::verify_remainder_plan(next_plan, placement, code,
+                                                 audit, unusable, skip);
+          },
           "mid-repair re-plan, round " + std::to_string(round));
     }
 

@@ -28,16 +28,19 @@
 //    1's inner-rack decodes proceed — the paper's worst case of k * t_i
 //    inner time plus ceil(log2 q) * t_c per sub-equation emerges naturally.
 //
+// A degraded read is the one-block case with the reader as the
+// replacement: every unavailable block stays out of the selection, and only
+// the target's sub-equation is evaluated.
+//
 // Each sub-equation is built by plan_remainder (repair/replan.h), the
 // builder mid-repair re-plans use too.
 #include <algorithm>
-#include <cassert>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "repair/planner.h"
 #include "repair/replan.h"
-#include "verify/plan_verifier.h"
 
 namespace rpr::repair {
 
@@ -54,14 +57,15 @@ RemainderEquation first_attempt(const rs::RepairEquation& eq,
           .scheme = scheme};
 }
 
-/// The plan body RprPlanner and RprChainedPlanner share; `scheme` (kRpr or
-/// kRprChained) only picks the cross-rack shape. Survivor selection is the
-/// same for both: the chain changes the schedule's shape, not which blocks
-/// participate.
-PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
-                              Scheme scheme) {
-  const bool chained = scheme == Scheme::kRprChained;
-  const std::string name = chained ? "rpr-chained" : "rpr";
+/// The plan body every rack-aware planner shares. `lost` is every
+/// unavailable block (it contains p.failed): none of them is selected as a
+/// source, but equations are evaluated only for p.failed. `shape` picks
+/// the cross-rack reduction; survivor selection does not depend on it —
+/// the chain changes the schedule's shape, not which blocks participate.
+PlannedRepair plan_rack_aware(const RepairProblem& p,
+                              std::span<const std::size_t> lost,
+                              const RprOptions& opts, RemainderScheme shape,
+                              const std::string& name) {
   if (p.code == nullptr || p.placement == nullptr) {
     throw std::invalid_argument(name + ": problem not fully specified");
   }
@@ -69,7 +73,7 @@ PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
     throw std::invalid_argument(name + ": bad failed/replacement sets");
   }
   const auto& cfg = p.code->config();
-  if (p.failed.size() > cfg.k) {
+  if (lost.size() > cfg.k) {
     throw std::invalid_argument(name +
                                 ": more than k failures is unrecoverable");
   }
@@ -82,14 +86,11 @@ PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
 
   // Survivor selection (§3.3): XOR set when it applies, else rack-minimal.
   const bool want_xor =
-      opts.prefer_xor_set && p.failed.size() == 1 &&
-      cfg.is_data(p.failed[0]) &&
-      p.failed[0] != rs::p0_index(cfg);  // P0 itself is not a data block
+      opts.prefer_xor_set && lost.size() == 1 && cfg.is_data(p.failed[0]);
   if (want_xor) {
-    out.selected = p.code->default_selection(p.failed);  // prefers XOR set
+    out.selected = p.code->default_selection(lost);  // prefers XOR set
   } else {
-    out.selected =
-        select_min_racks(*p.code, *p.placement, p.failed, primary_rack);
+    out.selected = select_min_racks(*p.code, *p.placement, lost, primary_rack);
   }
   out.equations = p.code->repair_equations(p.failed, out.selected);
   // Without the §3.3 optimization a generic decoder (e.g. Jerasure's)
@@ -99,8 +100,6 @@ PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
   out.used_decoding_matrix = !(opts.prefer_xor_set && p.failed.size() == 1 &&
                                out.equations[0].xor_only());
 
-  const RemainderScheme shape =
-      chained ? RemainderScheme::kChain : RemainderScheme::kPipeline;
   out.outputs.resize(p.failed.size(), kNoOp);
   for (std::size_t e = 0; e < out.equations.size(); ++e) {
     out.outputs[e] = plan_remainder(
@@ -109,91 +108,32 @@ PlannedRepair plan_rack_aware(const RepairProblem& p, const RprOptions& opts,
                       out.used_decoding_matrix, shape),
         opts, e);
   }
-  if (verify::verify_plans_enabled()) {
-    verify::throw_if_violated(verify::verify_planned_repair(out, p, scheme),
-                              name + " planner");
-  }
   return out;
 }
 
 }  // namespace
 
-PlannedRead plan_degraded_read(const rs::RSCode& code,
-                               const topology::Placement& placement,
-                               std::uint64_t block_size,
-                               std::span<const std::size_t> lost,
-                               std::size_t target,
-                               topology::NodeId destination,
-                               RprOptions opts) {
-  if (std::find(lost.begin(), lost.end(), target) == lost.end()) {
-    throw std::invalid_argument(
-        "plan_degraded_read: target must be in the lost set");
-  }
-  const auto& cfg = code.config();
-  if (lost.size() > cfg.k) {
-    throw std::invalid_argument("plan_degraded_read: unrecoverable");
-  }
-
-  // RPR's selection, but only the target's sub-equation is evaluated.
-  const topology::RackId reader_rack =
-      placement.cluster().rack_of(destination);
-  const bool want_xor = opts.prefer_xor_set && lost.size() == 1 &&
-                        cfg.is_data(target);
-  const auto selected =
-      want_xor ? code.default_selection(lost)
-               : select_min_racks(code, placement, lost, reader_rack);
-  const auto eqs = code.repair_equations(lost, selected);
-  const auto it = std::find_if(
-      eqs.begin(), eqs.end(),
-      [&](const rs::RepairEquation& e) { return e.failed_block == target; });
-  assert(it != eqs.end());
-
-  PlannedRead out;
-  out.plan.block_size = block_size;
-  out.equation = *it;
-  out.selected = selected;
-  out.used_decoding_matrix = !(opts.prefer_xor_set && it->xor_only());
-  out.output = plan_remainder(
-      out.plan, placement,
-      first_attempt(*it, destination, out.used_decoding_matrix,
-                    RemainderScheme::kPipeline),
-      opts, 0);
-  if (verify::verify_plans_enabled()) {
-    verify::throw_if_violated(
-        verify::verify_planned_read(out, code, placement, lost, target,
-                                    destination),
-        "plan_degraded_read b" + std::to_string(target));
-  }
-  return out;
+PlannedRepair RprPlanner::do_plan(const RepairProblem& p) const {
+  return plan_rack_aware(p, p.failed, opts_, RemainderScheme::kPipeline,
+                         name());
 }
 
-PlannedRepair DegradedReadPlanner::plan(const RepairProblem& p) const {
-  if (p.code == nullptr || p.placement == nullptr) {
-    throw std::invalid_argument("degraded-read: problem not fully specified");
-  }
+PlannedRepair RprChainedPlanner::do_plan(const RepairProblem& p) const {
+  return plan_rack_aware(p, p.failed, opts_, RemainderScheme::kChain, name());
+}
+
+PlannedRepair DegradedReadPlanner::do_plan(const RepairProblem& p) const {
   if (p.failed.size() != 1 || p.replacements.size() != 1) {
     throw std::invalid_argument(
         "degraded-read: exactly one failed block (the read target) with the "
         "reader as its replacement");
   }
-  PlannedRead read = plan_degraded_read(*p.code, *p.placement, p.block_size,
-                                        lost_, p.failed[0], p.replacements[0],
-                                        opts_);
-  PlannedRepair out;
-  out.plan = std::move(read.plan);
-  out.outputs = {read.output};
-  out.equations = {std::move(read.equation)};
-  out.used_decoding_matrix = read.used_decoding_matrix;
-  out.selected = std::move(read.selected);
-  return out;
-}
-
-PlannedRepair RprPlanner::plan(const RepairProblem& p) const {
-  return plan_rack_aware(p, opts_, Scheme::kRpr);
-}
-
-PlannedRepair RprChainedPlanner::plan(const RepairProblem& p) const {
-  return plan_rack_aware(p, opts_, Scheme::kRprChained);
+  if (std::find(lost_.begin(), lost_.end(), p.failed[0]) == lost_.end()) {
+    throw std::invalid_argument(
+        "degraded-read: the read target must be in the lost set");
+  }
+  return plan_rack_aware(p, lost_, opts_, RemainderScheme::kPipeline,
+                         "degraded-read");
 }
 
 }  // namespace rpr::repair

@@ -14,11 +14,10 @@
 #include <stdexcept>
 
 #include "repair/planner.h"
-#include "verify/plan_verifier.h"
 
 namespace rpr::repair {
 
-PlannedRepair TraditionalPlanner::plan(const RepairProblem& p) const {
+PlannedRepair TraditionalPlanner::do_plan(const RepairProblem& p) const {
   if (p.code == nullptr || p.placement == nullptr) {
     throw std::invalid_argument("traditional: problem not fully specified");
   }
@@ -58,11 +57,6 @@ PlannedRepair TraditionalPlanner::plan(const RepairProblem& p) const {
       out.outputs[e] =
           out.plan.send(rebuilt, sink, p.replacements[e], "forward");
     }
-  }
-  if (verify::verify_plans_enabled()) {
-    verify::throw_if_violated(
-        verify::verify_planned_repair(out, p, Scheme::kTraditional),
-        "traditional planner");
   }
   return out;
 }

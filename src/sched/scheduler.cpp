@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "repair/analysis.h"
 #include "repair/lowering.h"
@@ -199,26 +200,15 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
       stripes[idx].scheme = options.scheme;
       return repair::make_planner(options.scheme)->plan(problem);
     }
-    // Adaptive star-vs-chain: plan both shapes and keep the one with the
-    // smaller proved makespan floor for this cluster + slice geometry.
-    PlannedRepair star = repair::RprPlanner{}.plan(problem);
-    PlannedRepair chained = repair::RprChainedPlanner{}.plan(problem);
-    const double star_floor =
-        repair::analysis::makespan_lower_bound(star.plan, cluster, params,
-                                               options.slice_size)
-            .seconds();
-    const double chain_floor =
-        repair::analysis::makespan_lower_bound(chained.plan, cluster, params,
-                                               options.slice_size)
-            .seconds();
-    if (chain_floor < star_floor) {
-      stripes[idx].scheme = Scheme::kRprChained;
+    auto pick = repair::analysis::choose_star_or_chain(problem, cluster, params,
+                                                       options.slice_size);
+    stripes[idx].scheme = pick.scheme;
+    if (pick.scheme == Scheme::kRprChained) {
       ++out.auto_chained_picks;
-      return chained;
+    } else {
+      ++out.auto_star_picks;
     }
-    stripes[idx].scheme = Scheme::kRpr;
-    ++out.auto_star_picks;
-    return star;
+    return std::move(pick.planned);
   };
 
   const auto admit = [&](std::size_t idx, SimTime now) {
@@ -350,9 +340,11 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
           return;
         }
         // Promote a one-block degraded-read plan past the admission queue.
-        const repair::PlannedRead pr = repair::plan_degraded_read(
-            *problem.code, *problem.placement, problem.block_size,
-            problem.failed, r.ev.block, r.ev.reader);
+        RepairProblem read = problem;
+        read.failed = {r.ev.block};
+        read.replacements = {r.ev.reader};
+        const PlannedRepair pr =
+            repair::DegradedReadPlanner(problem.failed).plan(read);
         repair::validate(pr.plan, cluster);
         const TaskId first = net.task_count();
         const repair::detail::LoweredPlan lowered =
@@ -362,7 +354,7 @@ FleetSchedOutcome run_fleet(const FleetWorkload& workload,
           net.set_priority(t, kDegradedPriority);
         }
         r.path = ReadPath::kPromoted;
-        r.done_task = lowered.last(pr.output);
+        r.done_task = lowered.last(pr.outputs[0]);
         return;
       }
     }

@@ -37,8 +37,8 @@ enum class DegradedPolicy {
   /// rebuilt block. What you get with no degraded-read path at all.
   kWaitForCommit,
   /// Serve from the in-flight repair's published slice prefix (banked
-  /// streaming), or promote a high-priority plan_degraded_read sub-plan
-  /// when the repair has not been admitted yet.
+  /// streaming), or promote a high-priority one-block DegradedReadPlanner
+  /// plan when the repair has not been admitted yet.
   kServe,
 };
 
@@ -95,8 +95,8 @@ struct SchedulerOptions {
   /// Repair class's port share in (0,1]; < 1 installs the simnet arbiter.
   double repair_share = 1.0;
   repair::Scheme scheme = repair::Scheme::kRpr;
-  /// Pick star (kRpr) vs chained (kRprChained) per stripe from the
-  /// makespan_lower_bound floors instead of `scheme`.
+  /// Pick star (kRpr) vs chained (kRprChained) per stripe with
+  /// analysis::choose_star_or_chain instead of using `scheme`.
   bool auto_scheme = false;
   /// Priority points a queued stripe gains per second waited. > 0 makes
   /// admission starvation-free: any base-priority deficit is eventually

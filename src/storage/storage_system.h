@@ -43,9 +43,11 @@
 //     valid), a full disk (diskfull:NODE) can never accept a committed
 //     block — the driver plans around it and the commit path relocates as
 //     a last resort;
-//   * every plan — initial, degraded-read and mid-repair re-plan — is
-//     verified online before execution (topology + traffic conservation
-//     always; the algebraic fold gated behind a plan-fingerprint cache).
+//   * every plan — initial repair, degraded read (a one-block RPR repair
+//     rooted at the reader) and mid-repair re-plan — is verified online by
+//     the resilient session before execution (topology + traffic
+//     conservation always; the algebraic fold gated behind a
+//     plan-fingerprint cache).
 //     RPR_VERIFY_ONLINE=0 disables, RPR_VERIFY_PLANS forces full algebra.
 #pragma once
 
@@ -205,11 +207,11 @@ class StorageSystem {
 
   /// Serves one block of `stripe` to a client at `reader` with REAL bytes:
   /// a healthy block is returned from its store; a lost block is
-  /// reconstructed on the fly with a one-equation degraded-read plan
-  /// rooted at the reader. With a chaos schedule the reconstruction runs
-  /// as a resilient session — a helper killed mid-read triggers an
-  /// equation-patching re-plan (DegradedReadPlanner), so the read
-  /// completes byte-identical as long as the stripe stays recoverable.
+  /// reconstructed on the fly by DegradedReadPlanner, a one-block RPR
+  /// repair rooted at the reader, run as a resilient session: the initial
+  /// plan is verified online, and with a chaos schedule a helper killed
+  /// mid-read triggers an equation-patching re-plan, so the read completes
+  /// byte-identical as long as the stripe stays recoverable.
   /// Every delivered block is digest-verified against its encode-time
   /// hash; a mismatch throws rather than returning wrong data.
   [[nodiscard]] ReadReport read_block(StripeId stripe, std::size_t block,

@@ -263,7 +263,8 @@ void PlanVerifier::check_reads(VerifyReport& report) const {
       report.violations.push_back(Violation{
           InvariantClass::kTopological, id, rack_of_op(id),
           "reads " + block_name(op.block, total) +
-              ", which is failed/unusable and must not be a source"});
+              ", which is failed, unusable or unselected and must not be "
+              "a source"});
       continue;
     }
     if (op.block >= total && total != 0) {
@@ -485,8 +486,19 @@ VerifyReport verify_planned_repair(const repair::PlannedRepair& planned,
 
   PlanVerifier v(planned.plan, placement.cluster());
   v.with_placement(placement).with_code(*problem.code);
-  v.forbid_blocks(
-      std::set<std::size_t>(problem.failed.begin(), problem.failed.end()));
+  // Only the selected survivors may be read: every other stripe block may
+  // be unavailable (a degraded read's lost set is wider than its one
+  // failed block). The failed blocks stay forbidden either way.
+  std::set<std::size_t> forbidden(problem.failed.begin(),
+                                  problem.failed.end());
+  if (!planned.selected.empty()) {
+    const std::set<std::size_t> selected(planned.selected.begin(),
+                                         planned.selected.end());
+    for (std::size_t b = 0; b < problem.code->config().total(); ++b) {
+      if (selected.count(b) == 0) forbidden.insert(b);
+    }
+  }
+  v.forbid_blocks(forbidden);
 
   VerifyReport pre;
   if (planned.outputs.size() != problem.failed.size() ||
@@ -519,31 +531,6 @@ VerifyReport verify_planned_repair(const repair::PlannedRepair& planned,
       repair::analysis::predicted_traffic(scheme, problem, planned));
   if (!planned.used_decoding_matrix) v.expect_xor_only();
   v.skip_algebra(skip_algebra);
-  return v.run();
-}
-
-VerifyReport verify_planned_read(const repair::PlannedRead& planned,
-                                 const rs::RSCode& code,
-                                 const topology::Placement& placement,
-                                 std::span<const std::size_t> lost,
-                                 std::size_t target,
-                                 topology::NodeId destination) {
-  PlanVerifier v(planned.plan, placement.cluster());
-  v.with_placement(placement).with_code(code);
-  v.forbid_blocks(std::set<std::size_t>(lost.begin(), lost.end()));
-
-  // Recover the equation the plan should evaluate from its own leaf reads:
-  // the reads are trusted only for *which* survivors were selected — the
-  // fold, placement check and generator identity then prove everything
-  // about coefficients, locations and the final expression.
-  LeafTerms terms;
-  for (const PlanOp& op : planned.plan.ops) {
-    if (op.kind == OpKind::kRead && op.coeff != 0) terms[op.block] = op.coeff;
-  }
-  v.expect_traffic(repair::analysis::predicted_equation_traffic(
-      placement, terms, destination));
-  v.expect_output(planned.output, target, destination, std::move(terms));
-  if (!planned.used_decoding_matrix) v.expect_xor_only();
   return v.run();
 }
 
@@ -660,19 +647,32 @@ std::uint64_t plan_fingerprint(const RepairPlan& plan,
   return fp;
 }
 
-bool algebra_cache_check_and_insert(std::uint64_t fingerprint) {
-  // A hit means a structurally identical plan's algebra already ran this
-  // process (a failed fold throws and aborts the repair, so cached entries
-  // only ever correspond to plans whose fold was at least attempted —
-  // re-running it on the identical structure proves nothing new). Bounded:
-  // the rare overflow just re-pays one algebra pass per cached plan.
-  static std::mutex mu;
-  static std::unordered_set<std::uint64_t> cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  if (cache.count(fingerprint) != 0) return true;
-  if (cache.size() >= 8192) cache.clear();
-  cache.insert(fingerprint);
-  return false;
+namespace {
+
+// Bounded: the rare overflow just re-pays one algebra pass per cached plan.
+struct AlgebraCache {
+  std::mutex mu;
+  std::unordered_set<std::uint64_t> passed;
+};
+
+AlgebraCache& algebra_cache() {
+  static AlgebraCache cache;
+  return cache;
+}
+
+}  // namespace
+
+bool algebra_cache_contains(std::uint64_t fingerprint) {
+  AlgebraCache& c = algebra_cache();
+  const std::lock_guard<std::mutex> lock(c.mu);
+  return c.passed.count(fingerprint) != 0;
+}
+
+void algebra_cache_insert(std::uint64_t fingerprint) {
+  AlgebraCache& c = algebra_cache();
+  const std::lock_guard<std::mutex> lock(c.mu);
+  if (c.passed.size() >= 8192) c.passed.clear();
+  c.passed.insert(fingerprint);
 }
 
 void throw_if_violated(const VerifyReport& report, const std::string& context) {

@@ -161,19 +161,14 @@ class PlanVerifier {
 };
 
 /// Full verification of a planner's output: algebra against the planned
-/// equations plus the generator identity, topology against the placement,
-/// conservation against the scheme's closed form.
+/// equations plus the generator identity, topology against the placement
+/// (no read outside `planned.selected`, nor of a failed block),
+/// conservation against the scheme's closed form. Degraded reads are
+/// one-block repairs and verify here too.
 [[nodiscard]] VerifyReport verify_planned_repair(
     const repair::PlannedRepair& planned,
     const repair::RepairProblem& problem, repair::Scheme scheme,
     bool skip_algebra = false);
-
-/// Verification of a degraded-read plan (single sub-equation delivered to
-/// an arbitrary destination node).
-[[nodiscard]] VerifyReport verify_planned_read(
-    const repair::PlannedRead& planned, const rs::RSCode& code,
-    const topology::Placement& placement, std::span<const std::size_t> lost,
-    std::size_t target, topology::NodeId destination);
 
 /// One outstanding equation of a mid-repair re-plan, as the resilient
 /// driver knows it: the remainder terms, the op expected to produce it,
@@ -236,9 +231,10 @@ struct RemainderCheck {
     const repair::RepairPlan& plan, std::span<const repair::OpId> outputs);
 
 /// Process-wide bounded cache of fingerprints whose algebraic fold already
-/// passed. Returns true on a hit (algebra may be skipped); on a miss the
-/// fingerprint is inserted and false returned.
-[[nodiscard]] bool algebra_cache_check_and_insert(std::uint64_t fingerprint);
+/// passed: on a hit the fold may be skipped. Callers insert a fingerprint
+/// only after its fold passed, so a rejected plan is rejected every time.
+[[nodiscard]] bool algebra_cache_contains(std::uint64_t fingerprint);
+void algebra_cache_insert(std::uint64_t fingerprint);
 
 /// Throws std::logic_error carrying `context` and the full report when the
 /// report has violations; no-op otherwise.

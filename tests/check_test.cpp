@@ -247,18 +247,23 @@ TEST(LockGraphTest, RecordsInversionWithWitnessStacks) {
   check::lock_graph_set_enabled(true);
   g.clear();
   {
-    check::Mutex a("test.lg_a");
-    check::Mutex b("test.lg_b");
-    // One thread is enough: the analyzer flags the *order*, not an actual
-    // wedge. a->b then b->a gives a two-class cycle.
-    a.lock();
-    b.lock();
-    b.unlock();
-    a.unlock();
-    b.lock();
-    a.lock();
-    a.unlock();
-    b.unlock();
+    // Two instances per class: the analyzer keys on the class label, so
+    // a1->b1 then b2->a2 is a two-class cycle, while no single pair of
+    // mutex instances is ever taken in both orders (an address-keyed
+    // detector such as TSan's sees no inversion to abort on). One thread
+    // is enough: the analyzer flags the *order*, not an actual wedge.
+    check::Mutex a1("test.lg_a");
+    check::Mutex a2("test.lg_a");
+    check::Mutex b1("test.lg_b");
+    check::Mutex b2("test.lg_b");
+    a1.lock();
+    b1.lock();
+    b1.unlock();
+    a1.unlock();
+    b2.lock();
+    a2.lock();
+    a2.unlock();
+    b2.unlock();
   }
   check::lock_graph_set_enabled(false);
 

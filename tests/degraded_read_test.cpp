@@ -1,6 +1,7 @@
-// Direct tests for the targeted degraded-read planner (plan_degraded_read):
-// correctness of the single-sub-equation plan, lost-source exclusion, XOR
-// path behaviour, and delivery location.
+// Direct tests for the degraded-read planner (DegradedReadPlanner, a
+// one-block RPR repair rooted at the reader): correctness of the
+// single-sub-equation plan, lost-source exclusion, XOR path behaviour, and
+// delivery location.
 #include <gtest/gtest.h>
 
 #include "repair/executor_data.h"
@@ -8,7 +9,7 @@
 #include "repair/planner.h"
 #include "test_support.h"
 
-using rpr::repair::plan_degraded_read;
+using rpr::repair::PlannedRepair;
 using rpr::rs::CodeConfig;
 using rpr::rs::RSCode;
 using rpr::topology::PlacementPolicy;
@@ -26,6 +27,21 @@ struct ReadHarness {
         code(c),
         placed(rpr::topology::make_placed_stripe(c, PlacementPolicy::kRpr)),
         stripe(rpr::testing::random_stripe(code, 512, 0xD1AB10)) {}
+
+  /// Plans the read of `target` at `reader` with every block of `lost`
+  /// unavailable.
+  [[nodiscard]] PlannedRepair read(std::uint64_t block_size,
+                                   std::vector<std::size_t> lost,
+                                   std::size_t target,
+                                   rpr::topology::NodeId reader) const {
+    rpr::repair::RepairProblem p;
+    p.code = &code;
+    p.placement = &placed.placement;
+    p.block_size = block_size;
+    p.failed = {target};
+    p.replacements = {reader};
+    return rpr::repair::DegradedReadPlanner(std::move(lost)).plan(p);
+  }
 };
 
 }  // namespace
@@ -35,13 +51,11 @@ TEST(DegradedRead, ReconstructsTargetAtDestination) {
   const auto reader = h.placed.cluster.spare(1, 0);
   for (std::size_t target = 0; target < h.cfg.total(); ++target) {
     const std::vector<std::size_t> lost = {target};
-    const auto planned = plan_degraded_read(h.code, h.placed.placement, 512,
-                                            lost, target, reader);
+    const auto planned = h.read(512, lost, target, reader);
     ASSERT_NO_THROW(rpr::repair::validate(planned.plan, h.placed.cluster));
-    EXPECT_EQ(planned.plan.node_of(planned.output), reader);
-    const auto rebuilt = rpr::repair::execute_on_data(
-        planned.plan, std::vector<rpr::repair::OpId>{planned.output},
-        h.stripe);
+    EXPECT_EQ(planned.plan.node_of(planned.outputs[0]), reader);
+    const auto rebuilt =
+        rpr::repair::execute_on_data(planned.plan, planned.outputs, h.stripe);
     EXPECT_EQ(rebuilt[0], h.stripe[target]) << "target " << target;
   }
 }
@@ -49,30 +63,25 @@ TEST(DegradedRead, ReconstructsTargetAtDestination) {
 TEST(DegradedRead, NeverReadsAnyLostBlock) {
   ReadHarness h({12, 4});
   const std::vector<std::size_t> lost = {2, 7, 13};
-  const auto planned = plan_degraded_read(h.code, h.placed.placement, 512,
-                                          lost, 7, h.placed.cluster.spare(0));
+  const auto planned = h.read(512, lost, 7, h.placed.cluster.spare(0));
   for (const auto& op : planned.plan.ops) {
     if (op.kind != rpr::repair::OpKind::kRead) continue;
     for (const auto l : lost) EXPECT_NE(op.block, l);
   }
-  const auto rebuilt = rpr::repair::execute_on_data(
-      planned.plan, std::vector<rpr::repair::OpId>{planned.output}, h.stripe);
+  const auto rebuilt =
+      rpr::repair::execute_on_data(planned.plan, planned.outputs, h.stripe);
   EXPECT_EQ(rebuilt[0], h.stripe[7]);
 }
 
 TEST(DegradedRead, SingleDataLossUsesXorPath) {
   ReadHarness h({6, 3});
-  const auto planned = plan_degraded_read(
-      h.code, h.placed.placement, 512, std::vector<std::size_t>{1}, 1,
-      h.placed.cluster.spare(2));
+  const auto planned = h.read(512, {1}, 1, h.placed.cluster.spare(2));
   EXPECT_FALSE(planned.used_decoding_matrix);
 }
 
 TEST(DegradedRead, MultiLossUsesMatrixPath) {
   ReadHarness h({6, 3});
-  const auto planned = plan_degraded_read(
-      h.code, h.placed.placement, 512, std::vector<std::size_t>{1, 2}, 1,
-      h.placed.cluster.spare(2));
+  const auto planned = h.read(512, {1, 2}, 1, h.placed.cluster.spare(2));
   EXPECT_TRUE(planned.used_decoding_matrix);
 }
 
@@ -82,8 +91,7 @@ TEST(DegradedRead, CheaperThanFullMultiRepair) {
   ReadHarness h({12, 4});
   const std::vector<std::size_t> lost = {0, 4, 8};
   const auto reader = h.placed.cluster.spare(0);
-  const auto read_planned = plan_degraded_read(h.code, h.placed.placement,
-                                               64 << 20, lost, 4, reader);
+  const auto read_planned = h.read(64 << 20, lost, 4, reader);
   rpr::repair::RepairProblem full;
   full.code = &h.code;
   full.placement = &h.placed.placement;
@@ -106,12 +114,8 @@ TEST(DegradedRead, RejectsBadArguments) {
   ReadHarness h({6, 3});
   const auto reader = h.placed.cluster.spare(0);
   // target not in lost set
-  EXPECT_THROW(plan_degraded_read(h.code, h.placed.placement, 512,
-                                  std::vector<std::size_t>{1}, 2, reader),
-               std::invalid_argument);
+  EXPECT_THROW((void)h.read(512, {1}, 2, reader), std::invalid_argument);
   // too many losses
-  EXPECT_THROW(plan_degraded_read(h.code, h.placed.placement, 512,
-                                  std::vector<std::size_t>{0, 1, 2, 3}, 0,
-                                  reader),
+  EXPECT_THROW((void)h.read(512, {0, 1, 2, 3}, 0, reader),
                std::invalid_argument);
 }

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -159,33 +158,6 @@ TEST(Recorder, KeepsSpanInsertionOrderAndData) {
   EXPECT_EQ(rec.spans()[0].name, "late");
   EXPECT_EQ(rec.spans()[1].bytes, 2048u);
   EXPECT_EQ(rec.spans()[1].args[0].first, "arg");
-}
-
-TEST(Sinks, JsonlOneParsableObjectPerLine) {
-  Recorder rec;
-  rec.add_span({"a \"quoted\" span", "inner", 3, 10, 20, 64, {{"x", 1.5}}});
-  rec.add_event({"marker", 3, 15});
-  rec.add_sample({"series", 12, 0.25});
-  const std::string out = rpr::obs::to_jsonl(rec);
-
-  std::istringstream lines(out);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    ++n;
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    // Escaping keeps the quote count balanced (even).
-    std::size_t quotes = 0;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == '"' && (i == 0 || line[i - 1] != '\\')) ++quotes;
-    }
-    EXPECT_EQ(quotes % 2, 0u) << line;
-    EXPECT_NE(line.find("\"type\""), std::string::npos);
-  }
-  EXPECT_EQ(n, 3u);
-  EXPECT_NE(out.find("a \\\"quoted\\\" span"), std::string::npos);
 }
 
 TEST(Sinks, MetricsJsonAndCsvCoverEveryMetric) {

@@ -121,11 +121,17 @@ std::vector<std::pair<std::string, std::uint64_t>> compute(Kind kind) {
                     const auto rack = placed.placement.rack_of(target);
                     for (const auto reader_rack :
                          {rack, (rack + 1) % cluster.racks()}) {
-                      const auto read = rpr::repair::plan_degraded_read(
-                          code, placed.placement, 1 << 20, failed, target,
-                          cluster.spare(reader_rack), opts);
+                      rpr::repair::RepairProblem rp;
+                      rp.code = &code;
+                      rp.placement = &placed.placement;
+                      rp.block_size = 1 << 20;
+                      rp.failed = {target};
+                      rp.replacements = {cluster.spare(reader_rack)};
+                      const auto read =
+                          rpr::repair::DegradedReadPlanner(failed, opts)
+                              .plan(rp);
                       h.add(read.plan);
-                      h.add(read.output);
+                      h.add(read.outputs[0]);
                       h.add(read.used_decoding_matrix ? 1 : 0);
                     }
                   }

@@ -158,12 +158,9 @@ TEST(PlanVerifier, CleanMultiFailurePlansPass) {
 
 TEST(PlanVerifier, CleanDegradedReadPasses) {
   Case c(Scheme::kRpr);
-  const std::vector<std::size_t> lost = {0};
-  const auto destination = c.placed.cluster.spare(1);
-  const auto planned = rpr::repair::plan_degraded_read(
-      c.code, c.placed.placement, 1 << 20, lost, 0, destination);
-  const auto report = rpr::verify::verify_planned_read(
-      planned, c.code, c.placed.placement, lost, 0, destination);
+  c.problem.replacements = {c.placed.cluster.spare(1)};
+  c.planned = rpr::repair::DegradedReadPlanner({0}).plan(c.problem);
+  const auto report = c.verify();
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -273,6 +270,32 @@ TEST(PlanVerifierMutation, DetectsForbiddenBlockRead) {
   ASSERT_FALSE(report.ok());
   EXPECT_GE(report.count(InvariantClass::kTopological), 1u)
       << report.to_string();
+}
+
+TEST(PlanVerifierMutation, DetectsDegradedReadOfAnotherLostBlock) {
+  // Two blocks are lost, the read rebuilds one of them: the other is off
+  // limits although it is not the problem's failed block. Redirect a read
+  // to it (on the node that held it) and the verifier must name that op.
+  Case c(Scheme::kRpr);
+  const std::size_t other_lost = 1;
+  c.problem.replacements = {c.placed.cluster.spare(1)};
+  c.planned = rpr::repair::DegradedReadPlanner({0, other_lost}).plan(c.problem);
+  ASSERT_TRUE(c.verify().ok());
+
+  const OpId read = c.find_op(OpKind::kRead);
+  c.planned.plan.ops[read].block = other_lost;
+  c.planned.plan.ops[read].node = c.placed.placement.node_of(other_lost);
+
+  const auto report = c.verify();
+  EXPECT_GE(report.count(InvariantClass::kTopological), 1u)
+      << report.to_string();
+  bool named = false;
+  for (const auto& v : report.violations) {
+    named = named || (v.op == read &&
+                      v.message.find("must not be a source") !=
+                          std::string::npos);
+  }
+  EXPECT_TRUE(named) << report.to_string();
 }
 
 // --- mutation class 5: chained relay corruption ----------------------------
@@ -506,5 +529,64 @@ TEST(VerifyPlansEnv, ResilientSessionsVerifyEveryReplan) {
         {});
     ASSERT_EQ(outcome.outputs.size(), 1u);
     EXPECT_EQ(outcome.outputs[0], stripe[problem.failed[0]]);
+  }
+}
+
+// --- online verification of degraded reads ---------------------------------
+
+namespace {
+
+/// A degraded-read planner with one flipped read coefficient: every rebuilt
+/// byte is wrong, and only the verifier's algebraic fold can tell.
+class FlippedCoefficientReadPlanner final : public rpr::repair::Planner {
+ public:
+  explicit FlippedCoefficientReadPlanner(std::vector<std::size_t> lost)
+      : inner_(std::move(lost)) {}
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
+
+ private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override {
+    PlannedRepair out = inner_.plan(p);
+    for (auto& op : out.plan.ops) {
+      if (op.kind == OpKind::kRead) {
+        op.coeff = static_cast<std::uint8_t>(op.coeff == 1 ? 2 : 1);
+        break;
+      }
+    }
+    return out;
+  }
+
+  rpr::repair::DegradedReadPlanner inner_;
+};
+
+}  // namespace
+
+TEST(VerifyOnline, RejectsCorruptDegradedReadPlanEveryTime) {
+  // With the debug mode off, only the resilient driver's online check
+  // stands between this plan and wrong bytes. A rejected plan must stay
+  // rejected when it comes back (its fingerprint never enters the cache).
+  const ScopedVerifyEnv cleared(nullptr);
+  const rpr::rs::CodeConfig cfg{6, 3};
+  const rpr::rs::RSCode code(cfg);
+  const auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  const auto stripe = rpr::testing::random_stripe(code, 4096, 0x6A9);
+
+  RepairProblem problem;
+  problem.code = &code;
+  problem.placement = &placed.placement;
+  problem.block_size = 4096;
+  problem.failed = {1};
+  problem.replacements = {placed.cluster.spare(2)};
+  const FlippedCoefficientReadPlanner planner({1, 4});
+  rpr::repair::ResilientOptions ropts;
+  ropts.unavailable.insert(placed.placement.node_of(4));
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)rpr::repair::simulate_resilient(
+                     problem, planner, stripe, rpr::topology::NetworkParams{},
+                     rpr::fault::FaultSchedule{}, ropts),
+                 std::logic_error)
+        << "attempt " << attempt;
   }
 }

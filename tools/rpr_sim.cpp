@@ -823,26 +823,14 @@ int main(int argc, char** argv) {
     params.slice_size = static_cast<std::size_t>(slice_size);
 
     if (scheme_auto) {
-      // Same adaptive pick the fleet scheduler makes per stripe: keep
-      // whichever of star / chained proves the smaller makespan floor for
-      // this cluster + slice geometry.
-      const auto star = repair::RprPlanner{}.plan(problem);
-      const auto chained = repair::RprChainedPlanner{}.plan(problem);
-      const double star_floor =
-          repair::analysis::makespan_lower_bound(
-              star.plan, placed.cluster, params,
-              static_cast<std::size_t>(slice_size))
-              .seconds();
-      const double chain_floor =
-          repair::analysis::makespan_lower_bound(
-              chained.plan, placed.cluster, params,
-              static_cast<std::size_t>(slice_size))
-              .seconds();
-      scheme = chain_floor < star_floor ? repair::Scheme::kRprChained
-                                        : repair::Scheme::kRpr;
+      // Same adaptive pick the fleet scheduler makes per stripe.
+      const auto pick = repair::analysis::choose_star_or_chain(
+          problem, placed.cluster, params,
+          static_cast<std::size_t>(slice_size));
+      scheme = pick.scheme;
       std::printf("scheme auto       : floors star %.2f s / chained %.2f s "
                   "-> %s\n",
-                  star_floor, chain_floor,
+                  pick.star_floor_s, pick.chain_floor_s,
                   scheme == repair::Scheme::kRprChained ? "chained" : "star");
     }
     const auto planner = repair::make_planner(scheme);

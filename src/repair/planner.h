@@ -82,6 +82,23 @@ enum class Scheme { kTraditional, kCar, kRpr, kRprChained };
 /// The scheme's short name: "traditional", "car", "rpr" or "rpr-chained".
 [[nodiscard]] const char* to_string(Scheme scheme);
 
+struct RprOptions {
+  /// Prefer the XOR survivor set {surviving data, P0} for single data-block
+  /// failures (§3.3). Disabled by the placement-ablation bench.
+  bool prefer_xor_set = true;
+  /// Use the pipelined cross-rack reduction (§3.2). When false, intermediates
+  /// are star-sent to the recovery rack (isolates the pipeline's
+  /// contribution — Fig. 5 schedule 1 vs schedule 2).
+  bool pipeline_cross = true;
+  /// Optional relative cost of one cross-rack block transfer between two
+  /// racks (higher = slower link); empty means uniform, the paper's
+  /// assumption. Supplying real link costs makes the greedy pipeline
+  /// heterogeneity-aware -- the extension the paper's related work (Gong et
+  /// al. [11]) motivates and which the EC2-style testbed (Table 1) needs.
+  /// Only ratios matter; the uniform default is 10 (= 10 t_i).
+  std::function<double(topology::RackId, topology::RackId)> cross_cost;
+};
+
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -91,6 +108,9 @@ class Planner {
   /// Plans `p`; under RPR_VERIFY_PLANS the output is verified against
   /// scheme() first and a violation throws std::logic_error.
   [[nodiscard]] PlannedRepair plan(const RepairProblem& p) const;
+  /// The options the resilient driver re-plans this planner's sessions
+  /// with; CAR and traditional report the defaults.
+  [[nodiscard]] virtual RprOptions rpr_options() const { return {}; }
 
  private:
   [[nodiscard]] virtual PlannedRepair do_plan(const RepairProblem& p) const = 0;
@@ -112,27 +132,11 @@ class CarPlanner final : public Planner {
   [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
 };
 
-struct RprOptions {
-  /// Prefer the XOR survivor set {surviving data, P0} for single data-block
-  /// failures (§3.3). Disabled by the placement-ablation bench.
-  bool prefer_xor_set = true;
-  /// Use the pipelined cross-rack reduction (§3.2). When false, intermediates
-  /// are star-sent to the recovery rack (isolates the pipeline's
-  /// contribution — Fig. 5 schedule 1 vs schedule 2).
-  bool pipeline_cross = true;
-  /// Optional relative cost of one cross-rack block transfer between two
-  /// racks (higher = slower link); empty means uniform, the paper's
-  /// assumption. Supplying real link costs makes the greedy pipeline
-  /// heterogeneity-aware -- the extension the paper's related work (Gong et
-  /// al. [11]) motivates and which the EC2-style testbed (Table 1) needs.
-  /// Only ratios matter; the uniform default is 10 (= 10 t_i).
-  std::function<double(topology::RackId, topology::RackId)> cross_cost;
-};
-
 class RprPlanner final : public Planner {
  public:
   explicit RprPlanner(RprOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
+  [[nodiscard]] RprOptions rpr_options() const override { return opts_; }
 
  private:
   [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
@@ -148,6 +152,7 @@ class RprChainedPlanner final : public Planner {
  public:
   explicit RprChainedPlanner(RprOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] Scheme scheme() const override { return Scheme::kRprChained; }
+  [[nodiscard]] RprOptions rpr_options() const override { return opts_; }
 
  private:
   [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;
@@ -170,6 +175,7 @@ class DegradedReadPlanner final : public Planner {
                                RprOptions opts = {})
       : lost_(std::move(lost)), opts_(opts) {}
   [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
+  [[nodiscard]] RprOptions rpr_options() const override { return opts_; }
 
  private:
   [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override;

@@ -622,7 +622,7 @@ bool online_verify_enabled() {
 }
 
 std::uint64_t plan_fingerprint(const RepairPlan& plan,
-                               std::span<const OpId> outputs) {
+                               std::span<const RemainderCheck> outputs) {
   std::uint64_t fp = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   const auto mix = [&fp](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -642,8 +642,28 @@ std::uint64_t plan_fingerprint(const RepairPlan& plan,
     for (const OpId in : op.inputs) mix(in);
     for (const std::uint8_t c : op.input_coeffs) mix(c);
   }
+  const auto mix_terms = [&mix](const LeafTerms& terms) {
+    mix(terms.size());
+    for (const auto& [block, coeff] : terms) {
+      mix(block);
+      mix(coeff);
+    }
+  };
   mix(outputs.size());
-  for (const OpId out : outputs) mix(out);
+  for (const RemainderCheck& out : outputs) {
+    mix(out.output);
+    mix(out.eq.failed_block);
+    mix(out.eq.destination);
+    mix_terms(out.eq.terms);
+    mix(out.eq.partials.size());
+    for (const auto& p : out.eq.partials) {
+      mix(p.slot);
+      mix(p.node);
+      const auto it = out.partial_decompositions.find(p.slot);
+      mix_terms(it == out.partial_decompositions.end() ? LeafTerms{}
+                                                       : it->second);
+    }
+  }
   return fp;
 }
 

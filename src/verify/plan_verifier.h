@@ -225,10 +225,12 @@ struct RemainderCheck {
 [[nodiscard]] bool online_verify_enabled();
 
 /// FNV-1a fingerprint of a plan's full structure (ops, coefficients,
-/// nodes, inputs) plus its declared outputs — the key of the online
-/// algebra cache.
+/// nodes, inputs) plus the problem each output answers (its op, failed
+/// block, destination, expected terms and banked partials) — the key of
+/// the online algebra cache. Two problems that share a plan's structure
+/// never share a key.
 [[nodiscard]] std::uint64_t plan_fingerprint(
-    const repair::RepairPlan& plan, std::span<const repair::OpId> outputs);
+    const repair::RepairPlan& plan, std::span<const RemainderCheck> outputs);
 
 /// Process-wide bounded cache of fingerprints whose algebraic fold already
 /// passed: on a hit the fold may be skipped. Callers insert a fingerprint

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "repair/planner.h"
 #include "runtime/testbed.h"
+#include "simnet/simnet.h"
 #include "storage/failure.h"
 #include "storage/storage_system.h"
 #include "test_support.h"
@@ -179,6 +180,53 @@ TEST(ChaosSimnet, SliceModeHelperDeathMidStreamTriggersReplan) {
   EXPECT_EQ(std::count(outcome.destinations.begin(),
                        outcome.destinations.end(), victim),
             0);
+}
+
+TEST(ChaosSimnet, ReplanKeepsThePlannersPipelineShape) {
+  // The Fig. 5 schedule-1 ablation: a star RprPlanner on a flat placement,
+  // where every source sits in its own rack. A helper killed mid-repair
+  // must be re-planned as a star too: every cross-rack transfer of the
+  // re-plan's run lands in the destination's rack, none is merged at an
+  // intermediate rack the way the default pipeline would.
+  const rpr::rs::RSCode code{rpr::rs::CodeConfig{6, 3}};
+  const auto placed = rpr::topology::make_placed_stripe(
+      {6, 3}, rpr::topology::PlacementPolicy::kFlat);
+  const auto stripe = rpr::testing::random_stripe(code, 4096, 23);
+  rpr::repair::RepairProblem problem;
+  problem.code = &code;
+  problem.placement = &placed.placement;
+  problem.block_size = 64ull << 20;
+  problem.failed = {0};
+  problem.choose_default_replacements();
+  rpr::repair::RprOptions star;
+  star.pipeline_cross = false;
+  const rpr::repair::RprPlanner planner(star);
+
+  // Block 1 is in the XOR set that rebuilds data block 0.
+  FaultSchedule chaos;
+  chaos.kills.push_back({placed.placement.node_of(1), 0.010});
+
+  std::vector<rpr::simnet::RunResult> runs;
+  const rpr::simnet::RunObserver observer(
+      [&](const rpr::simnet::RunResult& r) { runs.push_back(r); });
+  const auto outcome = rpr::repair::simulate_resilient(
+      problem, planner, stripe, rpr::topology::NetworkParams{}, chaos, {});
+  expect_verified_output(outcome, stripe);
+  ASSERT_GE(outcome.replans, 1u);
+  ASSERT_GE(runs.size(), 2u);
+  const auto& cluster = placed.cluster;
+  const auto dest_rack = cluster.rack_of(outcome.destinations[0]);
+  std::size_t cross = 0;
+  for (const auto& task : runs.back().tasks) {
+    if (task.kind != rpr::simnet::TaskKind::kTransfer || !task.cross_rack) {
+      continue;
+    }
+    ++cross;
+    EXPECT_EQ(cluster.rack_of(task.node), dest_rack)
+        << "cross-rack transfer " << task.from << " -> " << task.node
+        << " bypasses the star";
+  }
+  EXPECT_GT(cross, 0u);
 }
 
 // --- threaded testbed -----------------------------------------------------

@@ -11,6 +11,7 @@
 #include "repair/planner.h"
 #include "rs/rs_code.h"
 #include "sched/scheduler.h"
+#include "sched/wave.h"
 #include "topology/placement.h"
 #include "util/rng.h"
 
@@ -65,40 +66,6 @@ inline fault::FaultSchedule random_schedule(util::Xoshiro256& rng,
   return s;
 }
 
-/// A small RS(6,3) fleet on an RPR-placed cluster with rotated placements:
-/// node 0 dies and every stripe holding a block there needs repair.
-struct FuzzFleet {
-  rs::CodeConfig cfg{6, 3};
-  rs::RSCode code{cfg};
-  topology::Cluster cluster{cfg.racks_when_full(), cfg.k, cfg.k};
-  std::vector<topology::Placement> placements;
-  std::vector<repair::RepairProblem> damaged;
-  std::vector<std::size_t> lost_block;  ///< failed block, parallel to damaged
-
-  explicit FuzzFleet(std::size_t stripes) {
-    const auto base = topology::make_placement(
-        cluster, cfg, topology::PlacementPolicy::kRpr);
-    placements.reserve(stripes);
-    for (std::size_t s = 0; s < stripes; ++s) {
-      placements.push_back(base.rotated(s));
-    }
-    for (const auto& placement : placements) {
-      for (std::size_t b = 0; b < cfg.total(); ++b) {
-        if (placement.node_of(b) != 0) continue;
-        repair::RepairProblem p;
-        p.code = &code;
-        p.placement = &placement;
-        p.block_size = 4ull << 20;
-        p.failed = {b};
-        p.choose_default_replacements();
-        damaged.push_back(std::move(p));
-        lost_block.push_back(b);
-        break;
-      }
-    }
-  }
-};
-
 /// One randomized fleet workload and scheduler configuration.
 struct FleetTrial {
   sched::FleetWorkload workload;
@@ -106,19 +73,19 @@ struct FleetTrial {
   std::size_t probes = 0;  ///< explicit probe reads in the workload
 };
 
-/// Draws a fleet trial over `fleet`: arrival times, priorities, read
+/// Draws a fleet trial over a node-loss wave: arrival times, priorities, read
 /// probes and foreground load, under randomized scheduler knobs
 /// (admission bound, repair share, slicing, aging, degraded policy, auto
 /// scheme).
 inline FleetTrial random_fleet_trial(util::Xoshiro256& rng,
-                                     const FuzzFleet& fleet) {
+                                     const sched::NodeLossWave& fleet) {
   const std::size_t nodes = fleet.cluster.total_nodes();
   FleetTrial t;
-  const std::size_t count =
-      2 + rng() % (fleet.damaged.size() - 1);  // 2..damaged.size()
+  const std::size_t damaged = fleet.workload.stripes.size();
+  const std::size_t count = 2 + rng() % (damaged - 1);  // 2..damaged
   for (std::size_t s = 0; s < count; ++s) {
     sched::StripeArrival arrival;
-    arrival.problem = fleet.damaged[s];
+    arrival.problem = fleet.workload.stripes[s].problem;
     arrival.arrival_s = frac(rng, 0.0, 0.05);
     arrival.priority = static_cast<int>(rng() % 3);
     t.workload.stripes.push_back(std::move(arrival));
@@ -126,7 +93,8 @@ inline FleetTrial random_fleet_trial(util::Xoshiro256& rng,
       // Half the probes target the lost block (degraded path), half a
       // random block that is usually healthy.
       const std::size_t block =
-          rng() % 2 == 0 ? fleet.lost_block[s] : rng() % fleet.cfg.total();
+          rng() % 2 == 0 ? fleet.workload.stripes[s].problem.failed[0]
+                         : rng() % fleet.code.config().total();
       t.workload.reads.push_back(
           {frac(rng, 0.001, 0.1), s, block,
            static_cast<topology::NodeId>(rng() % nodes)});

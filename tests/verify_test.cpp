@@ -590,3 +590,61 @@ TEST(VerifyOnline, RejectsCorruptDegradedReadPlanEveryTime) {
         << "attempt " << attempt;
   }
 }
+
+namespace {
+
+/// Answers a degraded read of any block with the plan it built for block 0
+/// (same lost set, same reader) and the equation relabelled to the
+/// requested block: structurally identical to a correct plan, algebraically
+/// the wrong block.
+class RelabelledReadPlanner final : public rpr::repair::Planner {
+ public:
+  explicit RelabelledReadPlanner(std::vector<std::size_t> lost)
+      : inner_(std::move(lost)) {}
+  [[nodiscard]] Scheme scheme() const override { return Scheme::kRpr; }
+
+ private:
+  [[nodiscard]] PlannedRepair do_plan(const RepairProblem& p) const override {
+    RepairProblem block0 = p;
+    block0.failed = {0};
+    PlannedRepair out = inner_.plan(block0);
+    out.equations[0].failed_block = p.failed[0];
+    return out;
+  }
+
+  rpr::repair::DegradedReadPlanner inner_;
+};
+
+}  // namespace
+
+TEST(VerifyOnline, AlgebraCacheIsKeyedOnTheProblem) {
+  // The first read (block 0) is correct and its plan's algebra is cached.
+  // The second (block 1) reuses that plan verbatim; only its problem
+  // differs, so a cache keyed on the plan alone would skip the fold and
+  // hand block 0's bytes out as block 1.
+  const ScopedVerifyEnv cleared(nullptr);
+  const rpr::rs::CodeConfig cfg{6, 3};
+  const rpr::rs::RSCode code(cfg);
+  const auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  const auto stripe = rpr::testing::random_stripe(code, 4096, 0x5EED);
+  const RelabelledReadPlanner planner({0, 1});
+
+  const auto read = [&](std::size_t block) {
+    RepairProblem problem;
+    problem.code = &code;
+    problem.placement = &placed.placement;
+    problem.block_size = 4096;
+    problem.failed = {block};
+    problem.replacements = {placed.cluster.spare(2)};
+    rpr::repair::ResilientOptions ropts;
+    ropts.unavailable.insert(placed.placement.node_of(1 - block));
+    return rpr::repair::simulate_resilient(
+        problem, planner, stripe, rpr::topology::NetworkParams{},
+        rpr::fault::FaultSchedule{}, ropts);
+  };
+  const auto first = read(0);
+  ASSERT_EQ(first.outputs.size(), 1u);
+  EXPECT_EQ(first.outputs[0], stripe[0]);
+  EXPECT_THROW((void)read(1), std::logic_error);
+}

@@ -399,15 +399,4 @@ std::vector<Choice> parse_schedule(const std::string& s) {
   return out;
 }
 
-int count_preemptions(const std::vector<DecisionRec>& trace,
-                      std::size_t upto) {
-  int n = 0;
-  const std::size_t lim = std::min(upto, trace.size());
-  for (std::size_t i = 0; i < lim; ++i) {
-    const DecisionRec& d = trace[i];
-    if (d.preemptive && d.options[d.taken].thread != d.current) ++n;
-  }
-  return n;
-}
-
 }  // namespace rpr::check

@@ -428,8 +428,4 @@ class CoopScheduler final : public Scheduler {
 std::string format_schedule(const std::vector<DecisionRec>& trace);
 std::vector<Choice> parse_schedule(const std::string& s);
 
-/// Preemptions consumed by the first `upto` recorded decisions.
-int count_preemptions(const std::vector<DecisionRec>& trace,
-                      std::size_t upto);
-
 }  // namespace rpr::check

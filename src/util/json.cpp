@@ -203,11 +203,6 @@ class Parser {
 
 }  // namespace
 
-bool JsonValue::as_bool() const {
-  if (kind_ != Kind::kBool) throw std::runtime_error("json: not a bool");
-  return bool_;
-}
-
 double JsonValue::as_number() const {
   if (kind_ != Kind::kNumber) throw std::runtime_error("json: not a number");
   return number_;

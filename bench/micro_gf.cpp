@@ -15,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "gf/fingerprint.h"
 #include "gf/gf65536.h"
 #include "gf/gf_region.h"
 #include "rs/rs_code.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gf = rpr::gf;
@@ -123,6 +125,44 @@ void BM_MulRegionAddMulti(benchmark::State& state) {
                           static_cast<std::int64_t>(n * kSources));
 }
 BENCHMARK(BM_MulRegionAddMulti)->Apply(for_each_supported_tier);
+
+// The storage digest: eight mul_region_add_multi lane passes per 256-byte
+// chunk, so BM_MulRegionAddMulti on the same tier is its ceiling. The
+// 16 MiB row (a store-wave block) is sharded across the shared pool, as
+// storage calls it.
+void BM_Fingerprint(benchmark::State& state) {
+  if (!select_tier(state, state.range(1))) return;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto buf = random_buf(n, 30);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gf::fingerprint(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Fingerprint)
+    ->ArgNames({"bytes", "tier"})
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const auto bytes : {64 << 10, 16 << 20}) {
+        for (const gf::SimdTier tier : gf::supported_tiers()) {
+          b->Args({bytes, static_cast<std::int64_t>(tier)});
+        }
+      }
+    })
+    ->UseRealTime();
+
+// The byte-serial digest the fingerprint replaced in storage (still the
+// archive manifest's checksum): one thread, no tiers.
+void BM_Fnv1a64(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto buf = random_buf(n, 31);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rpr::util::fnv1a64(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Fnv1a64)->ArgName("bytes")->Arg(64 << 10)->Arg(16 << 20);
 
 // The fused-vs-unfused comparison the acceptance bar asks for: apply the
 // RS(6,3) parity matrix via encode_regions (each parity cache line written

@@ -1,100 +1,120 @@
 #include "repair/executor_data.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "gf/gf256.h"
 #include "gf/gf_region.h"
+#include "repair/replan.h"
 #include "util/thread_pool.h"
 
 namespace rpr::repair {
 
 namespace {
 
-/// A plan value that owns no bytes: `coeff` * `bytes`. A read views its
-/// stripe block with the read's coefficient still pending; a send aliases
-/// its input; a combine views its own buffer, owned[owner] (coeff 1).
-struct Value {
-  std::span<const std::uint8_t> bytes;
-  std::uint8_t coeff = 1;
-  OpId owner = kNoOp;  ///< the combine whose buffer `bytes` is, if any
-};
+// A pool shard walks its byte range in tiles that keep this many source
+// bytes in cache while every output row is computed over them.
+constexpr std::size_t kTileBytes = 256 << 10;
+
+/// dsts[r] = Σ_c matrix[r * cols + c] · srcs[c] over `len` bytes, sharded
+/// across the shared pool.
+void encode_sharded(std::span<const std::uint8_t> matrix, std::size_t rows,
+                    std::size_t cols,
+                    const std::vector<const std::uint8_t*>& srcs,
+                    const std::vector<std::uint8_t*>& dsts, std::size_t len) {
+  const std::size_t tile = std::max<std::size_t>(
+      4 << 10, kTileBytes / std::max<std::size_t>(cols, 1) / 64 * 64);
+  util::ThreadPool::shared().parallel_for(
+      len, 64, 128 << 10, [&](std::size_t b, std::size_t e) {
+        std::vector<const std::uint8_t*> s(cols);
+        std::vector<std::uint8_t*> d(rows);
+        for (std::size_t off = b; off < e; off += tile) {
+          for (std::size_t c = 0; c < cols; ++c) s[c] = srcs[c] + off;
+          for (std::size_t r = 0; r < rows; ++r) d[r] = dsts[r] + off;
+          gf::encode_regions(matrix, rows, cols, s.data(), d.data(),
+                             std::min(tile, e - off));
+        }
+      });
+}
 
 }  // namespace
 
 std::vector<rs::Block> execute_on_data(const RepairPlan& plan,
                                        std::span<const OpId> outputs,
                                        std::span<const rs::Block> stripe) {
-  std::vector<Value> value(plan.ops.size());
-  std::vector<rs::Block> owned(plan.ops.size());  // combine buffers only
-
+  // Each op's byte length is its first input's; it sizes an output whose
+  // terms cancel to zero.
+  std::vector<std::size_t> op_size(plan.ops.size());
   for (OpId id = 0; id < plan.ops.size(); ++id) {
     const PlanOp& op = plan.ops[id];
-    switch (op.kind) {
-      case OpKind::kRead:
-        if (op.block >= stripe.size()) {
-          throw std::out_of_range("execute_on_data: block out of range");
-        }
-        value[id] = {stripe[op.block], op.coeff, kNoOp};
-        break;
-      case OpKind::kSend:
-        // Data-wise a send is the identity; location is a plan-level
-        // concept already checked by validate().
-        value[id] = value[op.inputs[0]];
-        break;
-      case OpKind::kCombine: {
-        // Fused aggregation: every output cache line is written once per
-        // combine, sharded across the thread pool for large blocks. Each
-        // input's pending read coefficient folds into its scale here, so
-        // the combine is the only op that allocates.
-        const std::size_t size = value[op.inputs[0]].bytes.size();
-        std::vector<std::uint8_t> coeffs(op.inputs.size());
-        std::vector<const std::uint8_t*> srcs(op.inputs.size());
-        for (std::size_t i = 0; i < op.inputs.size(); ++i) {
-          const Value& in = value[op.inputs[i]];
-          const std::uint8_t scale =
-              op.input_coeffs.empty() ? std::uint8_t{1} : op.input_coeffs[i];
-          coeffs[i] = gf::mul(in.coeff, scale);
-          srcs[i] = in.bytes.data();
-        }
-        rs::Block& out = owned[id];
-        out.resize(size);
-        util::ThreadPool::shared().parallel_for(
-            size, 64, 128 << 10, [&](std::size_t b, std::size_t e) {
-              std::vector<const std::uint8_t*> s(srcs.size());
-              for (std::size_t j = 0; j < srcs.size(); ++j) s[j] = srcs[j] + b;
-              std::uint8_t* d = out.data() + b;
-              gf::encode_regions(coeffs, 1, coeffs.size(), s.data(), &d,
-                                 e - b);
-            });
-        value[id] = {out, 1, id};
-        break;
-      }
+    if (op.kind != OpKind::kRead) {
+      op_size[id] = op_size[op.inputs[0]];
+    } else if (op.block < stripe.size()) {
+      op_size[id] = stripe[op.block].size();
+    } else {
+      throw std::out_of_range("execute_on_data: block out of range");
     }
   }
+  const std::vector<LeafTerms> terms = leaf_contributions(plan);
 
-  // A combine buffer moves out at its last appearance among the outputs
-  // (earlier appearances copy it); any other output is materialised once.
-  std::vector<std::size_t> uses(plan.ops.size(), 0);
-  for (OpId id : outputs) {
+  // Every nonzero leaf of an output must hold bytes, all of one length.
+  // Outputs are grouped by that length; each group is one pass.
+  std::map<std::size_t, std::vector<std::size_t>> by_length;
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    const OpId id = outputs[i];
     if (id >= plan.ops.size()) {
       throw std::out_of_range("execute_on_data: bad output op");
     }
-    if (value[id].owner != kNoOp) ++uses[value[id].owner];
-  }
-  std::vector<rs::Block> result;
-  result.reserve(outputs.size());
-  for (OpId id : outputs) {
-    const Value& v = value[id];
-    if (v.owner != kNoOp && --uses[v.owner] == 0) {
-      result.push_back(std::move(owned[v.owner]));
-    } else if (v.coeff == 1) {
-      result.emplace_back(v.bytes.begin(), v.bytes.end());
-    } else {
-      rs::Block& scaled = result.emplace_back(v.bytes.size());
-      gf::mul_region(v.coeff, scaled, v.bytes);
+    std::size_t len = op_size[id];
+    for (auto it = terms[id].begin(); it != terms[id].end(); ++it) {
+      const std::size_t n = stripe[it->first].size();
+      if (it == terms[id].begin()) len = n;
+      if (n == 0 || n != len) {
+        throw std::invalid_argument(
+            "execute_on_data: op " + std::to_string(id) + " needs block " +
+            std::to_string(it->first) +
+            (n == 0 ? ", which is empty"
+                    : " of " + std::to_string(n) +
+                          " bytes; its other blocks hold " +
+                          std::to_string(len)));
+      }
     }
+    by_length[len].push_back(i);
+  }
+
+  // By GF linearity each output is Σ coeff · leaf over its leaf terms: one
+  // encode pass over the union of the group's leaf blocks computes them
+  // all, with no intermediate buffer per combine.
+  std::vector<rs::Block> result(outputs.size());
+  for (const auto& [len, rows] : by_length) {
+    std::vector<std::size_t> cols;
+    for (const std::size_t r : rows) {
+      for (const auto& [block, coeff] : terms[outputs[r]]) {
+        cols.push_back(block);
+      }
+    }
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+
+    std::vector<std::uint8_t> matrix(rows.size() * cols.size(), 0);
+    std::vector<std::uint8_t*> dsts(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (const auto& [block, coeff] : terms[outputs[rows[i]]]) {
+        const auto c = std::lower_bound(cols.begin(), cols.end(), block);
+        matrix[i * cols.size() + static_cast<std::size_t>(c - cols.begin())] =
+            coeff;
+      }
+      result[rows[i]].resize(len);
+      dsts[i] = result[rows[i]].data();
+    }
+    std::vector<const std::uint8_t*> srcs(cols.size());
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      srcs[c] = stripe[cols[c]].data();
+    }
+    encode_sharded(matrix, rows.size(), cols.size(), srcs, dsts, len);
   }
   return result;
 }

@@ -5,10 +5,13 @@
 // layer also uses it as its (non-throttled) repair engine, and the test
 // suite runs every planner x configuration x failure pattern through it.
 //
-// Values are views until they must be bytes: a read aliases its stripe
-// block and carries its coefficient, a send aliases its input, and a
-// combine folds the carried coefficients into its one fused pass — the only
-// op that allocates. Outputs are materialised (or moved out) at the end.
+// Every plan value is a linear combination of stripe blocks (its leaf
+// terms, repair/replan.h's leaf_contributions walk), so the executor does
+// not run the plan op by op: it derives each requested value's
+// coefficients over the stripe and computes all of them in one fused
+// encode pass over the union of their leaf blocks, sharded across the
+// shared thread pool. By GF linearity the bytes are those of the op-by-op
+// evaluation; the plan's schedule is the simulator's business.
 #pragma once
 
 #include <vector>
@@ -19,9 +22,13 @@
 namespace rpr::repair {
 
 /// Evaluates `plan` against the stripe contents and returns the value of
-/// each requested output op. `stripe` must hold all blocks a kRead touches
-/// (failed blocks are never read by a valid plan, so their entries may be
-/// stale or empty as long as they are sized consistently).
+/// each requested output op (an op may be requested more than once).
+/// `stripe` may hold pseudo slots past the code's n+k blocks. Only blocks
+/// an output depends on with a nonzero coefficient are touched, so failed
+/// blocks' entries may be stale or empty. Throws std::out_of_range for a
+/// read past the stripe or an output past the plan, and
+/// std::invalid_argument, naming the op and block, when a block an output
+/// depends on is empty or differs in length from its other blocks.
 [[nodiscard]] std::vector<rs::Block> execute_on_data(
     const RepairPlan& plan, std::span<const OpId> outputs,
     std::span<const rs::Block> stripe);

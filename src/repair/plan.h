@@ -16,8 +16,9 @@
 //   * SimExecutor   — timing + traffic on the discrete-event simulator,
 //   * DataExecutor  — bit-exact evaluation over real buffers (the
 //                     correctness oracle used by tests and the storage
-//                     layer); reads and sends alias the stripe's blocks,
-//                     so only combines and outputs allocate,
+//                     layer); each requested value is computed from its
+//                     leaf coefficients in one fused pass over the stripe,
+//                     so only outputs allocate,
 //   * runtime::Executor — real bytes through paced channels or TCP.
 #pragma once
 

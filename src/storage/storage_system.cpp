@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
+#include "gf/fingerprint.h"
 #include "obs/metrics.h"
 #include "repair/resilient.h"
-#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace rpr::storage {
@@ -91,14 +91,15 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   for (std::size_t b = 0; b < cfg.total(); ++b) {
     s.node_of_block[b] = placement.node_of(b);
   }
-  // The n+k digests are independent: hash the blocks in parallel, small
-  // blocks a few to a chunk so the pool only engages when it pays.
+  // The n+k digests are independent: fingerprint the blocks in parallel,
+  // small blocks a few to a chunk so the pool only engages when it pays
+  // (a long block's fingerprint shards itself).
   s.digest.resize(cfg.total());
   util::ThreadPool::shared().parallel_for(
       cfg.total(), 1,
       std::max<std::size_t>(1, (256 << 10) / opts_.block_size),
       [&](std::size_t b, std::size_t e) {
-        for (; b < e; ++b) s.digest[b] = util::fnv1a64(blocks[b]);
+        for (; b < e; ++b) s.digest[b] = gf::fingerprint(blocks[b]);
       });
   count_digested(opts_.probe, cfg.total() * opts_.block_size);
   s.blocks = std::move(blocks);
@@ -188,10 +189,10 @@ void StorageSystem::wipe_node(NodeId node) {
   }
 }
 
-std::uint64_t StorageSystem::digest(
+gf::Fingerprint StorageSystem::digest(
     std::span<const std::uint8_t> bytes) const {
   count_digested(opts_.probe, bytes.size());
-  return util::fnv1a64(bytes);
+  return gf::fingerprint(bytes);
 }
 
 std::vector<std::size_t> StorageSystem::lost_blocks(StripeId stripe) const {

@@ -19,15 +19,19 @@
 //
 // Durability invariants (this layer's robustness contract):
 //
-//   * every block's FNV-1a digest is recorded at encode time, and bytes are
-//     hashed whenever they are written: at put (the n+k blocks in parallel),
-//     at a verified commit, and after corrupt_block() changes them. Bytes
-//     that no longer match (silent bit rot) leave their slot at once and
-//     count as one more erasure, so a scan is a lookup and corrupt bytes
-//     never reach a planner, executor or decoder;
-//   * every block leaving storage is hashed again before it is returned:
-//     read_block() checks the block it delivers, get() each block it
-//     decodes (intact blocks are copied straight from their slots);
+//   * every block's digest — its GF(2^8)-linear fingerprint (gf/fingerprint.h:
+//     eight 256-byte lanes plus the length, computed at region-kernel speed;
+//     any single-chunk change is always caught, any other error independent
+//     of the key is missed with probability at most 2^-64) — is recorded at
+//     encode time, and bytes are fingerprinted whenever they are written: at
+//     put (the n+k blocks in parallel), at a verified commit, and after
+//     corrupt_block() changes them. Bytes that no longer match (silent bit
+//     rot) leave their slot at once and count as one more erasure, so a scan
+//     is a lookup and corrupt bytes never reach a planner, executor or
+//     decoder;
+//   * every block leaving storage is fingerprinted again before it is
+//     returned: read_block() checks the block it delivers, get() each block
+//     it decodes (intact blocks are copied straight from their slots);
 //   * repair commits are verified: a rebuilt block is installed only after
 //     its digest matches the one recorded at encode time (a wrong repair
 //     throws instead of silently replacing good data with garbage);
@@ -61,6 +65,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "gf/fingerprint.h"
 #include "repair/executor_sim.h"
 #include "repair/planner.h"
 #include "rs/rs_code.h"
@@ -239,7 +244,7 @@ class StorageSystem {
     std::vector<rs::Block> blocks;
     /// Encode-time digest of each block's true contents (survives node
     /// failures; a verified commit must reproduce it).
-    std::vector<std::uint64_t> digest;
+    std::vector<gf::Fingerprint> digest;
     /// Corrupt bytes still on their node, by block id: out of the view,
     /// but there for a later corruption to XOR back.
     std::map<std::size_t, rs::Block> corrupt;
@@ -249,8 +254,8 @@ class StorageSystem {
   [[nodiscard]] topology::NodeId pick_replacement(
       const Stripe& s, topology::RackId rack,
       const std::set<topology::NodeId>& avoid = {}) const;
-  /// FNV-1a of `bytes`, counted into storage.digest_bytes.
-  [[nodiscard]] std::uint64_t digest(
+  /// gf::fingerprint of `bytes`, counted into storage.digest_bytes.
+  [[nodiscard]] gf::Fingerprint digest(
       std::span<const std::uint8_t> bytes) const;
   /// Drops every block `node` holds (disk loss or replaced hardware).
   void wipe_node(topology::NodeId node);

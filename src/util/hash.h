@@ -1,9 +1,8 @@
-// FNV-1a 64-bit hashing — the repo's integrity primitive.
-//
-// Used by the archive manifest (per-block checksums on disk), the storage
-// layer's verified commit (digest recorded at encode time, re-checked before
-// a repaired block is installed), and corrupted-source detection. One shared
-// implementation so every layer agrees on the digest of a given byte string.
+// FNV-1a 64-bit hashing, kept where a format fixes it: the archive
+// manifest's per-block checksums on disk and the golden tables' digests.
+// Storage verifies blocks with gf::fingerprint (gf/fingerprint.h) instead:
+// GF-linear and computed at region-kernel speed, where FNV-1a is
+// byte-serial.
 #pragma once
 
 #include <cstdint>

@@ -1,0 +1,127 @@
+// The storage digest (gf/fingerprint.h): GF(2^8)-linear on every dispatch
+// tier, byte-identical to its definition (gf::ref::fingerprint) on every
+// tier, pooled and unpooled, and sensitive to every single-byte change and
+// to the block's length.
+#include "gf/fingerprint.h"
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "gf/gf256.h"
+#include "gf/gf_region.h"
+#include "util/rng.h"
+
+namespace gf = rpr::gf;
+
+namespace {
+
+std::vector<std::uint8_t> random_buf(std::size_t n, std::uint64_t seed) {
+  rpr::util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+  return v;
+}
+
+// Restores the dispatch tier active at construction.
+class TierGuard {
+ public:
+  TierGuard() : saved_(gf::active_tier()) {}
+  ~TierGuard() { gf::set_tier(saved_); }
+
+ private:
+  gf::SimdTier saved_;
+};
+
+// The pool shards a fingerprint in runs of at least 128 KiB; these lengths
+// sit below, at and across that threshold, with and without a tail chunk.
+const std::size_t kPoolSizes[] = {(128 << 10) - 256, 128 << 10,
+                                  (256 << 10) - 1,   256 << 10,
+                                  (256 << 10) + 256, (1 << 20) + 100};
+
+}  // namespace
+
+TEST(Fingerprint, IsLinearOnEveryTier) {
+  const TierGuard guard;
+  rpr::util::Xoshiro256 rng(7);
+  for (const gf::SimdTier tier : gf::supported_tiers()) {
+    ASSERT_TRUE(gf::set_tier(tier));
+    for (const std::size_t n : {std::size_t{1}, std::size_t{300},
+                                std::size_t{4096}, std::size_t{(200 << 10) + 17}}) {
+      SCOPED_TRACE(testing::Message() << gf::tier_name(tier) << " " << n);
+      const auto a = static_cast<std::uint8_t>(rng());
+      const auto x = random_buf(n, rng());
+      const auto y = random_buf(n, rng());
+      std::vector<std::uint8_t> z = y;
+      gf::mul_region_add(a, z, x);  // z = a·x ⊕ y
+
+      const gf::Fingerprint fx = gf::fingerprint(x);
+      const gf::Fingerprint fy = gf::fingerprint(y);
+      gf::Fingerprint want = fy;
+      for (std::size_t i = 0; i < want.lanes.size(); ++i) {
+        want.lanes[i] ^= gf::mul(a, fx.lanes[i]);
+      }
+      EXPECT_EQ(gf::fingerprint(z), want);
+    }
+  }
+}
+
+TEST(Fingerprint, AllTiersMatchTheDefinition) {
+  const TierGuard guard;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{255}, std::size_t{256},
+        std::size_t{257}, std::size_t{4099}, std::size_t{(300 << 10) + 5}}) {
+    const auto x = random_buf(n, n + 1);
+    const gf::Fingerprint want = gf::ref::fingerprint(x);
+    EXPECT_EQ(want.length, n);
+    for (const gf::SimdTier tier : gf::supported_tiers()) {
+      ASSERT_TRUE(gf::set_tier(tier));
+      EXPECT_EQ(gf::fingerprint(x), want)
+          << gf::tier_name(tier) << " length " << n;
+    }
+  }
+}
+
+TEST(Fingerprint, PooledEqualsSerialAcrossTheShardThreshold) {
+  for (const std::size_t n : kPoolSizes) {
+    const auto x = random_buf(n, n);
+    EXPECT_EQ(gf::fingerprint(x), gf::ref::fingerprint(x)) << "length " << n;
+  }
+}
+
+// fp(x ⊕ δ·u_p) = fp(x) ⊕ δ·fp(u_p) for the unit vector u_p, so a change
+// at p is missed for one nonzero δ iff it is missed for all of them: one δ
+// per position covers every single-byte change.
+TEST(Fingerprint, DetectsEverySingleByteChangeOf4KiB) {
+  auto x = random_buf(4096, 11);
+  const gf::Fingerprint base = gf::fingerprint(x);
+  for (std::size_t p = 0; p < x.size(); ++p) {
+    const auto delta = static_cast<std::uint8_t>(1 + p % 255);
+    x[p] ^= delta;
+    EXPECT_NE(gf::fingerprint(x), base) << "byte " << p;
+    x[p] ^= delta;
+  }
+}
+
+TEST(Fingerprint, DistinguishesLengthsAndZeroPadding) {
+  // Every prefix length from 0 to 1 KiB plus a tail chunk: all distinct.
+  const auto x = random_buf(1024 + 77, 12);
+  std::set<std::pair<std::uint64_t, decltype(gf::Fingerprint::lanes)>> seen;
+  for (std::size_t n = 0; n <= x.size(); ++n) {
+    const gf::Fingerprint fp = gf::fingerprint({x.data(), n});
+    EXPECT_EQ(fp.length, n);
+    EXPECT_TRUE(seen.emplace(fp.length, fp.lanes).second) << "length " << n;
+  }
+  // The same content zero-padded to a longer length folds into the same
+  // lanes; only the kept length tells the two blocks apart.
+  const auto short_block = random_buf(300, 13);
+  std::vector<std::uint8_t> padded = short_block;
+  padded.resize(512, 0);
+  const gf::Fingerprint a = gf::fingerprint(short_block);
+  const gf::Fingerprint b = gf::fingerprint(padded);
+  EXPECT_EQ(a.lanes, b.lanes);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(gf::fingerprint({}), gf::Fingerprint{});
+}

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <string>
 #include <tuple>
 
 #include "repair/executor_data.h"
 #include "gf/gf_region.h"
 #include "repair/executor_sim.h"
+#include "repair/replan.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -320,13 +323,13 @@ TEST(SelectMinRacks, PrefersRecoveryRackAndFullRacks) {
 }
 
 // ---------------------------------------------------------------------------
-// DataExecutor: the aliasing evaluator agrees with a copy-per-op one.
+// DataExecutor: the fused evaluator agrees with a copy-per-op one.
 
 namespace {
 
-/// The copy-per-op evaluator execute_on_data used to be: every read
-/// materialises coeff * block, every send copies its input, every combine
-/// allocates. Kept as the oracle for the aliasing one.
+/// A copy-per-op evaluator: every read materialises coeff * block, every
+/// send copies its input, every combine allocates. The oracle for the fused
+/// one, which computes each value from its leaf coefficients in one pass.
 std::vector<rpr::rs::Block> execute_copying(
     const rpr::repair::RepairPlan& plan,
     std::span<const rpr::repair::OpId> outputs,
@@ -378,10 +381,11 @@ TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
   const CarPlanner car;
   const RprPlanner rpr_planner;
   const std::vector<const Planner*> multi = {&tra, &rpr_planner, &chained};
-  // The larger block crosses the combine's sharding threshold, so the
-  // pooled path runs too (on fewer failure patterns: it is slow to copy).
+  // The larger blocks cross the pool's 128 KiB sharding threshold, so the
+  // pooled path runs too (on fewer failure patterns: it is slow to copy);
+  // RS(12,4) there includes a 3-failure repair.
   const std::vector<std::pair<CodeConfig, std::size_t>> cases = {
-      {{6, 3}, 256}, {{12, 4}, 256}, {{6, 3}, 160 << 10}};
+      {{6, 3}, 256}, {{12, 4}, 256}, {{6, 3}, 160 << 10}, {{12, 4}, 160 << 10}};
   for (const auto kind :
        {rpr::rs::MatrixKind::kCauchy, rpr::rs::MatrixKind::kVandermonde}) {
     for (const auto& [cfg, block] : cases) {
@@ -414,19 +418,45 @@ TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
         for (std::size_t i = 0; i < expected.size(); ++i) {
           EXPECT_EQ(rebuilt[i], stripe[expected[i]]);
         }
-        expect_same_values(planned.plan, planned.outputs, stripe);
-        // Every op at once: values that alias one combine buffer copy it
-        // before its last appearance moves it out.
+        // The oracle evaluates every op once; each request below is
+        // checked against it op by op.
         std::vector<rpr::repair::OpId> all(planned.plan.ops.size());
         for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-        expect_same_values(planned.plan, all, stripe);
+        const auto want = execute_copying(planned.plan, all, stripe);
+        const auto expect_values =
+            [&](std::span<const rpr::repair::OpId> ids, const char* what) {
+              const auto got =
+                  rpr::repair::execute_on_data(planned.plan, ids, stripe);
+              ASSERT_EQ(got.size(), ids.size()) << what;
+              for (std::size_t i = 0; i < ids.size(); ++i) {
+                EXPECT_EQ(got[i], want[ids[i]])
+                    << what << ": output " << i << " (op " << ids[i] << ")";
+              }
+            };
+        expect_values(planned.outputs, "plan outputs");
+        // Every op of each plan prefix, the values a simulated abort banks
+        // (every prefix on small blocks, a few on large ones).
+        const std::size_t stride = block > 256 ? all.size() / 4 + 1 : 1;
+        for (std::size_t len = all.size();; len -= std::min(len, stride)) {
+          expect_values(std::span(all).first(len), "prefix");
+          if (len == 0) break;
+        }
+        // Duplicated outputs, adjacent and apart.
+        std::vector<rpr::repair::OpId> twice;
+        for (const auto id : planned.outputs) {
+          twice.insert(twice.end(), {id, id});
+        }
+        twice.insert(twice.end(), all.begin(), all.end());
+        twice.insert(twice.end(), planned.outputs.begin(),
+                     planned.outputs.end());
+        expect_values(twice, "duplicated outputs");
         // The abort path's done_ops: ordered subsets of the plan's ops.
         for (int trial = 0; trial < 4; ++trial) {
           std::vector<rpr::repair::OpId> done;
           for (const auto id : all) {
             if (rng.below(2) == 0) done.push_back(id);
           }
-          expect_same_values(planned.plan, done, stripe);
+          expect_values(done, "random subset");
         }
       };
       const std::size_t step = block > 256 ? cfg.total() : 2;
@@ -451,6 +481,69 @@ TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
           plan.send(scaled, node, placed.placement.node_of(4));
       rpr::repair::validate(plan, placed.cluster);
       expect_same_values(plan, {scaled, unit, zero, sent, scaled}, stripe);
+
+      // A re-plan's stripe: two terms of block 1's equation banked as one
+      // partial sum, appended as a pseudo slot and read at the destination
+      // (the resilient driver's extended stripe).
+      RepairProblem p;
+      p.code = &code;
+      p.placement = &placed.placement;
+      p.block_size = block;
+      p.failed = {1};
+      p.choose_default_replacements();
+      const auto eqs =
+          code.repair_equations(p.failed, code.default_selection(p.failed));
+      rpr::repair::RemainderEquation eq;
+      eq.failed_block = 1;
+      eq.terms = rpr::repair::leaf_terms(eqs.front());
+      eq.destination = p.replacements.front();
+      std::vector<rpr::rs::Block> ext = stripe;
+      rpr::rs::Block& partial = ext.emplace_back(block, 0);
+      for (int t = 0; t < 2; ++t) {
+        const auto term = eq.terms.begin();
+        rpr::gf::mul_region_add(term->second, partial, stripe[term->first]);
+        eq.terms.erase(term);
+      }
+      eq.partials = {{cfg.total(), eq.destination}};
+      rpr::repair::RepairPlan remainder;
+      remainder.block_size = block;
+      const auto out = rpr::repair::plan_remainder(
+          remainder, placed.placement, eq, RprOptions{}, 0);
+      EXPECT_EQ(rpr::repair::execute_on_data(
+                    remainder, std::vector<rpr::repair::OpId>{out}, ext)
+                    .front(),
+                stripe[1]);
+      std::vector<rpr::repair::OpId> ops(remainder.ops.size());
+      for (std::size_t i = 0; i < ops.size(); ++i) ops[i] = i;
+      expect_same_values(remainder, ops, ext);
     }
   }
+}
+
+TEST(DataExecutor, RejectsEmptyOrMismatchedLeaf) {
+  rpr::repair::RepairPlan plan;
+  plan.block_size = 1 << 20;
+  const auto r0 = plan.read(0, 0, 1);
+  const auto r1 = plan.read(0, 1, 0x35);
+  const std::vector<rpr::repair::OpId> sum = {plan.combine(0, {r0, r1})};
+  std::vector<rpr::rs::Block> stripe(2);
+  stripe[0].assign(1 << 20, 0x5A);
+  const auto expect_rejected = [&](const std::string& why) {
+    try {
+      (void)rpr::repair::execute_on_data(plan, sum, stripe);
+      ADD_FAILURE() << "accepted " << why;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("op 2"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("block 1"), std::string::npos) << msg;
+    }
+  };
+  expect_rejected("an empty block");
+  stripe[1].assign(1 << 19, 0x33);
+  expect_rejected("a shorter block");
+  // A block read with coefficient 0 contributes nothing and is not touched.
+  stripe[1].clear();
+  plan.ops[r1].coeff = 0;
+  EXPECT_EQ(rpr::repair::execute_on_data(plan, sum, stripe).front(),
+            stripe[0]);
 }

@@ -59,7 +59,10 @@ struct RepairProblem {
   std::vector<topology::NodeId> replacements;       ///< one per failed block
 
   /// Fills `replacements` with rack-local spares (spare slot i for the i-th
-  /// failure within a rack). Requires the cluster to have enough spares.
+  /// failure within a rack): the fault-free convention the golden tables
+  /// and benches are built on. It ignores dead nodes and full disks; a live
+  /// cluster picks with topology::pick_replacement. Requires the cluster to
+  /// have enough spares.
   void choose_default_replacements();
 };
 

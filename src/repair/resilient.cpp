@@ -193,33 +193,6 @@ std::size_t fold_finished_values(
   return accepted.size();
 }
 
-/// A node to rebuild a block at instead of one that died or cannot commit:
-/// outside `avoid`, holding no block of the stripe, in `preferred_rack` when
-/// one is free there.
-topology::NodeId pick_new_destination(const topology::Cluster& cluster,
-                                      topology::RackId preferred_rack,
-                                      const std::set<topology::NodeId>& avoid,
-                                      const topology::Placement& placement,
-                                      std::size_t total_blocks) {
-  auto taken = [&](topology::NodeId node) {
-    if (avoid.count(node) != 0) return true;
-    for (std::size_t b = 0; b < total_blocks; ++b) {
-      if (placement.node_of(b) == node) return true;
-    }
-    return false;
-  };
-  for (std::size_t i = 0; i < cluster.nodes_per_rack(); ++i) {
-    const topology::NodeId node =
-        preferred_rack * cluster.nodes_per_rack() + i;
-    if (!taken(node)) return node;
-  }
-  for (topology::NodeId node = 0; node < cluster.total_nodes(); ++node) {
-    if (!taken(node)) return node;
-  }
-  throw std::runtime_error(
-      "execute_resilient: no healthy replacement node left");
-}
-
 /// The always-on verification gate: online by default, and RPR_VERIFY_PLANS
 /// additionally forces the full uncached algebraic fold. `run(skip_algebra)`
 /// builds the report; a violation throws. The algebraic fold runs once per
@@ -244,16 +217,22 @@ void verify_online(const RepairPlan& plan,
 RepairProblem plan_around_full_disks(const RepairProblem& problem,
                                      const ResilientOptions& opts) {
   const topology::Placement& placement = *problem.placement;
+  std::set<std::size_t> lost(problem.failed.begin(), problem.failed.end());
+  for (std::size_t b = 0; b < problem.code->config().total(); ++b) {
+    if (opts.unavailable.count(placement.node_of(b)) != 0) lost.insert(b);
+  }
+  std::set<topology::NodeId> unusable = opts.unavailable;
+  unusable.insert(opts.no_commit.begin(), opts.no_commit.end());
+  std::vector<topology::NodeId> chosen;
+  for (const topology::NodeId dest : problem.replacements) {
+    if (opts.no_commit.count(dest) == 0) chosen.push_back(dest);
+  }
   RepairProblem moved = problem;
-  std::set<topology::NodeId> taken = opts.unavailable;
-  taken.insert(opts.no_commit.begin(), opts.no_commit.end());
-  taken.insert(moved.replacements.begin(), moved.replacements.end());
   for (topology::NodeId& dest : moved.replacements) {
     if (opts.no_commit.count(dest) == 0) continue;
-    dest = pick_new_destination(placement.cluster(),
-                                placement.cluster().rack_of(dest), taken,
-                                placement, problem.code->config().total());
-    taken.insert(dest);
+    dest = topology::pick_replacement(
+        placement, placement.cluster().rack_of(dest), lost, unusable, chosen);
+    chosen.push_back(dest);
   }
   return moved;
 }
@@ -268,7 +247,6 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
   }
   const rs::RSCode& code = *problem.code;
   const topology::Placement& placement = *problem.placement;
-  const topology::Cluster& cluster = placement.cluster();
   const std::size_t total = code.config().total();
 
   const RprOptions replan_opts = planner.rpr_options();
@@ -483,11 +461,15 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       // shape.
       bool relocated = false;
       if (dead.count(s.destination) != 0) {
-        std::set<topology::NodeId> avoid = dead;
-        avoid.insert(opts.no_commit.begin(), opts.no_commit.end());
-        for (const EqState& other : eqs) avoid.insert(other.destination);
-        s.destination = pick_new_destination(
-            cluster, cluster.rack_of(s.destination), avoid, placement, total);
+        std::set<topology::NodeId> cannot_commit = dead;
+        cannot_commit.insert(opts.no_commit.begin(), opts.no_commit.end());
+        std::vector<topology::NodeId> others;
+        for (const EqState& other : eqs) {
+          if (&other != &s) others.push_back(other.destination);
+        }
+        s.destination = topology::pick_replacement(
+            placement, placement.cluster().rack_of(s.destination), unusable,
+            cannot_commit, others);
         out.destinations[e] = s.destination;
         relocated = true;
       }

@@ -88,12 +88,12 @@ struct ResilientOptions {
   /// Maximum number of mid-repair re-plans before giving up.
   std::size_t max_replans = 8;
   /// Nodes known dead before the session starts (e.g. the failed nodes a
-  /// storage system is repairing around): never picked as replacement
-  /// destinations during a re-plan.
+  /// storage system is repairing around): unusable to the replacement
+  /// picker, and their blocks count toward no rack's load.
   std::set<topology::NodeId> unavailable;
   /// Nodes that can relay repair traffic but cannot hold a committed block
-  /// (disk full): a replacement there is relocated before the first plan,
-  /// and no re-plan picks one as a destination.
+  /// (disk full): unusable to the replacement picker, so a replacement
+  /// there is moved before the first plan and no re-plan picks one.
   std::set<topology::NodeId> no_commit;
   /// Called when an attempt aborted on a healing partition: the driver
   /// waits this many engine-seconds before retrying instead of substituting
@@ -164,9 +164,8 @@ class ReplanBudgetExhausted : public std::runtime_error {
 };
 
 /// The problem a session's first plan answers: `problem` with every
-/// replacement on an `opts.no_commit` node moved to a free node, rack-local
-/// when one is free, so the plan's traffic and time reach where the block
-/// really lands.
+/// replacement on an `opts.no_commit` node moved by topology::pick_replacement,
+/// so the plan's traffic and time reach where the block really lands.
 [[nodiscard]] RepairProblem plan_around_full_disks(
     const RepairProblem& problem, const ResilientOptions& opts);
 

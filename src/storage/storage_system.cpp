@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "gf/fingerprint.h"
 #include "obs/metrics.h"
-#include "repair/resilient.h"
 #include "util/thread_pool.h"
 
 namespace rpr::storage {
@@ -256,91 +256,72 @@ void StorageSystem::apply_chaos_corruptions() {
   }
 }
 
-NodeId StorageSystem::pick_replacement(
-    const Stripe& s, RackId rack,
-    const std::set<topology::NodeId>& avoid) const {
-  auto holds_stripe_block = [&](NodeId node) {
-    return avoid.count(node) != 0 ||
-           std::find(s.node_of_block.begin(), s.node_of_block.end(), node) !=
-               s.node_of_block.end();
-  };
-  auto blocks_in_rack = [&](RackId r) {
-    std::size_t count = 0;
-    for (NodeId node : s.node_of_block) {
-      if (cluster_.rack_of(node) == r && alive_[node]) ++count;
-    }
-    return count;
-  };
-
-  // Prefer a rack-local alive node that holds nothing of this stripe.
-  for (NodeId node : cluster_.nodes_in_rack(rack)) {
-    if (alive_[node] && !holds_stripe_block(node)) return node;
-  }
-  // Rack gone: pick another rack that can still accept a block without
-  // breaking single-rack fault tolerance...
-  for (RackId r = 0; r < cluster_.racks(); ++r) {
-    if (r == rack || blocks_in_rack(r) >= code_.config().k) continue;
-    for (NodeId node : cluster_.nodes_in_rack(r)) {
-      if (alive_[node] && !holds_stripe_block(node)) return node;
+StorageSystem::Rebuild StorageSystem::prepare_rebuild(
+    const Stripe& s, std::vector<std::size_t> failed,
+    std::optional<NodeId> reader) const {
+  Rebuild r;
+  r.placement = std::make_unique<topology::Placement>(
+      cluster_, code_.config(), s.node_of_block);
+  std::set<std::size_t> lost;
+  for (std::size_t b = 0; b < s.blocks.size(); ++b) {
+    if (!s.blocks[b].empty()) continue;
+    lost.insert(b);
+    // Another lost block's node is no source: a re-plan must never
+    // substitute it back.
+    if (std::find(failed.begin(), failed.end(), b) == failed.end()) {
+      r.ropts.unavailable.insert(s.node_of_block[b]);
     }
   }
-  // ...and as a last resort accept degraded rack fault tolerance rather
-  // than leave the stripe unrepaired (a rebalance would fix it later).
+  r.ropts.probe = opts_.probe;
   for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-    if (alive_[node] && !holds_stripe_block(node)) return node;
+    if (!alive_[node]) r.ropts.unavailable.insert(node);
+    // A full disk still serves reads and partial decodes but can never
+    // accept a committed block.
+    if (!reader && opts_.chaos.diskfull(node)) r.ropts.no_commit.insert(node);
   }
-  throw std::runtime_error("pick_replacement: no replacement node available");
+  r.problem.code = &code_;
+  r.problem.placement = r.placement.get();
+  r.problem.block_size = opts_.block_size;
+  if (reader) {
+    r.problem.replacements = {*reader};
+  } else {
+    std::set<NodeId> unusable = r.ropts.unavailable;
+    unusable.insert(r.ropts.no_commit.begin(), r.ropts.no_commit.end());
+    for (const std::size_t f : failed) {
+      r.problem.replacements.push_back(topology::pick_replacement(
+          *r.placement, r.placement->rack_of(f), lost, unusable,
+          r.problem.replacements));
+    }
+  }
+  r.problem.failed = std::move(failed);
+  return r;
 }
 
 RepairReport StorageSystem::repair(StripeId stripe) {
   const auto it = stripes_.find(stripe);
   if (it == stripes_.end()) throw std::out_of_range("repair: unknown stripe");
-  Stripe& s = it->second;
-
-  RepairReport report;
-  report.stripe = stripe;
-  report.scheme = planner_->name();
 
   apply_chaos_corruptions();
   auto failed = lost_blocks(stripe);
-  if (failed.empty()) return report;
   if (failed.size() > code_.config().k) {
     throw std::runtime_error("repair: stripe unrecoverable");
   }
+  return run_rebuild(stripe, prepare_rebuild(it->second, std::move(failed)));
+}
+
+RepairReport StorageSystem::run_rebuild(StripeId stripe, const Rebuild& r) {
+  Stripe& s = stripes_.at(stripe);
+  const auto& failed = r.problem.failed;
+  RepairReport report;
+  report.stripe = stripe;
+  report.scheme = planner_->name();
+  if (failed.empty()) return report;
+
   // CAR covers single failures only; fall back to RPR's multi-failure
   // extension for the rest (what a CAR deployment would have to do anyway).
   const repair::RprPlanner multi_fallback;
   const bool use_fallback =
       failed.size() > 1 && opts_.repair_scheme == repair::Scheme::kCar;
-
-  const topology::Placement placement(cluster_, code_.config(),
-                                      s.node_of_block);
-  repair::RepairProblem problem;
-  problem.code = &code_;
-  problem.placement = &placement;
-  problem.block_size = opts_.block_size;
-  problem.failed = failed;
-  repair::ResilientOptions ropts;
-  ropts.probe = opts_.probe;
-  for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-    if (!alive_[node]) ropts.unavailable.insert(node);
-    // A full disk still serves reads and partial decodes but can never
-    // accept the committed block: the rack-aware picker below skips it,
-    // so the rebuilt block keeps single-rack fault tolerance.
-    if (opts_.chaos.diskfull(node)) ropts.no_commit.insert(node);
-  }
-  for (std::size_t f : failed) {
-    const NodeId repl =
-        pick_replacement(s, placement.rack_of(f), ropts.no_commit);
-    problem.replacements.push_back(repl);
-    // Reserve: temporarily record so the next pick sees it as taken.
-    s.node_of_block[f] = repl;
-  }
-  // Restore until the repair really happened.
-  for (std::size_t i = 0; i < failed.size(); ++i) {
-    s.node_of_block[failed[i]] = placement.node_of(failed[i]);
-  }
-
   const repair::Planner& planner =
       use_fallback ? static_cast<const repair::Planner&>(multi_fallback)
                    : *planner_;
@@ -349,7 +330,7 @@ RepairReport StorageSystem::repair(StripeId stripe) {
   // simulated clock and the driver re-plans around dead helpers, reusing
   // banked partial sums. An empty chaos schedule is the zero-fault session.
   repair::ResilientOutcome out = repair::simulate_resilient(
-      problem, planner, s.blocks, opts_.network, opts_.chaos, ropts);
+      r.problem, planner, s.blocks, opts_.network, opts_.chaos, r.ropts);
   report.used_decoding_matrix = out.used_decoding_matrix;
   report.cross_rack_bytes = out.cross_rack_bytes;
   report.inner_rack_bytes = out.inner_rack_bytes;
@@ -437,31 +418,14 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
       throw std::runtime_error("read_block: stripe unrecoverable");
     }
     report.degraded = true;
-    // One-equation repair whose "replacement" is the reader. Every other
-    // lost block is excluded as a source by the planner, and its node is
-    // marked unavailable so a mid-read re-plan never substitutes it back.
-    const topology::Placement placement(cluster_, code_.config(),
-                                        s.node_of_block);
-    repair::RepairProblem problem;
-    problem.code = &code_;
-    problem.placement = &placement;
-    problem.block_size = opts_.block_size;
-    problem.failed = {block};
-    problem.replacements = {reader};
+    // One-equation repair whose "replacement" is the reader; the planner
+    // excludes every other lost block as a source.
+    const Rebuild r = prepare_rebuild(s, {block}, reader);
     const repair::DegradedReadPlanner planner(lost);
-
     // A helper killed mid-read re-plans the equation around the loss
     // instead of failing the read.
-    repair::ResilientOptions ropts;
-    ropts.probe = opts_.probe;
-    for (NodeId node = 0; node < cluster_.total_nodes(); ++node) {
-      if (!alive_[node]) ropts.unavailable.insert(node);
-    }
-    for (const std::size_t b : lost) {
-      if (b != block) ropts.unavailable.insert(s.node_of_block[b]);
-    }
     repair::ResilientOutcome out = repair::simulate_resilient(
-        problem, planner, s.blocks, opts_.network, opts_.chaos, ropts);
+        r.problem, planner, s.blocks, opts_.network, opts_.chaos, r.ropts);
     report.data = std::move(out.outputs[0]);
     report.simulated_read_time = to_sim_time(out.total_time_s);
     report.cross_rack_bytes = out.cross_rack_bytes;
@@ -487,31 +451,19 @@ FleetRepairReport StorageSystem::repair_all_scheduled(
   apply_chaos_corruptions();
   FleetRepairReport report;
 
-  // Placements must outlive run_fleet; RepairProblem holds pointers.
-  std::vector<std::unique_ptr<topology::Placement>> placements;
+  std::vector<Rebuild> rebuilds;
   sched::FleetWorkload workload;
   workload.foreground = foreground;
   for (const auto& [id, s] : stripes_) {
-    const auto failed = lost_blocks(id);
+    auto failed = lost_blocks(id);
     if (failed.empty()) continue;
     if (failed.size() > code_.config().k) {
       throw std::runtime_error("repair_all_scheduled: stripe " +
                                std::to_string(id) + " unrecoverable");
     }
-    placements.push_back(std::make_unique<topology::Placement>(
-        cluster_, code_.config(), s.node_of_block));
+    rebuilds.push_back(prepare_rebuild(s, std::move(failed)));
     sched::StripeArrival arrival;
-    arrival.problem.code = &code_;
-    arrival.problem.placement = placements.back().get();
-    arrival.problem.block_size = opts_.block_size;
-    arrival.problem.failed = failed;
-    std::set<NodeId> reserved;
-    for (const std::size_t f : failed) {
-      const NodeId repl =
-          pick_replacement(s, placements.back()->rack_of(f), reserved);
-      reserved.insert(repl);
-      arrival.problem.replacements.push_back(repl);
-    }
+    arrival.problem = rebuilds.back().problem;
     workload.stripes.push_back(std::move(arrival));
     report.stripes.push_back(id);
   }
@@ -520,11 +472,12 @@ FleetRepairReport StorageSystem::repair_all_scheduled(
     report.schedule =
         sched::run_fleet(workload, cluster_, opts_.network, sopts);
   }
-  // Commit the data through the verified per-stripe path. The scheduler
-  // timed the wave; the repairs move and install the real bytes.
+  // Commit the data through the verified per-stripe path, onto the
+  // replacements the wave timed: the scheduler timed the wave; the repairs
+  // move and install the real bytes.
   report.repairs.reserve(report.stripes.size());
-  for (const StripeId id : report.stripes) {
-    report.repairs.push_back(repair(id));
+  for (std::size_t i = 0; i < report.stripes.size(); ++i) {
+    report.repairs.push_back(run_rebuild(report.stripes[i], rebuilds[i]));
   }
   return report;
 }

@@ -14,7 +14,7 @@
 //                    blocks are decoded from survivors on the fly);
 //   repair()         plan with the configured scheme (traditional / CAR /
 //                    RPR), execute the plan, write the rebuilt blocks onto
-//                    rack-local replacement nodes and update the stripe map.
+//                    rack-aware replacement nodes and update the stripe map.
 //                    Reports per-repair traffic and simulated repair time.
 //
 // Durability invariants (this layer's robustness contract):
@@ -45,9 +45,9 @@
 //     (rack:R@T) fails a whole rack in one re-plan, a fabric partition
 //     leaves helpers alive-but-unreachable (their banked partials stay
 //     valid), a full disk (diskfull:NODE) can never accept a committed
-//     block — repair never picks one as a replacement (the rack-aware
-//     picker keeps single-rack fault tolerance), and a re-plan moves a
-//     destination only onto a disk that can commit;
+//     block — topology::pick_replacement places each stripe's rebuilds
+//     once, off dead nodes and full disks and rack fault tolerant when it
+//     can; the fleet wave times the replacements its commits use;
 //   * every plan — initial repair, degraded read (a one-block RPR repair
 //     rooted at the reader) and mid-repair re-plan — is verified online by
 //     the resilient session before execution (topology + traffic
@@ -60,7 +60,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -68,6 +67,7 @@
 #include "gf/fingerprint.h"
 #include "repair/executor_sim.h"
 #include "repair/planner.h"
+#include "repair/resilient.h"
 #include "rs/rs_code.h"
 #include "sched/scheduler.h"
 #include "topology/placement.h"
@@ -251,9 +251,21 @@ class StorageSystem {
     std::uint64_t object_size = 0;
   };
 
-  [[nodiscard]] topology::NodeId pick_replacement(
-      const Stripe& s, topology::RackId rack,
-      const std::set<topology::NodeId>& avoid = {}) const;
+  /// One stripe's repair set-up, shared by repair(), the fleet wave and a
+  /// degraded read. The problem points into the placement it owns.
+  struct Rebuild {
+    std::unique_ptr<topology::Placement> placement;
+    repair::RepairProblem problem;
+    repair::ResilientOptions ropts;
+  };
+  /// The set-up rebuilding `failed` of `s` at `reader` (a degraded read) or
+  /// else at topology::pick_replacement nodes, off dead and full disks. Dead
+  /// nodes and the nodes of lost blocks outside `failed` are unavailable.
+  [[nodiscard]] Rebuild prepare_rebuild(
+      const Stripe& s, std::vector<std::size_t> failed,
+      std::optional<topology::NodeId> reader = std::nullopt) const;
+  /// Runs `r` as one resilient session and installs its verified blocks.
+  RepairReport run_rebuild(StripeId stripe, const Rebuild& r);
   /// gf::fingerprint of `bytes`, counted into storage.digest_bytes.
   [[nodiscard]] gf::Fingerprint digest(
       std::span<const std::uint8_t> bytes) const;

@@ -140,6 +140,40 @@ Placement make_placement(const Cluster& cluster, rs::CodeConfig cfg,
   throw std::logic_error("make_placement: unknown policy");
 }
 
+NodeId pick_replacement(const Placement& placement, RackId preferred_rack,
+                        const std::set<std::size_t>& lost,
+                        const std::set<NodeId>& unusable,
+                        std::span<const NodeId> chosen) {
+  const Cluster& cluster = placement.cluster();
+  std::vector<bool> taken(cluster.total_nodes(), false);
+  std::vector<std::size_t> load(cluster.racks(), 0);
+  for (const NodeId node : unusable) taken.at(node) = true;
+  for (std::size_t b = 0; b < placement.code().total(); ++b) {
+    taken[placement.node_of(b)] = true;
+    if (lost.count(b) == 0) ++load[placement.rack_of(b)];
+  }
+  for (const NodeId node : chosen) {
+    ++load[cluster.rack_of(node)];
+    taken[node] = true;
+  }
+  // The preferred rack, then every other rack that can take one more block
+  // of the stripe, in rack order; then any free node.
+  std::vector<RackId> racks = {preferred_rack};
+  for (RackId r = 0; r < cluster.racks(); ++r) {
+    if (r != preferred_rack && load[r] < placement.code().k) racks.push_back(r);
+  }
+  for (const RackId r : racks) {
+    for (const NodeId node : cluster.nodes_in_rack(r)) {
+      if (!taken[node]) return node;
+    }
+  }
+  const auto it = std::find(taken.begin(), taken.end(), false);
+  if (it == taken.end()) {
+    throw std::runtime_error("pick_replacement: no free node");
+  }
+  return static_cast<NodeId>(it - taken.begin());
+}
+
 PlacedStripe make_placed_stripe(rs::CodeConfig cfg, PlacementPolicy policy) {
   const std::size_t racks = racks_needed(cfg, policy);
   const std::size_t slots =

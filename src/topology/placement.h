@@ -18,6 +18,8 @@
 //                   racks, and never requires building a decoding matrix.
 #pragma once
 
+#include <set>
+#include <span>
 #include <vector>
 
 #include "rs/rs_code.h"
@@ -78,6 +80,20 @@ class Placement {
 
 [[nodiscard]] std::size_t racks_needed(rs::CodeConfig cfg,
                                        PlacementPolicy policy);
+
+/// Where a rebuilt block of `placement`'s stripe goes: the one replacement
+/// decision of storage, the fleet wave and mid-repair re-plans. Never a node
+/// in `unusable` (dead, or a full disk), of the placement, or in `chosen`
+/// (destinations already picked for the stripe's other blocks). First
+/// choice: the first such node of `preferred_rack`; then of the lowest other
+/// rack whose load (blocks outside `lost` plus `chosen` nodes) is below k,
+/// keeping single-rack fault tolerance; then any such node. Throws
+/// std::runtime_error when no node is free.
+[[nodiscard]] NodeId pick_replacement(const Placement& placement,
+                                      RackId preferred_rack,
+                                      const std::set<std::size_t>& lost,
+                                      const std::set<NodeId>& unusable,
+                                      std::span<const NodeId> chosen);
 
 /// Convenience: builds a cluster just big enough for `cfg` under `policy`
 /// (k spare nodes per rack, enough replacement targets for any recoverable

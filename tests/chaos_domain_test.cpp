@@ -324,6 +324,109 @@ TEST(DomainStorage, DiskfullRackSparesKeepRackFaultTolerance) {
   EXPECT_EQ(sys.get(sid), object);
 }
 
+namespace {
+
+/// Blocks of a stripe per rack, for the rack-tolerance checks below.
+std::vector<std::size_t> blocks_per_rack(const rpr::topology::Cluster& cluster,
+                                         const std::vector<NodeId>& nodes) {
+  std::vector<std::size_t> per_rack(cluster.racks(), 0);
+  for (const NodeId node : nodes) ++per_rack[cluster.rack_of(node)];
+  return per_rack;
+}
+
+}  // namespace
+
+TEST(DomainStorage, ScheduledWaveTimesTheReplacementItCommits) {
+  // The same cluster as above: the fleet wave must time the rebuild into
+  // the rack the commit lands in, not into rack 0, whose spares are full.
+  rpr::storage::StorageOptions opts;
+  opts.code = {6, 3};
+  opts.block_size = 4096;
+  opts.extra_racks = 1;
+  opts.chaos = FaultSchedule::parse("diskfull:3;diskfull:4;diskfull:5");
+  rpr::storage::StorageSystem sys(opts);
+  const std::vector<std::uint8_t> object(6 * 4096, 0x3c);
+  const auto sid = sys.put(object);
+  const auto before = sys.stripe_nodes(sid);
+  const auto lost = static_cast<std::size_t>(
+      std::find(before.begin(), before.end(), NodeId{0}) - before.begin());
+  sys.fail_node(0);
+
+  const auto report = sys.repair_all_scheduled(rpr::sched::SchedulerOptions{});
+  ASSERT_EQ(report.repairs.size(), 1u);
+  EXPECT_TRUE(report.repairs[0].verified);
+  const RackId landed = sys.cluster().rack_of(sys.stripe_nodes(sid)[lost]);
+  EXPECT_EQ(landed, 3u);
+  EXPECT_GT(report.repairs[0].cross_rack_bytes, 0u);
+  ASSERT_EQ(report.schedule.rack_download_bytes.size(), sys.cluster().racks());
+  EXPECT_EQ(report.schedule.rack_download_bytes[landed],
+            report.repairs[0].cross_rack_bytes)
+      << "the wave timed another replacement than the one committed";
+  EXPECT_EQ(sys.get(sid), object);
+}
+
+TEST(DomainStorage, DestinationKilledAfterSparesFullKeepsRackFaultTolerance) {
+  // Rack 0's only committable spare (node 5) takes the rebuild and dies
+  // mid-repair. Its re-plan must move the block into the empty rack 3, not
+  // into a rack that already holds k blocks.
+  rpr::storage::StorageOptions opts;
+  opts.code = {6, 3};
+  // 1 MiB blocks: the cross-rack transfers into node 5 run past 1 ms.
+  opts.block_size = 1 << 20;
+  opts.extra_racks = 1;
+  opts.chaos = FaultSchedule::parse("diskfull:3;diskfull:4;kill:5@0.001");
+  rpr::storage::StorageSystem sys(opts);
+  std::vector<std::uint8_t> object(6 << 20);
+  for (std::size_t i = 0; i < object.size(); ++i) {
+    object[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  }
+  const auto sid = sys.put(object);
+  sys.fail_node(0);
+  const auto report = sys.repair(sid);
+  EXPECT_TRUE(report.verified);
+  EXPECT_EQ(report.replans, 1u);
+  EXPECT_EQ(blocks_per_rack(sys.cluster(), sys.stripe_nodes(sid)),
+            (std::vector<std::size_t>{2, 3, 3, 1}));
+  EXPECT_EQ(sys.get(sid), object);
+}
+
+TEST(DomainSimnet, RelocatedDestinationKeepsRackFaultTolerance) {
+  // The direct-session twin of the storage test above: a placement with one
+  // empty extra rack, rack 0's spares full but node 5, which dies mid-repair.
+  const rpr::rs::RSCode code({6, 3});
+  const rpr::topology::Placement placement = rpr::topology::make_placement(
+      rpr::topology::Cluster(4, 3, 3), {6, 3},
+      rpr::topology::PlacementPolicy::kRpr);
+  std::vector<NodeId> nodes;
+  for (std::size_t b = 0; b < 9; ++b) nodes.push_back(placement.node_of(b));
+  const auto failed = static_cast<std::size_t>(
+      std::find(nodes.begin(), nodes.end(), NodeId{0}) - nodes.begin());
+  auto stripe = rpr::testing::random_stripe(code, 4096, 91);
+  const Block truth = stripe[failed];
+  stripe[failed].clear();
+
+  rpr::repair::RepairProblem problem;
+  problem.code = &code;
+  problem.placement = &placement;
+  problem.block_size = 1 << 20;
+  problem.failed = {failed};
+  problem.replacements = {5};
+  rpr::repair::ResilientOptions ropts;
+  ropts.unavailable = {0};
+  ropts.no_commit = {3, 4};
+  const auto planner = rpr::repair::make_planner(rpr::repair::Scheme::kRpr);
+  const auto outcome = rpr::repair::simulate_resilient(
+      problem, *planner, stripe, rpr::topology::NetworkParams{},
+      FaultSchedule::parse("kill:5@0.001"), ropts);
+
+  EXPECT_EQ(outcome.replans, 1u);
+  ASSERT_EQ(outcome.outputs.size(), 1u);
+  EXPECT_EQ(outcome.outputs[0], truth);
+  nodes[failed] = outcome.destinations[0];
+  EXPECT_EQ(blocks_per_rack(placement.cluster(), nodes),
+            (std::vector<std::size_t>{2, 3, 3, 1}));
+}
+
 TEST(DomainSimnet, DiskfullReplacementIsPlannedAroundFromTheFirstAttempt) {
   // No fault ever aborts this session, so there is no re-plan to move the
   // destination: the session must pick a committable node before its first

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "test_support.h"
 
@@ -154,4 +158,164 @@ TEST(Placement, DuplicateNodesRejected) {
   std::vector<rpr::topology::NodeId> nodes = {0, 0, 1, 3, 4, 6};
   EXPECT_THROW(Placement(c, CodeConfig{4, 2}, std::move(nodes)),
                std::invalid_argument);
+}
+
+// --- The replacement picker. RS(6,3) under kRpr on 4 racks of 3 slots and 3
+// spares: racks 0-2 hold k = 3 blocks each on their slots (nodes 0-2, 6-8,
+// 12-14), the spares are 3-5, 9-11 and 15-17, and rack 3 (18-23) is empty.
+
+namespace {
+
+using rpr::topology::NodeId;
+using rpr::topology::pick_replacement;
+using rpr::topology::RackId;
+
+Placement picker_placement(std::size_t racks = 4) {
+  return make_placement(Cluster(racks, 3, 3), CodeConfig{6, 3},
+                        PlacementPolicy::kRpr);
+}
+
+std::size_t block_on(const Placement& p, NodeId node) {
+  for (std::size_t b = 0; b < p.code().total(); ++b) {
+    if (p.node_of(b) == node) return b;
+  }
+  throw std::logic_error("no block on node");
+}
+
+}  // namespace
+
+TEST(ReplacementPicker, FirstChoiceIsThePreferredRacksFirstFreeNode) {
+  const Placement p = picker_placement();
+  EXPECT_EQ(pick_replacement(p, 0, {}, {}, {}), 3u);
+  EXPECT_EQ(pick_replacement(p, 0, {}, {3}, {}), 4u);
+  EXPECT_EQ(pick_replacement(p, 2, {}, {15, 16}, {}), 17u);
+  EXPECT_EQ(pick_replacement(p, 3, {}, {}, {}), 18u);
+}
+
+TEST(ReplacementPicker, SecondChoiceIsTheLowestOtherRackBelowK) {
+  const Placement p = picker_placement();
+  const std::set<std::size_t> lost = {block_on(p, 0)};
+  // Rack 0 is out of free nodes; racks 1 and 2 hold k blocks each.
+  EXPECT_EQ(pick_replacement(p, 0, lost, {0, 3, 4, 5}, {}), 18u);
+  // A dead holder in rack 1 drops that rack below k.
+  const std::set<std::size_t> lost2 = {block_on(p, 0), block_on(p, 6)};
+  EXPECT_EQ(pick_replacement(p, 0, lost2, {0, 3, 4, 5, 6}, {}), 9u);
+}
+
+TEST(ReplacementPicker, ThirdChoiceIsAnyFreeNode) {
+  // No extra rack: every other rack holds k blocks, so the stripe accepts
+  // degraded rack tolerance rather than stay unrepaired.
+  const Placement p = picker_placement(3);
+  const std::set<std::size_t> lost = {block_on(p, 0)};
+  EXPECT_EQ(pick_replacement(p, 0, lost, {0, 3, 4, 5}, {}), 9u);
+  EXPECT_EQ(pick_replacement(p, 0, lost, {0, 3, 4, 5, 9, 10}, {}), 11u);
+}
+
+TEST(ReplacementPicker, ChosenNodesCountTowardLoadAndAreNeverRepicked) {
+  const Placement p = picker_placement();
+  const std::set<std::size_t> lost = {block_on(p, 0), block_on(p, 1)};
+  const std::set<NodeId> unusable = {0, 1, 3, 4, 5};
+  EXPECT_EQ(pick_replacement(p, 0, lost, unusable, std::vector<NodeId>{18}),
+            19u);
+  // Three chosen destinations fill rack 3 up to k: only the third choice is
+  // left.
+  EXPECT_EQ(pick_replacement(p, 0, lost, unusable,
+                             std::vector<NodeId>{18, 19, 20}),
+            9u);
+  // Rack 0 holds one intact block; two destinations chosen there bring it
+  // up to k, so a rebuild whose own rack is full goes past it.
+  const std::set<NodeId> rack2_full = {0, 1, 15, 16, 17};
+  EXPECT_EQ(pick_replacement(p, 2, lost, rack2_full, {}), 3u);
+  EXPECT_EQ(pick_replacement(p, 2, lost, rack2_full,
+                             std::vector<NodeId>{3, 4}),
+            18u);
+}
+
+TEST(ReplacementPicker, FailedBlockDoesNotCountTowardLoad) {
+  const Placement p = picker_placement();
+  // Node 6 is alive but its block failed (say, corrupt bytes): rack 1 then
+  // holds only two intact blocks and can take the rebuild.
+  const std::set<std::size_t> lost = {block_on(p, 0), block_on(p, 6)};
+  EXPECT_EQ(pick_replacement(p, 0, lost, {0, 3, 4, 5}, {}), 9u);
+  EXPECT_EQ(pick_replacement(p, 0, {block_on(p, 0)}, {0, 3, 4, 5}, {}), 18u);
+}
+
+TEST(ReplacementPicker, NeverPicksUnusablePlacementOrChosenNodes) {
+  const Placement p = picker_placement();
+  const std::size_t total = p.cluster().total_nodes();
+  std::set<NodeId> holders;
+  for (std::size_t b = 0; b < p.code().total(); ++b) {
+    holders.insert(p.node_of(b));
+  }
+  std::uint64_t state = 12345;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::set<NodeId> unusable;
+    std::vector<NodeId> chosen;
+    for (NodeId n = 0; n < total; ++n) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const unsigned roll = static_cast<unsigned>(state >> 60);
+      if (roll < 5) unusable.insert(n);
+      if (roll == 5 && holders.count(n) == 0) chosen.push_back(n);
+    }
+    const RackId rack = static_cast<RackId>(trial) % p.cluster().racks();
+    try {
+      const NodeId got = pick_replacement(p, rack, {}, unusable, chosen);
+      EXPECT_EQ(unusable.count(got), 0u);
+      EXPECT_EQ(holders.count(got), 0u);
+      EXPECT_EQ(std::count(chosen.begin(), chosen.end(), got), 0);
+    } catch (const std::runtime_error&) {
+      // Only when nothing is free.
+      for (NodeId n = 0; n < total; ++n) {
+        EXPECT_TRUE(unusable.count(n) != 0 || holders.count(n) != 0 ||
+                    std::count(chosen.begin(), chosen.end(), n) != 0)
+            << "node " << n << " was free";
+      }
+    }
+  }
+}
+
+TEST(ReplacementPicker, ThrowsWhenNoNodeIsFree) {
+  const Placement p = picker_placement(3);
+  std::set<NodeId> spares;
+  for (RackId r = 0; r < 3; ++r) {
+    for (std::size_t i = 0; i < 3; ++i) spares.insert(p.cluster().spare(r, i));
+  }
+  EXPECT_THROW((void)pick_replacement(p, 0, {}, spares, {}),
+               std::runtime_error);
+  spares.erase(16);
+  EXPECT_EQ(pick_replacement(p, 0, {}, spares, {}), 16u);
+}
+
+TEST(ReplacementPicker, FirstChoiceIsTheFirstAliveNodeOfTheRackHoldingNoBlock) {
+  // The rule storage has always used for a rack-local replacement (and the
+  // one the store-wave benchmark predicts repair traffic with).
+  const Placement p = picker_placement();
+  const auto reference = [&](RackId rack, const std::set<NodeId>& dead) {
+    for (const NodeId n : p.cluster().nodes_in_rack(rack)) {
+      bool holds = false;
+      for (std::size_t b = 0; b < p.code().total(); ++b) {
+        holds = holds || p.node_of(b) == n;
+      }
+      if (dead.count(n) == 0 && !holds) return std::optional<NodeId>(n);
+    }
+    return std::optional<NodeId>();
+  };
+  for (RackId rack = 0; rack < p.cluster().racks(); ++rack) {
+    const auto nodes = p.cluster().nodes_in_rack(rack);
+    for (unsigned mask = 0; mask < (1u << nodes.size()); ++mask) {
+      std::set<NodeId> dead;
+      std::set<std::size_t> lost;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if ((mask & (1u << i)) == 0) continue;
+        dead.insert(nodes[i]);
+        for (std::size_t b = 0; b < p.code().total(); ++b) {
+          if (p.node_of(b) == nodes[i]) lost.insert(b);
+        }
+      }
+      const auto want = reference(rack, dead);
+      if (!want) continue;
+      EXPECT_EQ(pick_replacement(p, rack, lost, dead, {}), *want)
+          << "rack " << rack << " dead mask " << mask;
+    }
+  }
 }

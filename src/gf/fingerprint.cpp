@@ -35,8 +35,8 @@ std::uint8_t lane_byte(std::uint64_t coeffs, std::size_t lane) noexcept {
 
 /// lanes ^= Σ_{i < count} c_{L,first+i} · chunk i of `data`: `data` holds
 /// chunks first .. first + count - 1 of the block.
-void fold(const std::uint8_t* data, std::size_t first, std::size_t count,
-          std::uint8_t* lanes) {
+void fold_chunks(const std::uint8_t* data, std::size_t first,
+                 std::size_t count, std::uint8_t* lanes) {
   std::array<std::array<std::uint8_t, kSegmentChunks>, kFingerprintLanes> c;
   std::array<const std::uint8_t*, kSegmentChunks> srcs;
   for (std::size_t s = first; s < first + count; s += kSegmentChunks) {
@@ -57,23 +57,30 @@ void fold(const std::uint8_t* data, std::size_t first, std::size_t count,
 
 }  // namespace
 
+void fold(Fingerprint& fp, std::span<const std::uint8_t> bytes,
+          std::size_t first_chunk) {
+  const std::size_t full = bytes.size() / kChunk;
+  fold_chunks(bytes.data(), first_chunk, full, fp.lanes.data());
+  if (const std::size_t tail = bytes.size() % kChunk; tail != 0) {
+    std::array<std::uint8_t, kChunk> padded{};
+    std::copy_n(bytes.data() + full * kChunk, tail, padded.data());
+    fold_chunks(padded.data(), first_chunk + full, 1, fp.lanes.data());
+  }
+}
+
 Fingerprint fingerprint(std::span<const std::uint8_t> bytes) {
   Fingerprint fp;
   std::mutex mu;  // guards fp.lanes while shards XOR their partial lanes in
   fp.length = bytes.size();
-  const std::size_t full = bytes.size() / kChunk;
+  const std::size_t chunks = (bytes.size() + kChunk - 1) / kChunk;
   util::ThreadPool::shared().parallel_for(
-      full, kSegmentChunks, kShardChunks, [&](std::size_t b, std::size_t e) {
-        std::array<std::uint8_t, sizeof fp.lanes> part{};
-        fold(bytes.data() + b * kChunk, b, e - b, part.data());
+      chunks, kSegmentChunks, kShardChunks, [&](std::size_t b, std::size_t e) {
+        Fingerprint part;
+        const std::size_t end = std::min(e * kChunk, bytes.size());
+        fold(part, bytes.subspan(b * kChunk, end - b * kChunk), b);
         const std::scoped_lock lock(mu);
-        xor_region(fp.lanes, part);
+        xor_region(fp.lanes, part.lanes);
       });
-  if (const std::size_t tail = bytes.size() % kChunk; tail != 0) {
-    std::array<std::uint8_t, kChunk> padded{};
-    std::copy_n(bytes.data() + full * kChunk, tail, padded.data());
-    fold(padded.data(), full, 1, fp.lanes.data());
-  }
   return fp;
 }
 

@@ -66,6 +66,17 @@ struct Fingerprint {
 /// across util::ThreadPool::shared() for long blocks.
 [[nodiscard]] Fingerprint fingerprint(std::span<const std::uint8_t> bytes);
 
+/// Folds one piece of a block into `fp`'s lanes: `bytes` holds chunks
+/// first_chunk, first_chunk + 1, … of the block, and only the block's last
+/// piece may end inside a chunk (that chunk is zero-padded). Serial; it
+/// leaves fp.length to the caller. The lanes are linear in the chunks, so
+/// the pieces of a block folded in any order, into any number of
+/// fingerprints, XOR to the block's lanes: fingerprint() is this fold over
+/// pool shards, and a caller that writes a block tile by tile can fold each
+/// tile while it is still in cache.
+void fold(Fingerprint& fp, std::span<const std::uint8_t> bytes,
+          std::size_t first_chunk);
+
 namespace ref {
 /// Byte-at-a-time evaluation of the definition above (test oracle).
 [[nodiscard]] Fingerprint fingerprint(std::span<const std::uint8_t> bytes);

@@ -9,6 +9,7 @@
 
 #include "gf/gf_region.h"
 #include "repair/replan.h"
+#include "rs/block_recycler.h"
 #include "util/thread_pool.h"
 
 namespace rpr::repair {
@@ -107,7 +108,9 @@ std::vector<rs::Block> execute_on_data(const RepairPlan& plan,
         matrix[i * cols.size() + static_cast<std::size_t>(c - cols.begin())] =
             coeff;
       }
-      result[rows[i]].resize(len);
+      // A recycled buffer holds stale bytes; the encode overwrites them all
+      // (an output whose terms cancel is written as zeros).
+      result[rows[i]] = rs::BlockRecycler::shared().take(len);
       dsts[i] = result[rows[i]].data();
     }
     std::vector<const std::uint8_t*> srcs(cols.size());

@@ -11,7 +11,9 @@
 // coefficients over the stripe and computes all of them in one fused
 // encode pass over the union of their leaf blocks, sharded across the
 // shared thread pool. By GF linearity the bytes are those of the op-by-op
-// evaluation; the plan's schedule is the simulator's business.
+// evaluation; the plan's schedule is the simulator's business. The output
+// buffers come from rs::BlockRecycler (rs/block_recycler.h), so a block
+// storage commits from a repair is one it can give back.
 #pragma once
 
 #include <vector>

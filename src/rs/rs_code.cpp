@@ -50,6 +50,22 @@ RSCode::RSCode(CodeConfig cfg, MatrixKind kind)
                   : matrix::vandermonde_coding_matrix(cfg_.n, cfg_.k)),
       generator_(matrix::full_generator(coding_)) {}
 
+std::vector<std::uint8_t> RSCode::coding_rows() const {
+  std::vector<std::uint8_t> rows(cfg_.k * cfg_.n);
+  for (std::size_t i = 0; i < cfg_.k; ++i) {
+    for (std::size_t j = 0; j < cfg_.n; ++j) {
+      rows[i * cfg_.n + j] = coding_.at(i, j);
+    }
+  }
+  return rows;
+}
+
+void RSCode::encode_regions(const std::uint8_t* const* data,
+                            std::uint8_t* const* parity,
+                            std::size_t len) const {
+  gf::encode_regions(coding_rows(), cfg_.k, cfg_.n, data, parity, len);
+}
+
 void RSCode::encode(std::span<const Block> data,
                     std::span<Block> parity) const {
   RPR_REQUIRE(data.size() == cfg_.n, "encode takes exactly n data blocks");
@@ -63,12 +79,7 @@ void RSCode::encode(std::span<const Block> data,
   // Fused matrix application: every parity cache line is written once per
   // stripe (not once per data block), sharded across the thread pool for
   // large blocks.
-  std::vector<std::uint8_t> matrix(cfg_.k * cfg_.n);
-  for (std::size_t i = 0; i < cfg_.k; ++i) {
-    for (std::size_t j = 0; j < cfg_.n; ++j) {
-      matrix[i * cfg_.n + j] = coding_.at(i, j);
-    }
-  }
+  const std::vector<std::uint8_t> matrix = coding_rows();
   std::vector<const std::uint8_t*> srcs(cfg_.n);
   for (std::size_t j = 0; j < cfg_.n; ++j) srcs[j] = data[j].data();
   std::vector<std::uint8_t*> dsts(cfg_.k);

@@ -85,6 +85,14 @@ class RSCode {
   /// are written.
   void encode_stripe(std::vector<Block>& blocks) const;
 
+  /// parity[i] = Σ_j g_ij · data[j] over `len`-byte regions (n sources, k
+  /// destinations, overwritten), on the calling thread, with the matrix
+  /// encode() applies. Any GF(2^8)-linear image of a block encodes the
+  /// same way, so the data blocks' fingerprint lanes (gf/fingerprint.h)
+  /// map to the parity blocks' lanes.
+  void encode_regions(const std::uint8_t* const* data,
+                      std::uint8_t* const* parity, std::size_t len) const;
+
   /// Builds the repair equations for `failed` (all distinct, size <= k)
   /// given the surviving blocks to read from, `selected` (exactly n global
   /// indices, disjoint from `failed`). Computes g_f * M'^-1 per failed
@@ -123,6 +131,9 @@ class RSCode {
   CodeConfig cfg_;
   matrix::Matrix coding_;     // k x n
   matrix::Matrix generator_;  // (n+k) x n
+
+  /// coding_ row-major (k*n), the layout gf::encode_regions takes.
+  [[nodiscard]] std::vector<std::uint8_t> coding_rows() const;
 };
 
 }  // namespace rpr::rs

@@ -20,12 +20,12 @@
 //    matrix-cost combine clears its slice first, sends memcpy, TCP ingest
 //    reads the wire into it), and nobody reads a slice before it is
 //    published;
-//  * recycling: when a state dies its values go to one process-wide
-//    ValueRecycler, which hands them to the next run of any engine. The
-//    recycler keeps a single size class and drops its cache when another
-//    size is asked for, so it never retains more than the largest set of
-//    same-size values that were live at once. Steady-state runs therefore
-//    fault in no value pages.
+//  * recycling: values are taken from, and when a state dies given back
+//    to, the process-wide rs::BlockRecycler (rs/block_recycler.h), which
+//    the data executor and the storage layer share. It keeps a single size
+//    class, so it never retains more than the largest set of same-size
+//    blocks that were live at once. Steady-state runs therefore fault in
+//    no value pages.
 //
 // Publication
 //  * slices complete strictly in order per op (each op has exactly one
@@ -61,6 +61,7 @@
 #include "check/scheduler.h"
 #include "obs/metrics.h"
 #include "repair/plan.h"
+#include "rs/block_recycler.h"
 #include "rs/rs_code.h"
 #include "util/slice.h"
 
@@ -125,50 +126,6 @@ class SliceMetrics {
   std::atomic<std::uint64_t> in_flight_{0};
 };
 
-/// Process-wide cache of value buffers (see file comment): one size
-/// class, no cap — its retention is bounded by what was live at once.
-class ValueRecycler {
- public:
-  static ValueRecycler& shared() {
-    static ValueRecycler recycler;
-    return recycler;
-  }
-
-  /// A buffer of `size` bytes with unspecified contents.
-  rs::Block take(std::size_t size) {
-    std::vector<rs::Block> dropped;  // freed outside the lock
-    {
-      std::scoped_lock lock(mu_);
-      if (size != size_) {
-        dropped.swap(free_);
-        size_ = size;
-      } else if (!free_.empty()) {
-        rs::Block b = std::move(free_.back());
-        free_.pop_back();
-        return b;
-      }
-    }
-    return rs::Block(size);
-  }
-
-  /// Takes back the `size`-byte buffers of `values` when `size` is the
-  /// current size class; the rest stay with the caller (and are freed).
-  /// Empty values are never taken (storage() returns them as they are), so
-  /// they are never kept either.
-  void give(std::vector<rs::Block>& values, std::size_t size) {
-    std::scoped_lock lock(mu_);
-    if (size != size_ || size == 0) return;
-    for (rs::Block& v : values) {
-      if (v.size() == size) free_.push_back(std::move(v));
-    }
-  }
-
- private:
-  std::mutex mu_;
-  std::size_t size_ = 0;
-  std::vector<rs::Block> free_;
-};
-
 /// Shared per-run execution state (see file comment).
 class ExecState {
  public:
@@ -183,7 +140,7 @@ class ExecState {
         slices_(slice_count(value_size, slice_size)) {}
   ExecState(const ExecState&) = delete;
   ExecState& operator=(const ExecState&) = delete;
-  ~ExecState() { ValueRecycler::shared().give(value, value_size_); }
+  ~ExecState() { rs::BlockRecycler::shared().give(value); }
 
   /// Slices every value is cut into (1 = whole-block mode).
   [[nodiscard]] std::size_t slices() const noexcept { return slices_; }
@@ -218,7 +175,7 @@ class ExecState {
       std::unique_lock lock(mu);
       if (value[id].size() == value_size_) return value[id];
     }
-    rs::Block taken = ValueRecycler::shared().take(value_size_);
+    rs::Block taken = rs::BlockRecycler::shared().take(value_size_);
     std::unique_lock lock(mu);
     if (value[id].size() != value_size_) value[id] = std::move(taken);
     return value[id];

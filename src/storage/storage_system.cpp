@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "gf/fingerprint.h"
+#include "gf/gf_region.h"
 #include "obs/metrics.h"
+#include "rs/block_recycler.h"
 #include "util/thread_pool.h"
 
 namespace rpr::storage {
@@ -41,6 +45,73 @@ void count_digested(const obs::Probe& probe, std::uint64_t bytes) {
   }
 }
 
+// put's tile: the chunks of each data block copied and folded into its
+// fingerprint while they are still in L1 (32 KiB); the n tiles at one
+// offset stay in L2 while the parity tiles are encoded from them.
+constexpr std::size_t kTileChunks = 128;
+// Smallest run of chunks worth a pool shard (128 KiB per block).
+constexpr std::size_t kShardChunks = 512;
+
+/// Writes the stripe of `object` into the n+k `blocks` (recycled, so every
+/// byte is overwritten) and their digests, in one pass: each tile of the n
+/// data blocks is copied in (only the padded tail zero-filled) and folded
+/// into its block's fingerprint while it is in cache, then the k parity
+/// tiles at that offset are encoded from the n data tiles. The chunks are
+/// sharded over the shared pool; each shard folds into private lanes that
+/// are XORed into the data digests. The parity digests follow by
+/// linearity, fp(P_i) = Σ_j g_ij · fp(D_j): one encode over the data
+/// digests' 2 KiB of lanes, so a parity digest is what the code predicts
+/// (a faulty encode is caught at the first read of that parity instead of
+/// being certified here).
+void write_stripe(const rs::RSCode& code, std::span<const std::uint8_t> object,
+                  std::vector<rs::Block>& blocks,
+                  std::vector<gf::Fingerprint>& digest) {
+  constexpr std::size_t kChunk = gf::kFingerprintChunk;
+  const std::size_t n = code.config().n;
+  const std::size_t k = code.config().k;
+  const std::size_t bs = blocks[0].size();
+  digest.assign(n + k, {.lanes = {}, .length = bs});
+  std::mutex mu;  // guards `digest` while shards XOR their lanes in
+  util::ThreadPool::shared().parallel_for(
+      (bs + kChunk - 1) / kChunk, kTileChunks, kShardChunks,
+      [&](std::size_t first, std::size_t end) {
+        std::vector<gf::Fingerprint> part(n);
+        std::vector<const std::uint8_t*> data(n);
+        std::vector<std::uint8_t*> parity(k);
+        for (std::size_t c = first; c < end; c += kTileChunks) {
+          const std::size_t off = c * kChunk;
+          const std::size_t len =
+              std::min(std::min(end, c + kTileChunks) * kChunk, bs) - off;
+          for (std::size_t j = 0; j < n; ++j) {
+            const std::size_t at = j * bs + off;  // offset in the object
+            const std::size_t copied =
+                at < object.size() ? std::min(len, object.size() - at) : 0;
+            std::uint8_t* dst = blocks[j].data() + off;
+            if (copied != 0) std::memcpy(dst, object.data() + at, copied);
+            std::memset(dst + copied, 0, len - copied);
+            gf::fold(part[j], {dst, len}, c);
+            data[j] = dst;
+          }
+          for (std::size_t i = 0; i < k; ++i) {
+            parity[i] = blocks[n + i].data() + off;
+          }
+          code.encode_regions(data.data(), parity.data(), len);
+        }
+        const std::scoped_lock lock(mu);
+        for (std::size_t j = 0; j < n; ++j) {
+          gf::xor_region(digest[j].lanes, part[j].lanes);
+        }
+      });
+  std::vector<const std::uint8_t*> data_lanes(n);
+  for (std::size_t j = 0; j < n; ++j) data_lanes[j] = digest[j].lanes.data();
+  std::vector<std::uint8_t*> parity_lanes(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    parity_lanes[i] = digest[n + i].lanes.data();
+  }
+  code.encode_regions(data_lanes.data(), parity_lanes.data(),
+                      digest[0].lanes.size());
+}
+
 }  // namespace
 
 StorageSystem::StorageSystem(StorageOptions opts)
@@ -58,25 +129,31 @@ StorageSystem::StorageSystem(StorageOptions opts)
   opts_.chaos.validate(cluster_, code_.config().total());
 }
 
+StorageSystem::~StorageSystem() {
+  auto& recycler = rs::BlockRecycler::shared();
+  for (auto& [id, s] : stripes_) {
+    (void)id;
+    recycler.give(s.blocks);
+    for (auto& [b, bytes] : s.corrupt) {
+      (void)b;
+      recycler.give({&bytes, 1});
+    }
+  }
+}
+
 StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   const auto& cfg = code_.config();
   if (object.size() > cfg.n * opts_.block_size) {
     throw std::invalid_argument("put: object exceeds one stripe");
   }
 
-  // Split + zero-pad into n data blocks, then encode the stripe.
   std::vector<rs::Block> blocks(cfg.total());
-  for (std::size_t b = 0; b < cfg.n; ++b) {
-    blocks[b].assign(opts_.block_size, 0);
-    const std::size_t off = b * opts_.block_size;
-    if (off < object.size()) {
-      const std::size_t len = std::min<std::size_t>(
-          opts_.block_size, object.size() - off);
-      std::copy_n(object.begin() + static_cast<std::ptrdiff_t>(off), len,
-                  blocks[b].begin());
-    }
+  for (rs::Block& b : blocks) {
+    b = rs::BlockRecycler::shared().take(opts_.block_size);
   }
-  code_.encode_stripe(blocks);
+  Stripe s;
+  write_stripe(code_, object, blocks, s.digest);
+  count_digested(opts_.probe, cfg.n * opts_.block_size);
 
   // Place with the configured policy, rotating racks per stripe so stripes
   // spread across the cluster the way consecutive stripes do in production.
@@ -84,24 +161,11 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   const topology::Placement placement =
       topology::make_placement(cluster_, cfg, opts_.policy)
           .rotated(static_cast<std::size_t>(id));
-
-  Stripe s;
   s.object_size = object.size();
   s.node_of_block.resize(cfg.total());
   for (std::size_t b = 0; b < cfg.total(); ++b) {
     s.node_of_block[b] = placement.node_of(b);
   }
-  // The n+k digests are independent: fingerprint the blocks in parallel,
-  // small blocks a few to a chunk so the pool only engages when it pays
-  // (a long block's fingerprint shards itself).
-  s.digest.resize(cfg.total());
-  util::ThreadPool::shared().parallel_for(
-      cfg.total(), 1,
-      std::max<std::size_t>(1, (256 << 10) / opts_.block_size),
-      [&](std::size_t b, std::size_t e) {
-        for (; b < e; ++b) s.digest[b] = gf::fingerprint(blocks[b]);
-      });
-  count_digested(opts_.probe, cfg.total() * opts_.block_size);
   s.blocks = std::move(blocks);
   for (std::size_t b = 0; b < cfg.total(); ++b) {
     if (!alive_[s.node_of_block[b]]) s.blocks[b] = {};
@@ -115,45 +179,44 @@ std::vector<std::uint8_t> StorageSystem::get(StripeId stripe) const {
   if (it == stripes_.end()) throw std::out_of_range("get: unknown stripe");
   const Stripe& s = it->second;
   const auto& cfg = code_.config();
+  const std::size_t bs = opts_.block_size;
 
   const auto lost = lost_blocks(stripe);
-
-  std::vector<std::uint8_t> object(s.object_size);
-  const auto place = [&](std::size_t b, const rs::Block& bytes) {
-    const std::size_t off = b * opts_.block_size;
-    if (off >= object.size()) return;
-    const std::size_t len =
-        std::min<std::size_t>(opts_.block_size, object.size() - off);
-    std::copy_n(bytes.begin(), len,
-                object.begin() + static_cast<std::ptrdiff_t>(off));
-  };
-  // Intact data blocks go straight from their slots into the object.
-  bool lost_data = false;
-  for (std::size_t b = 0; b < cfg.n; ++b) {
-    if (s.blocks[b].empty()) {
-      lost_data = true;
-    } else {
-      place(b, s.blocks[b]);
-    }
-  }
-  if (!lost_data) return object;
-
-  // Degraded read: decode only the lost data blocks, in memory (no
-  // placement change), and verify each before it joins the object.
   if (lost.size() > cfg.k) {
     throw std::runtime_error("get: stripe unrecoverable");
   }
-  const auto selected = code_.default_selection(lost);
-  const auto eqs = code_.repair_equations(lost, selected);
-  for (const auto& eq : eqs) {
-    if (!cfg.is_data(eq.failed_block)) continue;
-    const rs::Block rebuilt = code_.evaluate(eq, s.blocks);
-    if (digest(rebuilt) != s.digest[eq.failed_block]) {
-      throw std::runtime_error("get: block " +
-                               std::to_string(eq.failed_block) +
-                               " failed digest verification");
+  // Degraded read: decode only the lost data blocks holding object bytes,
+  // in memory (no placement change), and verify each before it is used.
+  const std::size_t used = (s.object_size + bs - 1) / bs;
+  std::vector<std::size_t> needed;
+  for (const std::size_t b : lost) {
+    if (b < used) needed.push_back(b);
+  }
+  std::map<std::size_t, rs::Block> decoded;
+  if (!needed.empty()) {
+    const auto eqs =
+        code_.repair_equations(needed, code_.default_selection(lost));
+    for (const auto& eq : eqs) {
+      rs::Block rebuilt = code_.evaluate(eq, s.blocks);
+      if (digest(rebuilt) != s.digest[eq.failed_block]) {
+        throw std::runtime_error("get: block " +
+                                 std::to_string(eq.failed_block) +
+                                 " failed digest verification");
+      }
+      decoded.emplace(eq.failed_block, std::move(rebuilt));
     }
-    place(eq.failed_block, rebuilt);
+  }
+
+  // Write the object once: reserved (not zero-filled) with huge-page
+  // advice, then each block appended from its slot or its decode.
+  std::vector<std::uint8_t> object;
+  rs::reserve_huge(object, s.object_size);
+  for (std::size_t b = 0; b < used; ++b) {
+    const auto d = decoded.find(b);
+    const rs::Block& bytes = d != decoded.end() ? d->second : s.blocks[b];
+    const std::size_t len = std::min<std::size_t>(bs, s.object_size - b * bs);
+    object.insert(object.end(), bytes.begin(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(len));
   }
   return object;
 }
@@ -179,14 +242,20 @@ void StorageSystem::revive_node(NodeId node) {
 }
 
 void StorageSystem::wipe_node(NodeId node) {
+  std::vector<rs::Block> wiped;
   for (auto& [id, s] : stripes_) {
     (void)id;
     for (std::size_t b = 0; b < s.node_of_block.size(); ++b) {
       if (s.node_of_block[b] != node) continue;
-      s.blocks[b] = {};  // release the bytes, not just the size
-      s.corrupt.erase(b);
+      // Release the bytes, not just the size: to the recycler.
+      wiped.push_back(std::move(s.blocks[b]));  // leaves the slot empty
+      if (const auto c = s.corrupt.find(b); c != s.corrupt.end()) {
+        wiped.push_back(std::move(c->second));
+        s.corrupt.erase(c);
+      }
     }
   }
+  rs::BlockRecycler::shared().give(wiped);
 }
 
 gf::Fingerprint StorageSystem::digest(

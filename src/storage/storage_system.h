@@ -6,7 +6,8 @@
 // block id, standing for the disk of the node the block lives on), but it
 // exercises the full production control flow the paper assumes:
 //
-//   put()            split an object into n data blocks, encode k parities,
+//   put()            split an object into n data blocks, encode k parities
+//                    (one tiled pass that also fingerprints the data),
 //                    place the stripe per the configured policy (stripes are
 //                    rack-rotated so load spreads like a real cluster);
 //   fail_node/rack() kill disks; blocks on dead nodes are lost;
@@ -24,7 +25,9 @@
 //     any single-chunk change is always caught, any other error independent
 //     of the key is missed with probability at most 2^-64) — is recorded at
 //     encode time, and bytes are fingerprinted whenever they are written: at
-//     put (the n+k blocks in parallel), at a verified commit, and after
+//     put (each data block tile by tile as put's one pass writes it; the
+//     parity digests follow by linearity, fp(P_i) = Σ_j g_ij · fp(D_j), so
+//     they are what the code predicts), at a verified commit, and after
 //     corrupt_block() changes them. Bytes that no longer match (silent bit
 //     rot) leave their slot at once and count as one more erasure, so a scan
 //     is a lookup and corrupt bytes never reach a planner, executor or
@@ -32,6 +35,10 @@
 //   * every block leaving storage is fingerprinted again before it is
 //     returned: read_block() checks the block it delivers, get() each block
 //     it decodes (intact blocks are copied straight from their slots);
+//   * block buffers come from, and go back to, the process-wide
+//     rs::BlockRecycler: put takes all n+k, repairs commit buffers the data
+//     executor took from it, and wiped nodes and a destroyed system give
+//     theirs back, so steady-state puts fault in no block pages;
 //   * repair commits are verified: a rebuilt block is installed only after
 //     its digest matches the one recorded at encode time (a wrong repair
 //     throws instead of silently replacing good data with garbage);
@@ -157,6 +164,10 @@ struct FleetRepairReport {
 class StorageSystem {
  public:
   explicit StorageSystem(StorageOptions opts);
+  /// Gives every stored block back to rs::BlockRecycler.
+  ~StorageSystem();
+  StorageSystem(const StorageSystem&) = delete;
+  StorageSystem& operator=(const StorageSystem&) = delete;
 
   [[nodiscard]] const topology::Cluster& cluster() const noexcept {
     return cluster_;

@@ -1,17 +1,20 @@
 // The storage digest (gf/fingerprint.h): GF(2^8)-linear on every dispatch
 // tier, byte-identical to its definition (gf::ref::fingerprint) on every
-// tier, pooled and unpooled, and sensitive to every single-byte change and
-// to the block's length.
+// tier, pooled, unpooled and folded tile by tile, sensitive to every
+// single-byte change and to the block's length, and carried through the RS
+// encode (the parity digests storage derives from the data digests).
 #include "gf/fingerprint.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "gf/gf256.h"
 #include "gf/gf_region.h"
+#include "rs/rs_code.h"
 #include "util/rng.h"
 
 namespace gf = rpr::gf;
@@ -124,4 +127,80 @@ TEST(Fingerprint, DistinguishesLengthsAndZeroPadding) {
   EXPECT_EQ(a.lanes, b.lanes);
   EXPECT_NE(a, b);
   EXPECT_EQ(gf::fingerprint({}), gf::Fingerprint{});
+}
+
+TEST(Fingerprint, TilesFoldedInAnyOrderMatchTheDefinition) {
+  // fold() at chunk offsets: a block cut into random runs of chunks, folded
+  // in shuffled order, some into the same fingerprint and some into their
+  // own, XORs to the block's fingerprint. Only the last tile may end inside
+  // a chunk.
+  rpr::util::Xoshiro256 rng(21);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{255}, std::size_t{256}, std::size_t{1000},
+        std::size_t{4096 + 17}, std::size_t{(300 << 10) + 5}}) {
+    SCOPED_TRACE(testing::Message() << "length " << n);
+    const auto x = random_buf(n, n + 3);
+    const std::size_t chunks = (n + gf::kFingerprintChunk - 1) /
+                               gf::kFingerprintChunk;
+    std::vector<std::pair<std::size_t, std::size_t>> tiles;  // [first, last)
+    for (std::size_t c = 0; c < chunks;) {
+      const std::size_t len = std::min(chunks - c, 1 + rng.below(200));
+      tiles.emplace_back(c, c + len);
+      c += len;
+    }
+    for (std::size_t i = tiles.size(); i > 1; --i) {
+      std::swap(tiles[i - 1], tiles[rng.below(i)]);
+    }
+    gf::Fingerprint got;
+    got.length = n;
+    for (const auto& [first, last] : tiles) {
+      const std::size_t begin = first * gf::kFingerprintChunk;
+      const std::size_t end = std::min(last * gf::kFingerprintChunk, n);
+      if (rng.below(2) == 0) {
+        gf::fold(got, {x.data() + begin, end - begin}, first);
+      } else {
+        gf::Fingerprint own;
+        gf::fold(own, {x.data() + begin, end - begin}, first);
+        gf::xor_region(got.lanes, own.lanes);
+      }
+    }
+    EXPECT_EQ(got, gf::fingerprint(x));
+    EXPECT_EQ(got, gf::ref::fingerprint(x));
+  }
+}
+
+TEST(Fingerprint, ParityDigestsFollowFromDataDigests) {
+  // fp(P_i) = Σ_j g_ij · fp(D_j): encoding the data blocks' lanes with the
+  // code's own matrix gives each parity block's fingerprint.
+  for (const rpr::rs::CodeConfig cfg :
+       {rpr::rs::CodeConfig{6, 3}, rpr::rs::CodeConfig{12, 4}}) {
+    const rpr::rs::RSCode code(cfg);
+    for (const std::size_t len :
+         {std::size_t{1}, std::size_t{255}, std::size_t{256},
+          std::size_t{1000}, std::size_t{4096 + 17}, std::size_t{1 << 20}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "RS(" << cfg.n << "," << cfg.k << ") length " << len);
+      std::vector<rpr::rs::Block> stripe(cfg.total());
+      for (std::size_t b = 0; b < cfg.n; ++b) {
+        stripe[b] = random_buf(len, 1000 * cfg.n + 7 * b + len);
+      }
+      code.encode_stripe(stripe);
+      std::vector<gf::Fingerprint> fp(cfg.total());
+      std::vector<const std::uint8_t*> data(cfg.n);
+      for (std::size_t b = 0; b < cfg.n; ++b) {
+        fp[b] = gf::fingerprint(stripe[b]);
+        data[b] = fp[b].lanes.data();
+      }
+      std::vector<std::uint8_t*> parity(cfg.k);
+      for (std::size_t i = 0; i < cfg.k; ++i) {
+        fp[cfg.n + i].length = len;
+        parity[i] = fp[cfg.n + i].lanes.data();
+      }
+      code.encode_regions(data.data(), parity.data(), fp[0].lanes.size());
+      for (std::size_t i = 0; i < cfg.k; ++i) {
+        EXPECT_EQ(fp[cfg.n + i], gf::fingerprint(stripe[cfg.n + i]))
+            << "parity " << i;
+      }
+    }
+  }
 }

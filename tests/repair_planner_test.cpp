@@ -15,6 +15,7 @@
 #include "gf/gf_region.h"
 #include "repair/executor_sim.h"
 #include "repair/replan.h"
+#include "rs/block_recycler.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -518,6 +519,40 @@ TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
       expect_same_values(remainder, ops, ext);
     }
   }
+}
+
+TEST(DataExecutor, CancelledOutputIsZeroInADirtyRecycledBuffer) {
+  // Outputs come from the recycler with stale bytes: the encode pass must
+  // overwrite them, with zeros where an output's leaf terms cancel, alone
+  // in its pass or next to an output that reads blocks.
+  constexpr std::size_t kBlock = 160 << 10;  // crosses the shard threshold
+  auto& recycler = rpr::rs::BlockRecycler::shared();
+  const auto dirty = [&] {
+    std::vector<rpr::rs::Block> stale(4);
+    for (auto& b : stale) {
+      b = recycler.take(kBlock);
+      std::fill(b.begin(), b.end(), std::uint8_t{0xEE});
+    }
+    recycler.give(stale);
+  };
+  rpr::repair::RepairPlan plan;
+  plan.block_size = kBlock;
+  const auto a = plan.read(0, 0, 0x35);
+  const auto b = plan.read(1, 0, 0x35);
+  const auto c = plan.read(1, 1, 1);
+  const auto cancelled = plan.combine(0, {a, b});
+  const auto kept = plan.combine(1, {a, b, c});
+  const auto stripe = rpr::testing::random_stripe(RSCode({2, 1}), kBlock, 9);
+  const rpr::rs::Block zeros(kBlock, 0);
+
+  dirty();
+  const std::vector<rpr::repair::OpId> alone = {cancelled};
+  EXPECT_EQ(rpr::repair::execute_on_data(plan, alone, stripe)[0], zeros);
+  dirty();
+  const std::vector<rpr::repair::OpId> both = {cancelled, kept};
+  const auto got = rpr::repair::execute_on_data(plan, both, stripe);
+  EXPECT_EQ(got[0], zeros);
+  EXPECT_EQ(got[1], stripe[1]);
 }
 
 TEST(DataExecutor, RejectsEmptyOrMismatchedLeaf) {

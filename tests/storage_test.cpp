@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "repair/executor_data.h"
+#include "rs/block_recycler.h"
 #include "sched/scheduler.h"
 #include "storage/failure.h"
 #include "util/rng.h"
@@ -196,7 +197,8 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
   // zero-fault resilient session: the same rebuilt bytes, traffic, time
   // and sim.* telemetry as planning the problem and running simulate +
   // execute_on_data on it directly. The storage layer adds only its digest
-  // counter: the n+k blocks at put, then one block per read and repair.
+  // counter: the n data blocks at put (the parity digests follow by
+  // linearity), then one block per read and repair.
   for (const Scheme scheme : {Scheme::kTraditional, Scheme::kCar,
                               Scheme::kRpr, Scheme::kRprChained}) {
     for (const std::size_t lost : {std::size_t{1}, std::size_t{6}}) {
@@ -213,7 +215,7 @@ TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
       const auto& cfg = sys.code().config();
       const auto& cluster = sys.cluster();
       auto& digested = ref_reg.counter("storage.digest_bytes");
-      digested.add(cfg.total() * o.block_size);
+      digested.add(cfg.n * o.block_size);
 
       // The stripe's true blocks, encoded the way put() does.
       std::vector<rpr::rs::Block> blocks(cfg.total());
@@ -528,7 +530,8 @@ TEST(Storage, DigestsEachBlockOnce) {
   };
 
   rpr::storage::StripeId id = 0;
-  EXPECT_EQ(blocks_hashed([&] { id = sys.put(obj); }), cfg.total());
+  // put hashes the data blocks; the parity digests follow by linearity.
+  EXPECT_EQ(blocks_hashed([&] { id = sys.put(obj); }), cfg.n);
   EXPECT_EQ(blocks_hashed([&] { EXPECT_EQ(sys.get(id), obj); }), 0u);
   const auto nodes = sys.stripe_nodes(id);
   rpr::topology::NodeId reader = 0;
@@ -561,6 +564,83 @@ TEST(Storage, DigestsEachBlockOnce) {
             }),
             1u);
   EXPECT_EQ(blocks_hashed([&] { EXPECT_EQ(sys.get(id), obj); }), 0u);
+}
+
+TEST(Storage, RecycledBlocksNeverLeakStaleBytes) {
+  // put, repair and degraded reads take their blocks from the process-wide
+  // recycler and never clear them: put must overwrite every byte (the
+  // padded tail with zeros) and fingerprint what it wrote. A system full of
+  // random objects is destroyed first, so the blocks a fresh system takes
+  // hold its bytes; any byte put or a repair fails to write shows up as a
+  // mismatch or a failed digest. Block sizes: one with a short tail chunk,
+  // one that put's pass shards over the pool (with a tail chunk too).
+  for (const std::size_t bs :
+       {std::size_t{1000}, std::size_t{(256 << 10) + 100}}) {
+    SCOPED_TRACE(testing::Message() << "block " << bs);
+    StorageOptions o = small_opts();
+    o.block_size = bs;
+    const std::size_t n = o.code.n;
+    {
+      StorageSystem dirty(o);
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        (void)dirty.put(random_object(n * bs, seed));
+      }
+    }
+    auto stale = rpr::rs::BlockRecycler::shared().take(bs);
+    EXPECT_NE(stale, rpr::rs::Block(bs, 0)) << "no stale block to recycle";
+    rpr::rs::BlockRecycler::shared().give({&stale, 1});
+
+    StorageSystem sys(o);
+    const auto& cfg = sys.code().config();
+    std::vector<std::vector<std::uint8_t>> objects;
+    std::vector<rpr::storage::StripeId> ids;
+    std::uint64_t seed = 100;
+    const auto put = [&](std::size_t size) {
+      objects.push_back(random_object(size, ++seed));
+      ids.push_back(sys.put(objects.back()));
+    };
+    // Every get and every block read, healthy or degraded, must deliver the
+    // zero-padded split and its encode, verified.
+    const auto check_all = [&] {
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "object of " << objects[i].size());
+        EXPECT_EQ(sys.get(ids[i]), objects[i]);
+        std::vector<rpr::rs::Block> want(cfg.total(), rpr::rs::Block(bs, 0));
+        for (std::size_t b = 0; b < objects[i].size(); ++b) {
+          want[b / bs][b % bs] = objects[i][b];
+        }
+        sys.code().encode_stripe(want);
+        const auto nodes = sys.stripe_nodes(ids[i]);
+        rpr::topology::NodeId reader = 0;
+        while (!sys.node_alive(reader) ||
+               std::find(nodes.begin(), nodes.end(), reader) != nodes.end()) {
+          ++reader;
+        }
+        for (std::size_t b = 0; b < cfg.total(); ++b) {
+          const auto r = sys.read_block(ids[i], b, reader);
+          EXPECT_TRUE(r.verified) << "block " << b;
+          EXPECT_EQ(r.data, want[b]) << "block " << b;
+        }
+      }
+    };
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{255}, bs - 1, bs + 1, n * bs}) {
+      put(size);
+    }
+    check_all();
+    // Blocks given back by wipe_node are re-taken by degraded reads, by
+    // repair and by the next put.
+    for (std::size_t round = 0; round < 3; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      const auto node = sys.stripe_nodes(ids[round])[round];
+      sys.fail_node(node);
+      check_all();
+      EXPECT_FALSE(sys.repair_all().empty());
+      sys.revive_node(node);
+      put(round == 0 ? bs + 1 : n * bs - round);
+      check_all();
+    }
+  }
 }
 
 TEST(Storage, IntactStateMatchesShadowModel) {

@@ -1,27 +1,14 @@
 #include "rs/block_recycler.h"
 
-#include <cstdint>
 #include <utility>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
+#include "util/pages.h"
 
 namespace rpr::rs {
 
 void reserve_huge(Block& block, std::size_t size) {
   block.reserve(size);
-#ifdef MADV_HUGEPAGE
-  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
-  const auto begin = reinterpret_cast<std::uintptr_t>(block.data());
-  const std::uintptr_t lo = (begin + kHugePage - 1) & ~(kHugePage - 1);
-  const std::uintptr_t hi = (begin + block.capacity()) & ~(kHugePage - 1);
-  // Advice only: where THP is off or the range is not anonymous memory the
-  // call fails and the pages stay 4 KiB.
-  if (hi > lo) {
-    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-  }
-#endif
+  util::advise_huge_pages(block.data(), block.capacity());
 }
 
 BlockRecycler& BlockRecycler::shared() {

@@ -29,9 +29,8 @@
 namespace rpr::rs {
 
 /// Reserves `size` bytes of capacity in the empty `block` and advises
-/// transparent huge pages on the 2 MiB-aligned interior of that capacity
-/// (where the platform has MADV_HUGEPAGE), so the bytes written next fault
-/// in 2 MiB at a time. The size stays 0.
+/// transparent huge pages on that capacity (util::advise_huge_pages), so
+/// the bytes written next fault in 2 MiB at a time. The size stays 0.
 void reserve_huge(Block& block, std::size_t size);
 
 class BlockRecycler {

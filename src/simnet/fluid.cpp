@@ -23,16 +23,7 @@ FluidNetwork::FluidNetwork(topology::Cluster cluster,
 TaskId FluidNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
                                   const std::vector<TaskId>& deps,
                                   std::string_view label) {
-  if (from >= cluster_.total_nodes() || to >= cluster_.total_nodes()) {
-    throw std::invalid_argument("add_transfer: node out of range");
-  }
-  TaskStats st;
-  st.kind = TaskKind::kTransfer;
-  st.from = from;
-  st.node = to;
-  st.bytes = bytes;
-  st.cross_rack = from != to && cluster_.rack_of(from) != cluster_.rack_of(to);
-  const TaskId id = tasks_.add(st, deps, label);
+  const TaskId id = tasks_.add_transfer(cluster_, from, to, bytes, deps, label);
   remaining_.push_back(static_cast<double>(bytes));
   return id;
 }
@@ -40,22 +31,13 @@ TaskId FluidNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
 TaskId FluidNetwork::add_compute(NodeId at, SimTime duration,
                                  const std::vector<TaskId>& deps,
                                  std::string_view label) {
-  if (at >= cluster_.total_nodes()) {
-    throw std::invalid_argument("add_compute: node out of range");
-  }
-  TaskStats st;
-  st.kind = TaskKind::kCompute;
-  st.from = at;
-  st.node = at;
-  const TaskId id = tasks_.add(st, deps, label);
+  const TaskId id = tasks_.add_compute(cluster_, at, deps, label);
   remaining_.push_back(util::to_sec(duration));  // cpu-seconds
   return id;
 }
 
 void FluidNetwork::tag_task(TaskId id, std::int64_t op, std::int64_t slice) {
-  TaskStats& st = tasks_.at(id, "tag_task");
-  st.op = op;
-  st.slice = slice;
+  tasks_.tag(id, op, slice);
 }
 
 SimTime FluidNetwork::decode_duration(std::uint64_t bytes,

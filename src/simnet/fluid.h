@@ -59,7 +59,7 @@ class FluidNetwork {
   topology::NetworkParams params_;
   TaskTable tasks_;
   /// Bytes (transfers) or cpu-seconds (computes) each task has left.
-  std::vector<double> remaining_;
+  util::SegmentedArray<double> remaining_;
   obs::Recorder* recorder_ = nullptr;
   bool ran_ = false;
 };

@@ -147,9 +147,9 @@ void record_metrics(const RunResult& result, const topology::Cluster& cluster,
 
   // Port busy time, reconstructed from the task intervals: a transfer holds
   // the sender's TX and receiver's RX (plus both rack uplink channels when
-  // crossing) for its whole duration; a compute holds its node's CPU. The
-  // sender of a task is not in TaskStats, so busy time is charged where it
-  // is attributable: RX/CPU per node, TX/RX per rack.
+  // crossing) for its whole duration; a compute holds its node's CPU. Busy
+  // time is reported on the receiving side only: RX and CPU per node, the
+  // downlink per rack.
   std::vector<util::SimTime> node_rx(cluster.total_nodes(), 0);
   std::vector<util::SimTime> node_cpu(cluster.total_nodes(), 0);
   std::vector<util::SimTime> rack_rx(cluster.racks(), 0);

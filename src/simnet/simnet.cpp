@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/contracts.h"
 
@@ -40,16 +42,65 @@ TaskId TaskTable::add(const TaskStats& st, std::span<const TaskId> deps,
   if (id >= kNoLink || links_.size() + deps.size() >= kNoLink) {
     throw std::length_error("TaskTable: too many tasks");
   }
-  result_.tasks.push_back(st);
-  result_.tasks.back().label = intern(label);
-  result_.dep_ids_.insert(result_.dep_ids_.end(), deps.begin(), deps.end());
-  result_.dep_begin_.push_back(result_.dep_ids_.size());
+  TaskStats rec = st;
+  rec.label = intern(label);
+  result_.tasks.push_back(rec);
+  result_.dep_ids_.append_run(deps);
+  result_.dep_end_.push_back(result_.dep_ids_.size());
   first_dependent_.push_back(kNoLink);
   for (const TaskId d : deps) {
     links_.push_back(Link{static_cast<std::uint32_t>(id), first_dependent_[d]});
     first_dependent_[d] = static_cast<std::uint32_t>(links_.size() - 1);
   }
   return id;
+}
+
+namespace {
+
+/// `v` as TaskStats' narrower field type T; throws instead of truncating.
+template <typename T, typename V>
+T narrow(V v, const char* what) {
+  if (!std::in_range<T>(v)) {
+    throw std::out_of_range(std::string(what) + ": value out of range");
+  }
+  return static_cast<T>(v);
+}
+
+}  // namespace
+
+TaskId TaskTable::add_transfer(const topology::Cluster& cluster, NodeId from,
+                               NodeId to, std::uint64_t bytes,
+                               std::span<const TaskId> deps,
+                               std::string_view label) {
+  if (from >= cluster.total_nodes() || to >= cluster.total_nodes()) {
+    throw std::invalid_argument("add_transfer: node out of range");
+  }
+  TaskStats st;
+  st.kind = TaskKind::kTransfer;
+  st.from = narrow<std::uint32_t>(from, "add_transfer");
+  st.node = narrow<std::uint32_t>(to, "add_transfer");
+  st.bytes = bytes;
+  st.cross_rack = from != to && cluster.rack_of(from) != cluster.rack_of(to);
+  return add(st, deps, label);
+}
+
+TaskId TaskTable::add_compute(const topology::Cluster& cluster, NodeId at,
+                              std::span<const TaskId> deps,
+                              std::string_view label) {
+  if (at >= cluster.total_nodes()) {
+    throw std::invalid_argument("add_compute: node out of range");
+  }
+  TaskStats st;
+  st.kind = TaskKind::kCompute;
+  st.from = st.node = narrow<std::uint32_t>(at, "add_compute");
+  return add(st, deps, label);
+}
+
+void TaskTable::tag(TaskId id, std::int64_t op, std::int64_t slice) {
+  TaskStats& st = at(id, "tag_task");
+  const auto op32 = narrow<std::int32_t>(op, "tag_task");
+  st.slice = narrow<std::int32_t>(slice, "tag_task");
+  st.op = op32;
 }
 
 TaskStats& TaskTable::at(TaskId id, const char* what) {
@@ -91,16 +142,7 @@ SimNetwork::SimNetwork(topology::Cluster cluster,
 TaskId SimNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
                                 const std::vector<TaskId>& deps,
                                 std::string_view label) {
-  if (from >= cluster_.total_nodes() || to >= cluster_.total_nodes()) {
-    throw std::invalid_argument("add_transfer: node out of range");
-  }
-  TaskStats st;
-  st.kind = TaskKind::kTransfer;
-  st.from = from;
-  st.node = to;
-  st.bytes = bytes;
-  st.cross_rack = from != to && cluster_.rack_of(from) != cluster_.rack_of(to);
-  const TaskId id = tasks_.add(st, deps, label);
+  const TaskId id = tasks_.add_transfer(cluster_, from, to, bytes, deps, label);
   compute_time_.push_back(0);
   return id;
 }
@@ -108,22 +150,13 @@ TaskId SimNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
 TaskId SimNetwork::add_compute(NodeId at, SimTime duration,
                                const std::vector<TaskId>& deps,
                                std::string_view label) {
-  if (at >= cluster_.total_nodes()) {
-    throw std::invalid_argument("add_compute: node out of range");
-  }
-  TaskStats st;
-  st.kind = TaskKind::kCompute;
-  st.from = at;
-  st.node = at;
-  const TaskId id = tasks_.add(st, deps, label);
+  const TaskId id = tasks_.add_compute(cluster_, at, deps, label);
   compute_time_.push_back(duration);
   return id;
 }
 
 void SimNetwork::tag_task(TaskId id, std::int64_t op, std::int64_t slice) {
-  TaskStats& st = tasks_.at(id, "tag_task");
-  st.op = op;
-  st.slice = slice;
+  tasks_.tag(id, op, slice);
 }
 
 void SimNetwork::slow_node(NodeId node, double factor) {
@@ -371,8 +404,8 @@ class SimNetwork::Engine {
   /// Registers tasks [first, size) — all of them at the start of the run,
   /// or those the finish hook just added — counting only unfinished deps.
   void integrate(std::size_t first) {
-    unmet_.resize(tasks_.size(), 0);
-    done_.resize(tasks_.size(), 0);
+    unmet_.grow_to(tasks_.size());
+    done_.grow_to(tasks_.size());
     for (TaskId id = first; id < tasks_.size(); ++id) {
       std::uint32_t unmet = 0;
       for (const TaskId d : tasks_.deps(id)) {
@@ -529,8 +562,8 @@ class SimNetwork::Engine {
   const double share_;  ///< the arbiter's repair share
   SimTime now_ = 0;
   std::size_t attempts_ = 0;
-  std::vector<std::uint32_t> unmet_;
-  std::vector<char> done_;
+  util::SegmentedArray<std::uint32_t> unmet_;
+  util::SegmentedArray<char> done_;
   MinHeap<Completion> running_;
   MinHeap<Key> timed_;  ///< ready, but not before their ready time
   MinHeap<Candidate> candidates_;

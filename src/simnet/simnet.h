@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "topology/cluster.h"
+#include "util/segmented_array.h"
 #include "util/units.h"
 
 namespace rpr::simnet {
@@ -82,8 +83,10 @@ struct ArbiterConfig {
 /// Index into RunResult's label table; RunResult::label(id) resolves it.
 using LabelId = std::uint32_t;
 
-/// One task's identity and schedule. Identity is written as the task is
-/// built (add_*, tag_task, set_*); ready/start/finish when it runs.
+/// One task's identity and schedule, in one 64-byte cache line. Identity
+/// is written as the task is built (add_*, tag_task, set_*); ready/start/
+/// finish when it runs. Node ids and op/slice stamps are stored in 32 bits:
+/// add_* and tag_task throw std::out_of_range on values that do not fit.
 struct TaskStats {
   util::SimTime ready = 0;   ///< all dependencies finished
   util::SimTime start = 0;   ///< ports acquired
@@ -91,18 +94,19 @@ struct TaskStats {
   std::uint64_t bytes = 0;
   /// Plan-op / slice identity stamped by the lowering (tag_task); -1 when
   /// the task was submitted directly rather than lowered from a plan.
-  std::int64_t op = -1;
-  std::int64_t slice = -1;
+  std::int32_t op = -1;
+  std::int32_t slice = -1;
   /// Where the task's result lives: transfer destination / compute node.
-  topology::NodeId node = 0;
+  std::uint32_t node = 0;
   /// Transfer source (equals `node` for computes and local reads).
-  topology::NodeId from = 0;
+  std::uint32_t from = 0;
   int priority = 0;
   LabelId label = 0;
   TaskKind kind = TaskKind::kTransfer;
   TrafficClass cls = TrafficClass::kRepair;
   bool cross_rack = false;
 };
+static_assert(sizeof(TaskStats) <= 64, "TaskStats is one cache line");
 
 struct RunResult {
   util::SimTime makespan = 0;
@@ -123,7 +127,10 @@ struct RunResult {
   /// it became ready, plus once per wake-up by a freed port or a repaid
   /// arbiter bucket. The simulator's cost in proportion to its tasks.
   std::size_t start_attempts = 0;
-  std::vector<TaskStats> tasks;  ///< indexed by TaskId
+  /// Indexed by TaskId; read it by index, size() or range-for. Storage
+  /// that never moves: a fleet run holds millions of tasks, and regrowing
+  /// a vector of them would copy every record several times over.
+  util::SegmentedArray<TaskStats> tasks;
 
   /// The task's label ("" when it has none).
   [[nodiscard]] const std::string& label(TaskId id) const {
@@ -132,30 +139,39 @@ struct RunResult {
   /// The task ids this task waited on — the causal edges the instrument
   /// layer turns into trace flow arrows and the critical-path DAG.
   [[nodiscard]] std::span<const TaskId> deps(TaskId id) const {
-    return {dep_ids_.data() + dep_begin_[id],
-            dep_begin_[id + 1] - dep_begin_[id]};
+    return dep_ids_.run(id == 0 ? 0 : dep_end_[id - 1], dep_end_[id]);
   }
 
  private:
   friend class TaskTable;
   /// Interned labels; labels_[0] is "".
   std::vector<std::string> labels_{std::string()};
-  /// Every task's deps, concatenated in id order: task i's deps are
-  /// dep_ids_[dep_begin_[i] .. dep_begin_[i + 1]).
-  std::vector<TaskId> dep_ids_;
-  std::vector<std::size_t> dep_begin_{0};
+  /// Every task's deps, appended in id order as one contiguous run each;
+  /// dep_end_[i] is dep_ids_.size() just after task i's run.
+  util::SegmentedArray<TaskId> dep_ids_;
+  util::SegmentedArray<std::size_t> dep_end_;
 };
 
-/// The task store both simulators build their RunResult in: one compact
-/// TaskStats per task, every task's deps in one flat array, labels
-/// interned, and each task's dependents as a linked list over one flat
-/// link array (dependents arrive after the task, even mid-run).
+/// The task store both simulators build their RunResult in: one 64-byte
+/// TaskStats per task, every task's deps in one arena, labels interned,
+/// and each task's dependents as a linked list over one link arena
+/// (dependents arrive after the task, even mid-run). Every per-task array
+/// is a util::SegmentedArray: it grows without copying, and once large it
+/// faults its pages in 2 MiB at a time.
 class TaskTable {
  public:
-  /// Appends a task with identity `st`; every dep must name an earlier
-  /// task.
-  TaskId add(const TaskStats& st, std::span<const TaskId> deps,
-             std::string_view label);
+  /// Appends a transfer of `bytes` from `from` to `to` after `deps`. Throws
+  /// std::invalid_argument unless both nodes are in `cluster` and every dep
+  /// names an earlier task.
+  TaskId add_transfer(const topology::Cluster& cluster, topology::NodeId from,
+                      topology::NodeId to, std::uint64_t bytes,
+                      std::span<const TaskId> deps, std::string_view label);
+  /// Appends a compute at node `at` after `deps` (checked likewise).
+  TaskId add_compute(const topology::Cluster& cluster, topology::NodeId at,
+                     std::span<const TaskId> deps, std::string_view label);
+  /// SimNetwork::tag_task: throws std::out_of_range unless `op` and
+  /// `slice` fit in TaskStats' 32-bit fields.
+  void tag(TaskId id, std::int64_t op, std::int64_t slice);
 
   [[nodiscard]] std::size_t size() const noexcept {
     return result_.tasks.size();
@@ -188,6 +204,8 @@ class TaskTable {
     std::uint32_t next;  ///< next link of the same dependency, or kNoLink
   };
 
+  TaskId add(const TaskStats& st, std::span<const TaskId> deps,
+             std::string_view label);
   LabelId intern(std::string_view label);
 
   RunResult result_;
@@ -201,8 +219,8 @@ class TaskTable {
   std::unordered_map<std::string, LabelId, LabelHash, std::equal_to<>>
       label_ids_;
   LabelId last_label_ = 0;  ///< consecutive tasks usually share a label
-  std::vector<std::uint32_t> first_dependent_;
-  std::vector<Link> links_;
+  util::SegmentedArray<std::uint32_t> first_dependent_;
+  util::SegmentedArray<Link> links_;
 };
 
 /// While alive, hands every RunResult that SimNetwork::run() returns on
@@ -304,7 +322,7 @@ class SimNetwork {
   TaskTable tasks_;
   /// Compute duration per task (0 for transfers, whose time follows from
   /// their bytes and the link they cross).
-  std::vector<util::SimTime> compute_time_;
+  util::SegmentedArray<util::SimTime> compute_time_;
   /// Per-node outgoing-transfer slowdown (1.0 = healthy); empty when unused.
   std::vector<double> tx_slowdown_;
   /// Per-node compute slowdown (slow disk feeding decode); empty = unused.

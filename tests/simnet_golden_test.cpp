@@ -90,8 +90,8 @@ class RunHasher {
       add(static_cast<std::uint64_t>(t.cross_rack ? 1 : 0));
       add(static_cast<std::uint64_t>(t.cls));
       add(static_cast<std::int64_t>(t.priority));
-      add(t.op);
-      add(t.slice);
+      add(static_cast<std::int64_t>(t.op));
+      add(static_cast<std::int64_t>(t.slice));
       add(r.label(id));
       const auto deps = r.deps(id);
       add(static_cast<std::uint64_t>(deps.size()));

@@ -1,8 +1,13 @@
 // Discrete-event network simulator tests: bandwidth math, port
-// serialization, parallelism, dependencies, determinism.
+// serialization, parallelism, dependencies, determinism, task records.
 #include "simnet/simnet.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 using rpr::simnet::SimNetwork;
 using rpr::topology::Cluster;
@@ -199,4 +204,95 @@ TEST(SimNet, TimedTaskStartsWhileOthersArePortBlocked) {
   EXPECT_EQ(r.tasks[c].ready, 300 * kMs);
   EXPECT_EQ(r.tasks[c].start, 300 * kMs);
   EXPECT_EQ(r.tasks[c].finish, 301 * kMs);
+}
+
+TEST(SimNet, DepsAcrossTheFirstArenaSegmentStayWhole) {
+  // Task 0, then tasks that each wait on it until the deps arena's first
+  // segment has one slot left; the next task's five deps do not fit there
+  // and must come back whole from the next segment.
+  using rpr::simnet::TaskId;
+  constexpr std::size_t kFirst = rpr::util::SegmentedArray<TaskId>::kBase;
+  SimNetwork net(Cluster(1, 2, 0), round_params());
+  const TaskId root = net.add_compute(0, 1, {});
+  for (std::size_t i = 0; i + 1 < kFirst; ++i) net.add_compute(0, 1, {root});
+  const std::vector<TaskId> five{1, 2, 3, 4, 5};
+  const TaskId across = net.add_compute(1, 1, five);
+  const TaskId after = net.add_compute(1, 1, {across, root});
+  const auto r = net.run();
+  ASSERT_EQ(r.tasks.size(), kFirst + 2);
+  EXPECT_TRUE(r.deps(root).empty());
+  for (TaskId id = 1; id < kFirst; ++id) {
+    ASSERT_EQ(r.deps(id).size(), 1u);
+    EXPECT_EQ(r.deps(id)[0], root);
+  }
+  EXPECT_EQ(std::vector<TaskId>(r.deps(across).begin(), r.deps(across).end()),
+            five);
+  EXPECT_EQ(std::vector<TaskId>(r.deps(after).begin(), r.deps(after).end()),
+            (std::vector<TaskId>{across, root}));
+  EXPECT_EQ(r.tasks[across].start, r.tasks[5].finish);
+}
+
+TEST(SimNet, CopiedRunResultEqualsTheOriginal) {
+  SimNetwork net(Cluster(2, 2, 0), round_params());
+  const auto a = net.add_transfer(0, 2, kBlock, {}, "cross:a");
+  const auto b = net.add_transfer(1, 0, kBlock, {});
+  const auto c = net.add_compute(0, 3 * kMs, {a, b}, "decode");
+  net.tag_task(c, 7, 2);
+  net.set_priority(b, 3);
+  net.set_class(b, rpr::simnet::TrafficClass::kForeground);
+  const auto r = net.run();
+  const rpr::simnet::RunResult copy = r;
+  EXPECT_EQ(copy.makespan, r.makespan);
+  EXPECT_EQ(copy.cross_rack_bytes, r.cross_rack_bytes);
+  EXPECT_EQ(copy.inner_rack_bytes, r.inner_rack_bytes);
+  EXPECT_EQ(copy.cross_rack_transfers, r.cross_rack_transfers);
+  EXPECT_EQ(copy.inner_rack_transfers, r.inner_rack_transfers);
+  EXPECT_EQ(copy.rack_upload_bytes, r.rack_upload_bytes);
+  EXPECT_EQ(copy.rack_download_bytes, r.rack_download_bytes);
+  EXPECT_EQ(copy.repair_bytes, r.repair_bytes);
+  EXPECT_EQ(copy.foreground_bytes, r.foreground_bytes);
+  EXPECT_EQ(copy.start_attempts, r.start_attempts);
+  ASSERT_EQ(copy.tasks.size(), r.tasks.size());
+  for (rpr::simnet::TaskId id = 0; id < r.tasks.size(); ++id) {
+    const auto& x = copy.tasks[id];
+    const auto& y = r.tasks[id];
+    EXPECT_NE(&x, &y);
+    EXPECT_EQ(x.ready, y.ready);
+    EXPECT_EQ(x.start, y.start);
+    EXPECT_EQ(x.finish, y.finish);
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.op, y.op);
+    EXPECT_EQ(x.slice, y.slice);
+    EXPECT_EQ(x.node, y.node);
+    EXPECT_EQ(x.from, y.from);
+    EXPECT_EQ(x.priority, y.priority);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.cls, y.cls);
+    EXPECT_EQ(x.cross_rack, y.cross_rack);
+    EXPECT_EQ(copy.label(id), r.label(id));
+    EXPECT_EQ(std::vector<rpr::simnet::TaskId>(copy.deps(id).begin(),
+                                               copy.deps(id).end()),
+              std::vector<rpr::simnet::TaskId>(r.deps(id).begin(),
+                                               r.deps(id).end()));
+  }
+  EXPECT_EQ(copy.label(a), "cross:a");
+  EXPECT_EQ(copy.tasks[c].op, 7);
+  EXPECT_EQ(copy.tasks[c].slice, 2);
+}
+
+TEST(SimNet, TagOutsideThirtyTwoBitsThrows) {
+  SimNetwork net(Cluster(1, 2, 0), round_params());
+  const auto t = net.add_transfer(0, 1, kBlock, {});
+  constexpr std::int64_t kBig =
+      std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+  constexpr std::int64_t kSmall =
+      std::int64_t{std::numeric_limits<std::int32_t>::min()} - 1;
+  EXPECT_THROW(net.tag_task(t, kBig, 0), std::out_of_range);
+  EXPECT_THROW(net.tag_task(t, 0, kBig), std::out_of_range);
+  EXPECT_THROW(net.tag_task(t, kSmall, -1), std::out_of_range);
+  EXPECT_THROW(net.tag_task(t, -1, kSmall), std::out_of_range);
+  net.tag_task(t, std::numeric_limits<std::int32_t>::max(), -1);
+  const auto r = net.run();
+  EXPECT_EQ(r.tasks[t].op, std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(r.tasks[t].slice, -1);
 }

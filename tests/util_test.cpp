@@ -1,9 +1,11 @@
 // Utility-module tests: RNG determinism and distribution sanity, unit
-// types, combination enumeration, table rendering, thread-pool sharding.
+// types, combination enumeration, table rendering, thread-pool sharding,
+// the segmented array.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include "util/combinatorics.h"
 #include "util/rng.h"
+#include "util/segmented_array.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -255,4 +258,153 @@ TEST(Table, FmtPrecision) {
   EXPECT_EQ(util::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(util::fmt(3.0, 0), "3");
   EXPECT_EQ(util::fmt(-1.5, 1), "-1.5");
+}
+
+namespace {
+
+using Seg = util::SegmentedArray<std::uint64_t>;
+constexpr std::size_t kB = Seg::kBase;
+/// Elements before the first segment of 4 MiB or more: it comes from
+/// map_pages rather than operator new.
+constexpr std::size_t kFirstMapped = [] {
+  std::size_t start = 0;
+  for (std::size_t cap = kB; cap * sizeof(std::uint64_t) <
+                             util::kMappedSegmentBytes;
+       cap *= 2) {
+    start += cap;
+  }
+  return start;
+}();
+
+std::uint64_t value_at(std::size_t i) { return i * 0x9e3779b97f4a7c15ULL; }
+
+Seg filled(std::size_t n) {
+  Seg a;
+  for (std::size_t i = 0; i < n; ++i) a.push_back(value_at(i));
+  return a;
+}
+
+void expect_contents(const Seg& a, std::size_t n) {
+  ASSERT_EQ(a.size(), n);
+  std::size_t i = 0;
+  for (const std::uint64_t v : a) {
+    ASSERT_EQ(v, value_at(i)) << "index " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, n);
+  for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(a[j], value_at(j));
+  if (n > 0) {
+    EXPECT_EQ(a.back(), value_at(n - 1));
+  }
+}
+
+}  // namespace
+
+TEST(SegmentedArray, HoldsEverySizeAroundSegmentBoundaries) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kB - 1, kB, kB + 1, 3 * kB,
+        3 * kB + 1, kFirstMapped, kFirstMapped + 1}) {
+    expect_contents(filled(n), n);
+  }
+}
+
+TEST(SegmentedArray, ElementsNeverMove) {
+  Seg a;
+  std::vector<const std::uint64_t*> where;
+  for (std::size_t i = 0; i < kFirstMapped + kB; ++i) {
+    a.push_back(value_at(i));
+    if (i % 97 == 0 || i + 1 == kB || i == kB) where.push_back(&a[i]);
+  }
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (i % 97 == 0 || i + 1 == kB || i == kB) {
+      ASSERT_EQ(where[w++], &a[i]) << "index " << i;
+    }
+  }
+}
+
+TEST(SegmentedArray, CopyAndMoveKeepContents) {
+  for (const std::size_t n : {std::size_t{0}, kB + 1, kFirstMapped + 3}) {
+    const Seg a = filled(n);
+    Seg copy = a;
+    expect_contents(copy, n);
+    expect_contents(a, n);
+    if (n > 0) {
+      EXPECT_NE(&copy[0], &a[0]);
+    }
+    copy.push_back(1);  // the copy grows on its own
+    EXPECT_EQ(a.size(), n);
+
+    Seg assigned = filled(5);
+    assigned = a;
+    expect_contents(assigned, n);
+
+    Seg moved = std::move(copy);
+    EXPECT_EQ(moved.size(), n + 1);
+    EXPECT_EQ(moved.back(), 1u);
+    Seg move_assigned;
+    move_assigned = std::move(assigned);
+    expect_contents(move_assigned, n);
+  }
+}
+
+TEST(SegmentedArray, GrowToZeroFills) {
+  // Dirty the allocator's free lists with segments of the same sizes.
+  {
+    util::SegmentedArray<std::uint32_t> dirty;
+    for (std::size_t i = 0; i < 10'000; ++i) dirty.push_back(0xffffffffu);
+  }
+  util::SegmentedArray<std::uint32_t> a;
+  a.push_back(7);
+  const std::size_t big = 2 * (util::kMappedSegmentBytes / 4);
+  std::size_t expected = 1;
+  for (const std::size_t n : {std::size_t{3}, std::size_t{1000},
+                              std::size_t{5000}, std::size_t{1000}, big}) {
+    a.grow_to(n);
+    expected = std::max(expected, n);  // never shrinks
+    ASSERT_EQ(a.size(), expected);
+  }
+  EXPECT_EQ(a[0], 7u);
+  for (std::size_t i = 1; i < a.size(); ++i) ASSERT_EQ(a[i], 0u) << i;
+  a.push_back(9);
+  EXPECT_EQ(a.back(), 9u);
+}
+
+TEST(SegmentedArray, RunThatWouldCrossASegmentLandsWholeInTheNext) {
+  Seg a;
+  for (std::size_t i = 0; i + 2 < kB; ++i) a.push_back(value_at(i));
+  const std::vector<std::uint64_t> one{11};
+  const std::vector<std::uint64_t> five{21, 22, 23, 24, 25};
+  std::size_t begin = a.size();
+  a.append_run(one);  // fits: one slot stays free in segment 0
+  EXPECT_EQ(a.size(), kB - 1);
+  auto r = a.run(begin, a.size());
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0], 11u);
+  EXPECT_EQ(r.data(), &a[kB - 2]);
+
+  begin = a.size();
+  a.append_run(five);  // does not fit in the last slot: starts segment 1
+  EXPECT_EQ(a.size(), kB + 5);
+  r = a.run(begin, a.size());
+  ASSERT_EQ(r.size(), 5u);
+  EXPECT_TRUE(std::equal(r.begin(), r.end(), five.begin()));
+  EXPECT_EQ(r.data(), &a[kB]);
+  EXPECT_EQ(a[kB - 1], 0u);  // the padding
+
+  begin = a.size();
+  a.append_run({});
+  EXPECT_EQ(a.size(), begin);
+  EXPECT_TRUE(a.run(begin, a.size()).empty());
+
+  // A run longer than the next segment skips to one that holds it.
+  const std::vector<std::uint64_t> long_run(5 * kB, 3);
+  Seg b;
+  b.push_back(1);
+  begin = b.size();
+  b.append_run(long_run);
+  r = b.run(begin, b.size());
+  ASSERT_EQ(r.size(), long_run.size());
+  EXPECT_TRUE(std::equal(r.begin(), r.end(), long_run.begin()));
+  EXPECT_EQ(b[0], 1u);
 }

@@ -7,6 +7,7 @@
 // indirect call — negligible against block-sized region passes.
 #include "gf/gf_region.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -15,6 +16,7 @@
 
 #include "gf/gf256.h"
 #include "gf/gf_kernels.h"
+#include "util/thread_pool.h"
 
 namespace rpr::gf {
 
@@ -191,6 +193,7 @@ void xor_region(std::span<std::uint8_t> dst,
 void mul_region(std::uint8_t c, std::span<std::uint8_t> dst,
                 std::span<const std::uint8_t> src) {
   assert(dst.size() == src.size());
+  if (dst.empty()) return;  // memset/memcpy take no null pointer, even for 0
   if (c == 0) {
     std::memset(dst.data(), 0, dst.size());
     return;
@@ -246,6 +249,30 @@ void encode_regions(std::span<const std::uint8_t> matrix, std::size_t rows,
     k.mul_region_multi(matrix.data() + r * cols, cols, srcs, dsts[r], len,
                        /*accumulate=*/false);
   }
+}
+
+void encode_regions_pooled(std::span<const std::uint8_t> matrix,
+                           std::size_t rows, std::size_t cols,
+                           const std::uint8_t* const* srcs,
+                           std::uint8_t* const* dsts, std::size_t len) {
+  constexpr std::size_t kLine = 64;
+  // Below this a shard's pool round-trip costs more than its GF work.
+  constexpr std::size_t kMinShard = 256 << 10;
+  constexpr std::size_t kTileSources = 256 << 10;
+  util::ThreadPool::shared().parallel_for(
+      len, kLine, kMinShard, [&](std::size_t b, std::size_t e) {
+        const std::size_t tile = std::max<std::size_t>(
+            4 << 10, kTileSources / std::max<std::size_t>(cols, 1) / kLine *
+                         kLine);
+        std::vector<const std::uint8_t*> s(cols);
+        std::vector<std::uint8_t*> d(rows);
+        for (std::size_t off = b; off < e; off += tile) {
+          for (std::size_t c = 0; c < cols; ++c) s[c] = srcs[c] + off;
+          for (std::size_t r = 0; r < rows; ++r) d[r] = dsts[r] + off;
+          encode_regions(matrix, rows, cols, s.data(), d.data(),
+                         std::min(tile, e - off));
+        }
+      });
 }
 
 namespace ref {

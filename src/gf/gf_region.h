@@ -113,6 +113,17 @@ void encode_regions(std::span<const std::uint8_t> matrix, std::size_t rows,
                     std::size_t cols, const std::uint8_t* const* srcs,
                     std::uint8_t* const* dsts, std::size_t len);
 
+/// encode_regions over util::ThreadPool::shared(), the one pooled GF pass
+/// (RS encode and decode, the data executor, the engines' combines).
+/// Shards are 64-byte aligned and at least 256 KiB, so a pipelined slice
+/// runs inline on its caller. Each shard walks its range in tiles of about
+/// 256 KiB of sources (at least 4 KiB, a multiple of 64 B), so every row
+/// reuses the tile's sources from cache. Bytes equal one encode_regions call.
+void encode_regions_pooled(std::span<const std::uint8_t> matrix,
+                           std::size_t rows, std::size_t cols,
+                           const std::uint8_t* const* srcs,
+                           std::uint8_t* const* dsts, std::size_t len);
+
 /// Reference (scalar, obviously-correct) versions used by the test suite to
 /// validate the optimized kernels.
 namespace ref {

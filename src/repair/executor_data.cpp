@@ -10,38 +10,8 @@
 #include "gf/gf_region.h"
 #include "repair/replan.h"
 #include "rs/block_recycler.h"
-#include "util/thread_pool.h"
 
 namespace rpr::repair {
-
-namespace {
-
-// A pool shard walks its byte range in tiles that keep this many source
-// bytes in cache while every output row is computed over them.
-constexpr std::size_t kTileBytes = 256 << 10;
-
-/// dsts[r] = Σ_c matrix[r * cols + c] · srcs[c] over `len` bytes, sharded
-/// across the shared pool.
-void encode_sharded(std::span<const std::uint8_t> matrix, std::size_t rows,
-                    std::size_t cols,
-                    const std::vector<const std::uint8_t*>& srcs,
-                    const std::vector<std::uint8_t*>& dsts, std::size_t len) {
-  const std::size_t tile = std::max<std::size_t>(
-      4 << 10, kTileBytes / std::max<std::size_t>(cols, 1) / 64 * 64);
-  util::ThreadPool::shared().parallel_for(
-      len, 64, 128 << 10, [&](std::size_t b, std::size_t e) {
-        std::vector<const std::uint8_t*> s(cols);
-        std::vector<std::uint8_t*> d(rows);
-        for (std::size_t off = b; off < e; off += tile) {
-          for (std::size_t c = 0; c < cols; ++c) s[c] = srcs[c] + off;
-          for (std::size_t r = 0; r < rows; ++r) d[r] = dsts[r] + off;
-          gf::encode_regions(matrix, rows, cols, s.data(), d.data(),
-                             std::min(tile, e - off));
-        }
-      });
-}
-
-}  // namespace
 
 std::vector<rs::Block> execute_on_data(const RepairPlan& plan,
                                        std::span<const OpId> outputs,
@@ -117,7 +87,8 @@ std::vector<rs::Block> execute_on_data(const RepairPlan& plan,
     for (std::size_t c = 0; c < cols.size(); ++c) {
       srcs[c] = stripe[cols[c]].data();
     }
-    encode_sharded(matrix, rows.size(), cols.size(), srcs, dsts, len);
+    gf::encode_regions_pooled(matrix, rows.size(), cols.size(), srcs.data(),
+                              dsts.data(), len);
   }
   return result;
 }

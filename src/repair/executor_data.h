@@ -9,9 +9,10 @@
 // terms, repair/replan.h's leaf_contributions walk), so the executor does
 // not run the plan op by op: it derives each requested value's
 // coefficients over the stripe and computes all of them in one fused
-// encode pass over the union of their leaf blocks, sharded across the
-// shared thread pool. By GF linearity the bytes are those of the op-by-op
-// evaluation; the plan's schedule is the simulator's business. The output
+// encode pass over the union of their leaf blocks, on the one pooled GF
+// pass (gf::encode_regions_pooled, gf/gf_region.h). By GF linearity the
+// bytes are those of the op-by-op evaluation; the plan's schedule is the
+// simulator's business. The output
 // buffers come from rs::BlockRecycler (rs/block_recycler.h), so a block
 // storage commits from a repair is one it can give back.
 #pragma once

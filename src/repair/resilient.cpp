@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "check/scheduler.h"
+#include "gf/gf_region.h"
 #include "repair/executor_data.h"
 #include "repair/lowering.h"
 #include "repair/plan.h"
@@ -148,9 +149,10 @@ std::size_t fold_finished_values(
     const topology::NodeId node = plan.ops[cand->first].node;
     BankedPartial& g = grouped[node];
     g.node = node;
-    if (g.value.empty()) g.value.assign(cand->second.size(), 0);
-    for (std::size_t i = 0; i < g.value.size(); ++i) {
-      g.value[i] ^= cand->second[i];
+    if (g.value.empty()) {
+      g.value = cand->second;
+    } else {
+      gf::xor_region(g.value, cand->second);
     }
     for (const auto& [leaf, coeff] : contrib[cand->first]) {
       const auto pit = partial_of_slot.find(leaf);
@@ -173,9 +175,7 @@ std::size_t fold_finished_values(
     const auto git = grouped.find(p.node);
     if (git != grouped.end()) {
       BankedPartial& g = git->second;
-      for (std::size_t i = 0; i < g.value.size(); ++i) {
-        g.value[i] ^= p.value[i];
-      }
+      gf::xor_region(g.value, p.value);
       for (const auto& [b, c] : p.terms) g.terms[b] ^= c;
       drop_zero_terms(g.terms);
     } else {

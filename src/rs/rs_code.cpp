@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "gf/gf256.h"
 #include "gf/gf_region.h"
 #include "util/contracts.h"
-#include "util/thread_pool.h"
 
 namespace rpr::rs {
-
-namespace {
-
-// Blocks at least this large are sharded across the process thread pool;
-// smaller ones run inline (the pool round-trip would dominate). Chunks are
-// cut at cache-line multiples so no two shards share a destination line.
-constexpr std::size_t kShardMinBytes = 128 << 10;
-constexpr std::size_t kShardAlign = 64;
-
-}  // namespace
 
 bool RepairEquation::xor_only() const {
   return std::all_of(coefficients.begin(), coefficients.end(),
@@ -77,9 +67,7 @@ void RSCode::encode(std::span<const Block> data,
     }
   }
   // Fused matrix application: every parity cache line is written once per
-  // stripe (not once per data block), sharded across the thread pool for
-  // large blocks.
-  const std::vector<std::uint8_t> matrix = coding_rows();
+  // stripe (not once per data block), on the one pooled GF pass.
   std::vector<const std::uint8_t*> srcs(cfg_.n);
   for (std::size_t j = 0; j < cfg_.n; ++j) srcs[j] = data[j].data();
   std::vector<std::uint8_t*> dsts(cfg_.k);
@@ -87,15 +75,8 @@ void RSCode::encode(std::span<const Block> data,
     parity[i].resize(block_size);
     dsts[i] = parity[i].data();
   }
-  util::ThreadPool::shared().parallel_for(
-      block_size, kShardAlign, kShardMinBytes,
-      [&](std::size_t b, std::size_t e) {
-        std::vector<const std::uint8_t*> s(cfg_.n);
-        for (std::size_t j = 0; j < cfg_.n; ++j) s[j] = srcs[j] + b;
-        std::vector<std::uint8_t*> d(cfg_.k);
-        for (std::size_t i = 0; i < cfg_.k; ++i) d[i] = dsts[i] + b;
-        gf::encode_regions(matrix, cfg_.k, cfg_.n, s.data(), d.data(), e - b);
-      });
+  gf::encode_regions_pooled(coding_rows(), cfg_.k, cfg_.n, srcs.data(),
+                            dsts.data(), block_size);
 }
 
 void RSCode::encode_stripe(std::vector<Block>& blocks) const {
@@ -235,31 +216,32 @@ Block RSCode::evaluate(const RepairEquation& eq,
                        std::span<const Block> stripe) const {
   RPR_REQUIRE(eq.sources.size() == eq.coefficients.size(),
               "equation coefficients must parallel its sources");
-  std::size_t block_size = 0;
-  for (std::size_t i = 0; i < eq.sources.size(); ++i) {
-    if (eq.coefficients[i] != 0) {
-      block_size = stripe[eq.sources[i]].size();
-      break;
-    }
-  }
   // Fused single-output matrix application (encode_regions with one row):
-  // the accumulator is produced in one pass over all sources.
+  // the accumulator is produced in one pass over all nonzero-coefficient
+  // sources, which must hold bytes, all of one length.
   std::vector<std::uint8_t> coeffs;
   std::vector<const std::uint8_t*> srcs;
+  std::size_t block_size = 0;
   for (std::size_t i = 0; i < eq.sources.size(); ++i) {
     if (eq.coefficients[i] == 0) continue;
+    const Block& src = stripe[eq.sources[i]];
+    if (srcs.empty()) block_size = src.size();
+    if (src.empty() || src.size() != block_size) {
+      throw std::invalid_argument(
+          "evaluate: block " + std::to_string(eq.failed_block) +
+          " needs block " + std::to_string(eq.sources[i]) +
+          (src.empty() ? ", which is empty"
+                       : " of " + std::to_string(src.size()) +
+                             " bytes; its other sources hold " +
+                             std::to_string(block_size)));
+    }
     coeffs.push_back(eq.coefficients[i]);
-    srcs.push_back(stripe[eq.sources[i]].data());
+    srcs.push_back(src.data());
   }
   Block acc(block_size);
-  util::ThreadPool::shared().parallel_for(
-      block_size, kShardAlign, kShardMinBytes,
-      [&](std::size_t b, std::size_t e) {
-        std::vector<const std::uint8_t*> s(srcs.size());
-        for (std::size_t j = 0; j < srcs.size(); ++j) s[j] = srcs[j] + b;
-        std::uint8_t* d = acc.data() + b;
-        gf::encode_regions(coeffs, 1, coeffs.size(), s.data(), &d, e - b);
-      });
+  std::uint8_t* dst = acc.data();
+  gf::encode_regions_pooled(coeffs, 1, coeffs.size(), srcs.data(), &dst,
+                            block_size);
   return acc;
 }
 

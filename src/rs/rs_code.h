@@ -77,8 +77,9 @@ class RSCode {
     return generator_;
   }
 
-  /// Encodes n equally-sized data blocks into k parity blocks.
-  /// parity[i] is resized to the data block size.
+  /// Encodes n equally-sized data blocks into k parity blocks, on the one
+  /// pooled GF pass (gf::encode_regions_pooled). parity[i] is resized to the
+  /// data block size.
   void encode(std::span<const Block> data, std::span<Block> parity) const;
 
   /// Encodes a whole stripe in place: blocks[0..n) are data, blocks[n..n+k)
@@ -118,12 +119,15 @@ class RSCode {
 
   /// Full decode: `blocks` is the whole stripe with failed entries ignored;
   /// rebuilds every block listed in `failed` in place. Returns false if
-  /// more than k failures.
+  /// more than k failures; throws as evaluate() does.
   bool decode(std::vector<Block>& blocks,
               std::span<const std::size_t> failed) const;
 
-  /// Evaluates one repair equation against actual data: the bit-exact
-  /// reference for everything the planners/schedulers do in pieces.
+  /// Evaluates one repair equation against actual data, on the pooled GF
+  /// pass: the bit-exact reference for everything the planners/schedulers do
+  /// in pieces. Throws std::invalid_argument, naming the block, when a
+  /// nonzero-coefficient source is empty or differs in length from the
+  /// others.
   [[nodiscard]] Block evaluate(const RepairEquation& eq,
                                std::span<const Block> stripe) const;
 

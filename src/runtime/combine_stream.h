@@ -9,18 +9,19 @@
 // every slice is overwritten, never accumulated into (see exec_state.h):
 //
 //  * the optimized path runs one fused multi-source pass per slice that
-//    overwrites it (gf::encode_regions with one row);
+//    overwrites it: the one pooled GF pass, gf::encode_regions_pooled with
+//    one row;
 //  * the matrix-cost path clears the slice, then deliberately keeps the
 //    per-source general multiply passes (the paper's unoptimized-decoder
 //    cost model) and is never sharded, so its measured cost stays
 //    comparable between versions.
 //
-// Sharding rule: the optimized pass splits a slice across the process
-// thread pool (util::ThreadPool) only in chunks of at least kMinShardBytes.
-// A pipelined slice (64 KiB by default) is smaller than that and runs
-// inline on its op thread — a plan already runs many combines at once, and
-// handing 32 KiB chunks to the pool cost more than the GF work — while a
-// whole-block value still spreads over the pool.
+// Sharding rule, the pooled pass's one rule (gf/gf_region.h): a slice is
+// split across the process thread pool (util::ThreadPool) only in shards
+// of at least 256 KiB. A pipelined slice (64 KiB by default) is smaller
+// than that and runs inline on its op thread — a plan already runs many
+// combines at once, and handing 32 KiB chunks to the pool cost more than
+// the GF work — while a whole-block value still spreads over the pool.
 //
 // Whole-block mode is the one-slice case: a single wait on all inputs, one
 // fused pass.
@@ -38,12 +39,8 @@
 #include "matrix/matrix.h"
 #include "repair/plan.h"
 #include "runtime/exec_state.h"
-#include "util/thread_pool.h"
 
 namespace rpr::runtime::detail {
-
-/// Smallest chunk an optimized combine hands to the thread pool.
-inline constexpr std::size_t kMinShardBytes = 256 << 10;
 
 /// Real matrix-build cost of the unoptimized decode path: constructs and
 /// inverts a dim x dim GF matrix (a Cauchy matrix, guaranteed invertible).
@@ -107,14 +104,8 @@ bool stream_combine(ExecState& state, const repair::PlanOp& op,
                                    {srcs[i], len});
       }
     } else {
-      util::ThreadPool::shared().parallel_for(
-          len, 64, kMinShardBytes, [&](std::size_t b, std::size_t e) {
-            std::vector<const std::uint8_t*> sub(nin);
-            for (std::size_t i = 0; i < nin; ++i) sub[i] = srcs[i] + b;
-            std::uint8_t* dst = out.data() + off + b;
-            gf::encode_regions({coeffs.data(), nin}, 1, nin, sub.data(), &dst,
-                               e - b);
-          });
+      std::uint8_t* dst = out.data() + off;
+      gf::encode_regions_pooled(coeffs, 1, nin, srcs.data(), &dst, len);
     }
     metrics.combine_slice(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gf/gf256.h"
@@ -208,6 +210,58 @@ TEST_P(RegionTierTest, EncodeRegionsMatchesPerSourceLoop) {
       gf::ref::mul_region_add(matrix[r * cols + j], expect, data[j]);
     }
     ASSERT_EQ(out[r], expect) << "row " << r;
+  }
+}
+
+// The pooled pass shards at 256 KiB and tiles each shard by ~256 KiB of
+// sources; its bytes must equal one unpooled encode_regions call across
+// both boundaries. Each rows count meets two of the column counts 1, 2, 12
+// and 17, whose tiles differ; a third of the coefficients and, for two
+// rows or more, the whole last row are zero; destinations start dirty.
+TEST_P(RegionTierTest, ShardedPooledEncodeMatchesOneEncodeRegionsCall) {
+  constexpr std::size_t kShard = 256 << 10;
+  constexpr std::size_t kMaxLen = (1 << 20) + 7;
+  constexpr std::size_t kMaxCols = 17;
+  std::vector<std::vector<std::uint8_t>> data;
+  std::vector<const std::uint8_t*> srcs;
+  for (std::size_t j = 0; j < kMaxCols; ++j) {
+    data.push_back(random_buf(kMaxLen, 40 + j));
+    srcs.push_back(data.back().data());
+  }
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {2, 2}, {3, 12}, {4, 17}, {1, 17}, {2, 12}, {3, 2}, {4, 1}};
+  for (const auto& [rows, cols] : shapes) {
+    auto matrix = random_buf(rows * cols, 60 + rows * cols);
+    for (std::size_t i = 1; i < matrix.size(); i += 3) matrix[i] = 0;
+    if (rows > 1) {
+      std::fill(matrix.end() - static_cast<std::ptrdiff_t>(cols),
+                matrix.end(), 0);
+    }
+    const std::size_t tile =
+        std::max<std::size_t>(4 << 10, kShard / cols / 64 * 64);
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+          tile - 1, tile + 1, kShard - 1, kShard + 1, 3 * kShard + 13,
+          kMaxLen}) {
+      std::vector<std::vector<std::uint8_t>> pooled(
+          rows, std::vector<std::uint8_t>(len, 0xAB));
+      std::vector<std::vector<std::uint8_t>> direct(
+          rows, std::vector<std::uint8_t>(len, 0xCD));
+      std::vector<std::uint8_t*> pooled_dsts;
+      std::vector<std::uint8_t*> direct_dsts;
+      for (std::size_t r = 0; r < rows; ++r) {
+        pooled_dsts.push_back(pooled[r].data());
+        direct_dsts.push_back(direct[r].data());
+      }
+      gf::encode_regions_pooled(matrix, rows, cols, srcs.data(),
+                                pooled_dsts.data(), len);
+      gf::encode_regions(matrix, rows, cols, srcs.data(), direct_dsts.data(),
+                         len);
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(pooled[r], direct[r])
+            << rows << "x" << cols << " row " << r << " len " << len;
+      }
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "gf/gf_region.h"
 #include "test_support.h"
@@ -215,4 +217,59 @@ TEST(RsCode, ShardedLargeBlockDecodeRoundTrip) {
   for (std::size_t f : failed) {
     ASSERT_EQ(stripe[f], original[f]) << "block " << f;
   }
+}
+
+// Every nonzero-coefficient source of an equation must hold bytes, all of
+// one length: a shorter or empty survivor is rejected, naming the block,
+// rather than read past its end. A zero-coefficient source is never read,
+// so it may be empty.
+TEST(RsCode, EvaluateRejectsEmptyOrMismatchedSource) {
+  const CodeConfig cfg{6, 3};
+  const RSCode code(cfg);
+  const auto original = rpr::testing::random_stripe(code, 4096, 202);
+  const std::vector<std::size_t> failed = {1, 4};
+  const auto eqs =
+      code.repair_equations(failed, code.default_selection(failed));
+  const auto& eq = eqs[0];
+  const auto expect_rejected = [&](std::size_t victim, std::size_t size) {
+    auto stripe = original;
+    stripe[victim].resize(size);
+    try {
+      (void)code.evaluate(eq, stripe);
+      ADD_FAILURE() << "block " << victim << " resized to " << size;
+    } catch (const std::invalid_argument& e) {
+      // A first source of the wrong length sizes the output, so the error
+      // then names the next source, the first that disagrees with it.
+      const std::size_t named =
+          victim == eq.sources.front() && size != 0 ? eq.sources[1] : victim;
+      EXPECT_NE(std::string(e.what()).find("needs block " +
+                                          std::to_string(named)),
+                std::string::npos)
+          << e.what();
+    }
+    for (const std::size_t f : failed) stripe[f].clear();
+    EXPECT_THROW(code.decode(stripe, failed), std::invalid_argument)
+        << "decode with block " << victim << " resized to " << size;
+  };
+  // The first source sizes the output; later sources may not differ from
+  // it, and an empty first source is rejected as well.
+  ASSERT_NE(eq.coefficients[0], 0);
+  ASSERT_NE(eq.coefficients[1], 0);
+  ASSERT_NE(eq.coefficients.back(), 0);
+  for (const std::size_t victim : {eq.sources.front(), eq.sources.back()}) {
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{4095}, std::size_t{4097}}) {
+      expect_rejected(victim, size);
+    }
+  }
+
+  // The lost blocks themselves and any zero-coefficient source may be
+  // empty: nothing reads them.
+  auto stripe = original;
+  for (const std::size_t f : failed) stripe[f].clear();
+  EXPECT_EQ(code.evaluate(eq, stripe), original[eq.failed_block]);
+  auto zeroed = eq;
+  zeroed.coefficients[1] = 0;
+  stripe[zeroed.sources[1]].clear();
+  EXPECT_NO_THROW((void)code.evaluate(zeroed, stripe));
 }

@@ -112,7 +112,7 @@ struct Fixture {
                      name, slice);
         std::exit(1);
       }
-      const double s = static_cast<double>(result.wall_time.count()) / 1e9;
+      const double s = result.elapsed_s;
       if (s < run.wall_s) run.wall_s = s;
       run.cross_bytes = result.cross_rack_bytes;
       run.inner_bytes = result.inner_rack_bytes;

@@ -70,7 +70,7 @@ Scenario testbed_micro(std::size_t slices) {
 
     runtime::Testbed bed(cluster, fast_params(2, kSlice));
     const std::vector<repair::OpId> outs{c0};
-    runtime::TestbedResult res;
+    repair::Attempt res;
     bool ran = false;
     ctx.shield([&] {
       res = bed.execute(plan, outs, stripe);
@@ -79,7 +79,9 @@ Scenario testbed_micro(std::size_t slices) {
     if (ctx.aborted() || !ran) return;
 
     if (res.abort.has_value()) {
-      const auto dead = static_cast<std::uint32_t>(res.abort->dead_node);
+      const auto& lost = res.abort->dead_nodes;
+      const auto dead = static_cast<std::uint32_t>(
+          lost.empty() ? fault::kNoNode : lost.front());
       if (!ctx.scheduler().node_killed(dead)) {
         ctx.fail("abort blamed node " + std::to_string(dead) +
                  ", which was never killed");

@@ -210,6 +210,14 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 
 }  // namespace
 
+std::vector<int> Partition::sides(const topology::Cluster& cluster) const {
+  std::vector<int> side(cluster.total_nodes());
+  for (topology::NodeId n = 0; n < side.size(); ++n) {
+    side[n] = side_of(cluster.rack_of(n));
+  }
+  return side;
+}
+
 double RetryPolicy::backoff_jittered_s(std::size_t retry,
                                        std::uint64_t key) const noexcept {
   const double b = backoff_s(retry);

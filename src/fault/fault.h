@@ -130,6 +130,10 @@ struct Partition {
     return side_of(a) != side_of(b);
   }
 
+  /// side_of(rack_of(n)) for every node n of `cluster` (index = NodeId).
+  [[nodiscard]] std::vector<int> sides(
+      const topology::Cluster& cluster) const;
+
   /// True when the cut is in effect at engine time `t`.
   [[nodiscard]] bool active_at(double t) const noexcept {
     if (t < at_s) return false;

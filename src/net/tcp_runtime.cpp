@@ -339,13 +339,13 @@ bool TcpTransport::ingest_frame(Run& run, NodeId n, Socket& peer, OpId id) {
 }  // namespace
 
 TcpRuntime::TcpRuntime(topology::Cluster cluster, TcpRuntimeParams params)
-    : exec_("TcpRuntime", "tcp", cluster, std::move(params)) {}
+    : Executor("TcpRuntime", "tcp", cluster, std::move(params)) {}
 
-runtime::TestbedResult TcpRuntime::execute(const repair::RepairPlan& plan,
-                                           std::span<const OpId> outputs,
-                                           std::span<const rs::Block> stripe) {
+repair::Attempt TcpRuntime::execute(const repair::RepairPlan& plan,
+                                    std::span<const OpId> outputs,
+                                    std::span<const rs::Block> stripe) {
   TcpTransport transport;
-  return exec_.execute(plan, outputs, stripe, transport);
+  return execute_over(plan, outputs, stripe, transport);
 }
 
 }  // namespace rpr::net

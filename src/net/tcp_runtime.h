@@ -36,7 +36,6 @@
 // receiver is declared lost.
 #pragma once
 
-#include <set>
 #include <span>
 
 #include "repair/plan.h"
@@ -47,30 +46,17 @@ namespace rpr::net {
 
 using TcpRuntimeParams = runtime::ExecutorParams;
 
-class TcpRuntime {
+class TcpRuntime final : public runtime::Executor {
  public:
   TcpRuntime(topology::Cluster cluster, TcpRuntimeParams params);
 
   /// Runs the plan with one thread per op (plus an acceptor per receiving
   /// node and an ingest thread per connection), moving every inter-node
   /// value through a real TCP connection. Returns outputs and measured wall
-  /// time; under injected faults the result may instead carry a
-  /// TestbedAbort.
-  runtime::TestbedResult execute(const repair::RepairPlan& plan,
-                                 std::span<const repair::OpId> outputs,
-                                 std::span<const rs::Block> stripe);
-
-  [[nodiscard]] const topology::Cluster& cluster() const noexcept {
-    return exec_.cluster();
-  }
-
-  /// Nodes that have died so far (kill times passed or retries exhausted).
-  [[nodiscard]] std::set<topology::NodeId> dead_nodes() const {
-    return exec_.dead_nodes();
-  }
-
- private:
-  runtime::Executor exec_;
+  /// time; under injected faults the attempt may instead carry an abort.
+  repair::Attempt execute(const repair::RepairPlan& plan,
+                          std::span<const repair::OpId> outputs,
+                          std::span<const rs::Block> stripe) override;
 };
 
 }  // namespace rpr::net

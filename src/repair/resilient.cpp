@@ -237,11 +237,11 @@ RepairProblem plan_around_full_disks(const RepairProblem& problem,
   return moved;
 }
 
-ResilientOutcome execute_resilient(const RepairProblem& problem,
-                                   const Planner& planner,
-                                   const AttemptFn& attempt,
-                                   std::span<const rs::Block> stripe,
-                                   const ResilientOptions& opts) {
+ResilientOutcome execute_resilient_with(Engine& engine,
+                                        const RepairProblem& problem,
+                                        const Planner& planner,
+                                        std::span<const rs::Block> stripe,
+                                        const ResilientOptions& opts) {
   if (problem.code == nullptr || problem.placement == nullptr) {
     throw std::invalid_argument("execute_resilient: problem not specified");
   }
@@ -334,7 +334,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 
   for (std::size_t round = 0;; ++round) {
     check::point(check::PointKind::kReplan, round, 0, "resilient.attempt");
-    AttemptOutcome a = attempt(cur_plan, cur_outputs, cur_stripe);
+    Attempt a = engine.execute(cur_plan, cur_outputs, cur_stripe);
     out.retries += a.retries;
     out.faults_injected += a.faults_injected;
     out.total_time_s += a.elapsed_s;
@@ -350,7 +350,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
           .add(a.faults_injected);
     }
 
-    if (a.completed) {
+    if (!a.abort) {
       RPR_INVARIANT(a.outputs.size() == cur_outputs.size(),
                     "a completed attempt delivers every requested output");
       for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
@@ -361,7 +361,8 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       break;
     }
 
-    if (!a.partitioned && a.dead_node == fault::kNoNode) {
+    const Abort& abort = *a.abort;
+    if (!abort.partitioned && abort.dead_nodes.empty()) {
       throw std::runtime_error(
           "execute_resilient: attempt aborted without naming a dead node");
     }
@@ -370,18 +371,13 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
     // can reuse. Partitioned helpers are NOT dead: their blocks and partials
     // stay candidates (usable after heal, or near-side under a permanent
     // split).
-    std::vector<topology::NodeId> casualties;
-    if (!a.partitioned) {
-      casualties = a.dead_nodes;
-      if (casualties.empty()) casualties.push_back(a.dead_node);
-      for (const auto n : casualties) dead.insert(n);
-    }
+    dead.insert(abort.dead_nodes.begin(), abort.dead_nodes.end());
     // An output that finished before the failure is simply done — its bytes
     // were delivered at a (still alive) destination.
     const auto contrib = leaf_contributions(cur_plan);
     for (std::size_t i = 0; i < cur_outputs.size(); ++i) {
       EqState& s = eqs[eq_of_output[i]];
-      for (const auto& f : a.finished) {
+      for (const auto& f : abort.finished) {
         if (f.first == cur_outputs[i]) {
           s.result = f.second;
           s.done = true;
@@ -397,41 +393,42 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
       check::point(check::PointKind::kBank, s.failed_block, 0,
                    "resilient.bank");
       out.reused_values +=
-          fold_finished_values(s, cur_plan, contrib, a.finished, dead);
+          fold_finished_values(s, cur_plan, contrib, abort.finished, dead);
     }
     if (round >= opts.max_replans) salvage_throw();
     ++out.replans;
     ++out.faults_injected;
 
-    const bool heal_expected = a.partitioned && a.heal_wait_s >= 0.0;
+    const bool heal_expected = abort.partitioned && abort.heal_wait_s >= 0.0;
     if (heal_expected) {
       ++out.partition_waits;
-    } else if (a.partitioned && !a.partition_side.empty()) {
-      perm_side = a.partition_side;
+    } else if (abort.partitioned && !abort.partition_side.empty()) {
+      perm_side = abort.partition_side;
     }
 
     if (opts.probe.metrics) {
       opts.probe.metrics->counter("repair.replans").increment();
       opts.probe.metrics->counter("repair.faults_injected").increment();
-      if (a.partitioned) {
+      if (abort.partitioned) {
         opts.probe.metrics->counter("repair.partition_aborts").increment();
       }
     }
     if (opts.probe.trace) {
       obs::Span span;
-      if (a.partitioned) {
+      if (abort.partitioned) {
         span.name = heal_expected
                         ? "replan (partition, waiting " +
-                              std::to_string(a.heal_wait_s) + "s for heal)"
+                              std::to_string(abort.heal_wait_s) + "s for heal)"
                         : "replan (partition, permanent: rerouting)";
         span.track = 0;
-      } else if (casualties.size() > 1) {
-        span.name = "replan (" + std::to_string(casualties.size()) +
-                    " nodes lost, failure domain)";
-        span.track = a.dead_node;
       } else {
-        span.name = "replan (node " + std::to_string(a.dead_node) + " lost)";
-        span.track = a.dead_node;
+        const std::vector<topology::NodeId>& lost = abort.dead_nodes;
+        span.name = lost.size() > 1
+                        ? "replan (" + std::to_string(lost.size()) +
+                              " nodes lost, failure domain)"
+                        : "replan (node " + std::to_string(lost.front()) +
+                              " lost)";
+        span.track = lost.front();
       }
       span.category = "replan";
       span.start_ns = static_cast<std::int64_t>(out.total_time_s * 1e9);
@@ -558,9 +555,7 @@ ResilientOutcome execute_resilient(const RepairProblem& problem,
 
     // Ride out a healing partition before retrying: the banked partials of
     // unreachable-but-alive helpers stay valid, nothing is substituted.
-    if (heal_expected && opts.wait_for_heal) {
-      opts.wait_for_heal(a.heal_wait_s);
-    }
+    if (heal_expected) engine.wait_for_heal(abort.heal_wait_s);
 
     cur_plan = std::move(next_plan);
     cur_outputs = std::move(next_outputs);
@@ -584,7 +579,7 @@ namespace {
 /// Discrete-event chaos engine: executes plans on SimNetwork under a fault
 /// schedule, on a session-wide simulated clock. Every attempt's run is
 /// recorded into `probe`, as repair::simulate records its one run.
-class SimChaosEngine {
+class SimChaosEngine final : public Engine {
  public:
   SimChaosEngine(const topology::Cluster& cluster,
                  const topology::NetworkParams& net,
@@ -595,14 +590,13 @@ class SimChaosEngine {
     faults_.expand_racks(cluster);
   }
 
-  /// Advances the session clock (the driver's wait-for-heal hook).
-  void advance_clock(double seconds) {
+  /// Simulated time: riding out a heal is one clock jump, not a sleep.
+  void wait_for_heal(double seconds) override {
     if (seconds > 0.0) clock_s_ += seconds;
   }
 
-  AttemptOutcome attempt(const RepairPlan& plan,
-                         std::span<const OpId> outputs,
-                         std::span<const rs::Block> stripe) {
+  Attempt execute(const RepairPlan& plan, std::span<const OpId> outputs,
+                  std::span<const rs::Block> stripe) override {
     validate(plan, cluster_);
 
     // A healing partition active right now and cut by this plan stalls the
@@ -697,12 +691,11 @@ class SimChaosEngine {
       }
     }
 
-    AttemptOutcome a;
+    Attempt a;
     a.faults_injected = injected_faults_;
     injected_faults_ = 0;
 
     if (biting_kill == nullptr && biting_part == nullptr) {
-      a.completed = true;
       a.outputs = execute_on_data(plan, outputs, stripe);
       a.elapsed_s = util::to_sec(run.makespan);
       clock_s_ += a.elapsed_s;
@@ -721,28 +714,28 @@ class SimChaosEngine {
     const util::SimTime cut = partition_wins ? part_cut : kill_cut;
     const double cut_s = util::to_sec(cut);
 
+    Abort& abort = a.abort.emplace();
     if (partition_wins) {
-      a.partitioned = true;
-      a.heal_wait_s =
+      abort.partitioned = true;
+      abort.heal_wait_s =
           biting_part->heals()
               ? (biting_part->at_s + biting_part->heal_after_s) -
                     (clock_s_ + cut_s)
               : -1.0;
-      a.partition_side.resize(cluster_.total_nodes(), 0);
-      for (topology::NodeId n = 0; n < cluster_.total_nodes(); ++n) {
-        a.partition_side[n] = biting_part->side_of(cluster_.rack_of(n));
-      }
+      abort.partition_side = biting_part->sides(cluster_);
     } else {
       // Report every node dead by the cut in one abort — a TOR death takes
-      // the whole rack down at once and one re-plan absorbs it.
+      // the whole rack down at once and one re-plan absorbs it. The biting
+      // kill's node is the one blamed, so it goes first.
+      abort.dead_nodes.push_back(biting_kill->node);
+      dead_.insert(biting_kill->node);
       for (const auto& kill : faults_.kills) {
         if (dead_.count(kill.node) != 0) continue;
         if (rel_cut(kill.at_s) <= cut) {
           dead_.insert(kill.node);
-          a.dead_nodes.push_back(kill.node);
+          abort.dead_nodes.push_back(kill.node);
         }
       }
-      a.dead_node = biting_kill->node;
     }
     a.elapsed_s = cut_s;
     clock_s_ += a.elapsed_s;
@@ -772,9 +765,9 @@ class SimChaosEngine {
       done_ops.push_back(id);
     }
     auto values = execute_on_data(plan, done_ops, stripe);
-    a.finished.reserve(done_ops.size());
+    abort.finished.reserve(done_ops.size());
     for (std::size_t i = 0; i < done_ops.size(); ++i) {
-      a.finished.emplace_back(done_ops[i], std::move(values[i]));
+      abort.finished.emplace_back(done_ops[i], std::move(values[i]));
     }
     return a;
   }
@@ -817,17 +810,7 @@ ResilientOutcome simulate_resilient(const RepairProblem& problem,
                                     const fault::FaultSchedule& faults,
                                     const ResilientOptions& opts) {
   SimChaosEngine engine(problem.placement->cluster(), net, faults, opts.probe);
-  const AttemptFn attempt = [&engine](const RepairPlan& plan,
-                                      std::span<const OpId> outputs,
-                                      std::span<const rs::Block> view) {
-    return engine.attempt(plan, outputs, view);
-  };
-  ResilientOptions adapted = opts;
-  if (!adapted.wait_for_heal) {
-    // Simulated time: riding out a heal is one clock jump, not a sleep.
-    adapted.wait_for_heal = [&engine](double s) { engine.advance_clock(s); };
-  }
-  return execute_resilient(problem, planner, attempt, stripe, adapted);
+  return execute_resilient_with(engine, problem, planner, stripe, opts);
 }
 
 }  // namespace rpr::repair

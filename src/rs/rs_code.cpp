@@ -6,6 +6,7 @@
 
 #include "gf/gf256.h"
 #include "gf/gf_region.h"
+#include "rs/block_recycler.h"
 #include "util/contracts.h"
 
 namespace rpr::rs {
@@ -238,7 +239,8 @@ Block RSCode::evaluate(const RepairEquation& eq,
     coeffs.push_back(eq.coefficients[i]);
     srcs.push_back(src.data());
   }
-  Block acc(block_size);
+  // Recycled, not value-initialized: the pass overwrites every byte.
+  Block acc = BlockRecycler::shared().take(block_size);
   std::uint8_t* dst = acc.data();
   gf::encode_regions_pooled(coeffs, 1, coeffs.size(), srcs.data(), &dst,
                             block_size);

@@ -151,10 +151,16 @@ bool Executor::afflicted(NodeId node, const fault::Straggle* straggle) {
   return true;
 }
 
-TestbedResult Executor::execute(const repair::RepairPlan& plan,
-                                std::span<const OpId> outputs,
-                                std::span<const rs::Block> stripe,
-                                Transport& transport) {
+void Executor::wait_for_heal(double seconds) {
+  if (seconds > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  }
+}
+
+repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
+                                       std::span<const OpId> outputs,
+                                       std::span<const rs::Block> stripe,
+                                       Transport& transport) {
   repair::validate(plan, cluster_);
   // Slice offsets derive from plan.block_size; every value must be exactly
   // that long.
@@ -232,9 +238,8 @@ TestbedResult Executor::execute(const repair::RepairPlan& plan,
                              "::execute: " + run.first_error_);
   }
 
-  TestbedResult result;
-  result.wall_time =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start);
+  repair::Attempt result;
+  result.elapsed_s = std::chrono::duration<double>(end - start).count();
   result.cross_rack_bytes = run.cross_bytes.load();
   result.inner_rack_bytes = run.inner_bytes.load();
   result.retries = run.retries.load();
@@ -389,24 +394,27 @@ bool Executor::send(Run& run, OpId id, Transport& transport,
   return false;
 }
 
-void Executor::assemble_abort(Run& run, TestbedResult& result) {
+void Executor::assemble_abort(Run& run, repair::Attempt& result) {
   const fault::Partition* cut = run.first_cut.load();
   const NodeId first_dead = run.first_dead.load();
   if (first_dead == fault::kNoNode && cut == nullptr) {
     throw std::logic_error(std::string(name_) +
                            ": output failed with no node to blame");
   }
-  TestbedAbort abort;
+  repair::Abort& abort = result.abort.emplace();
   if (first_dead != fault::kNoNode) {
-    abort.dead_node = first_dead;
     // Sweep the schedule: every node whose kill time has passed is dead
-    // now — a TOR death reports the whole rack in one abort.
+    // now — a TOR death reports the whole rack in one abort, the blamed
+    // node first.
     const double now_s = elapsed_s();
     std::scoped_lock fl(fault_mu_);
     for (const auto& kill : params_.faults.kills) {
       if (kill.at_s <= now_s) dead_.insert(kill.node);
     }
-    abort.dead_nodes.assign(dead_.begin(), dead_.end());
+    abort.dead_nodes.push_back(first_dead);
+    for (const NodeId n : dead_) {
+      if (n != first_dead) abort.dead_nodes.push_back(n);
+    }
   } else {
     // A fabric split, not a death: nobody is declared lost, and the caller
     // learns how long until the cut heals (< 0 = permanent).
@@ -415,10 +423,7 @@ void Executor::assemble_abort(Run& run, TestbedResult& result) {
         cut->heals()
             ? std::max(0.0, (cut->at_s + cut->heal_after_s) - elapsed_s())
             : -1.0;
-    abort.partition_side.resize(cluster_.total_nodes(), 0);
-    for (NodeId n = 0; n < cluster_.total_nodes(); ++n) {
-      abort.partition_side[n] = cut->side_of(cluster_.rack_of(n));
-    }
+    abort.partition_side = cut->sides(cluster_);
   }
   {
     std::scoped_lock fl(fault_mu_);
@@ -426,10 +431,9 @@ void Executor::assemble_abort(Run& run, TestbedResult& result) {
     for (OpId id = 0; id < run.plan.ops.size(); ++id) {
       if (!run.state.done[id]) continue;
       if (dead_.count(run.plan.ops[id].node) != 0) continue;
-      abort.completed.emplace_back(id, run.state.value[id]);
+      abort.finished.emplace_back(id, run.state.value[id]);
     }
   }
-  result.abort = std::move(abort);
 }
 
 }  // namespace rpr::runtime

@@ -2,9 +2,11 @@
 // real block buffers, real GF(2^8) arithmetic and real transfers. It is the
 // stand-in for the paper's EC2 evaluation (§5.2): where the simulator
 // *models* transfer and decode costs, the executor *incurs* them.
-// runtime::Testbed and net::TcpRuntime are thin shells over it that differ
-// only in their Transport — how the bytes of one send op cross from one
-// node to another.
+// runtime::Testbed and net::TcpRuntime derive from it and differ only in
+// their Transport — how the bytes of one send op cross from one node to
+// another. It is a repair::Engine (repair/attempt.h): every execute()
+// returns the one attempt record, and riding out a healing partition is a
+// sleep.
 //
 // Every value streams through detail::ExecState in slices of `slice_size`
 // bytes (slice pipelining, Li et al., "Repair Pipelining for Erasure-Coded
@@ -21,7 +23,7 @@
 //    explorer-injected kills), dead nodes that persist across execute()
 //    calls so repair::execute_resilient_with can re-plan around them,
 //    straggler and slow-disk budgets, partition lookup;
-//  * span recording and TestbedResult / TestbedAbort assembly.
+//  * span recording and the repair::Attempt / repair::Abort it returns.
 //
 // Who is blamed when a send op fails: an endpoint found dead (at an attempt
 // or mid-stream) is blamed as it is found and the op fails at once; when
@@ -39,17 +41,15 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "check/scheduler.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "repair/attempt.h"
 #include "repair/plan.h"
 #include "rs/rs_code.h"
 #include "runtime/exec_state.h"
@@ -90,45 +90,6 @@ struct ExecutorParams {
 };
 
 using TestbedParams = ExecutorParams;
-
-/// Why and where an execute() gave up, plus everything it salvaged.
-struct TestbedAbort {
-  topology::NodeId dead_node = 0;
-  /// Every node dead at abort time (a TOR death takes the whole rack down
-  /// at once, so one re-plan absorbs the whole failure domain). When empty,
-  /// `dead_node` alone is the casualty list.
-  std::vector<topology::NodeId> dead_nodes;
-  /// The abort was a fabric partition, not a death: the blamed endpoints
-  /// are ALIVE but unreachable and must not be substituted away.
-  bool partitioned = false;
-  /// partitioned: seconds (engine wall clock) until the cut heals; < 0
-  /// means the split is permanent and the caller must reroute.
-  double heal_wait_s = -1.0;
-  /// partitioned: side of the cut per node (index = NodeId, value 0/1).
-  std::vector<int> partition_side;
-  /// Ops whose values fully materialized before the failure, excluding any
-  /// resident on a dead node.
-  std::vector<std::pair<repair::OpId, rs::Block>> completed;
-};
-
-struct TestbedResult {
-  /// Wall-clock repair time (already *not* rescaled; divide interpretation
-  /// by time_scale to map back to real-link time).
-  std::chrono::nanoseconds wall_time{0};
-  /// The requested output values (empty when aborted).
-  std::vector<rs::Block> outputs;
-  std::uint64_t cross_rack_bytes = 0;
-  std::uint64_t inner_rack_bytes = 0;
-  /// Transfer attempts abandoned (straggler deadline, cut, connection
-  /// error) and retried.
-  std::size_t retries = 0;
-  /// Fault activations observed this run (straggles biting, slow disks;
-  /// kills are reported via `abort` and counted by the re-plan driver).
-  std::size_t faults_injected = 0;
-  /// Engaged iff a requested output became unreachable (node death or
-  /// retries exhausted); the run is then a partial result, not an error.
-  std::optional<TestbedAbort> abort;
-};
 
 /// Outcome of one transfer attempt (or one slice range of it).
 enum class Xfer {
@@ -210,19 +171,10 @@ class Transport {
   virtual void close(Run&, repair::OpId, bool /*ok*/) {}
 };
 
-class Executor {
+class Executor : public repair::Engine {
  public:
-  /// `name` prefixes error messages; `metrics_prefix` names the run's
-  /// metrics ("testbed", "tcp").
-  Executor(const char* name, const char* metrics_prefix,
-           topology::Cluster cluster, ExecutorParams params);
-
-  /// Runs the plan to completion over `transport`. `stripe` supplies the
-  /// block contents for kRead ops; each must be plan.block_size bytes.
-  TestbedResult execute(const repair::RepairPlan& plan,
-                        std::span<const repair::OpId> outputs,
-                        std::span<const rs::Block> stripe,
-                        Transport& transport);
+  /// Sleeps `seconds` of wall time (the engine clock, already scaled).
+  void wait_for_heal(double seconds) override;
 
   [[nodiscard]] const topology::Cluster& cluster() const noexcept {
     return cluster_;
@@ -235,6 +187,20 @@ class Executor {
   /// The active partition separating two racks right now, or nullptr.
   [[nodiscard]] const fault::Partition* active_partition(
       topology::RackId a, topology::RackId b) const;
+
+ protected:
+  /// `name` prefixes error messages; `metrics_prefix` names the run's
+  /// metrics ("testbed", "tcp").
+  Executor(const char* name, const char* metrics_prefix,
+           topology::Cluster cluster, ExecutorParams params);
+
+  /// Runs the plan to completion over `transport`: a derived engine's
+  /// execute(). `stripe` supplies the block contents for kRead ops; each
+  /// must be plan.block_size bytes.
+  repair::Attempt execute_over(const repair::RepairPlan& plan,
+                               std::span<const repair::OpId> outputs,
+                               std::span<const rs::Block> stripe,
+                               Transport& transport);
 
  private:
   friend struct Run;
@@ -250,7 +216,7 @@ class Executor {
   bool send(Run& run, repair::OpId id, Transport& transport,
             std::chrono::steady_clock::time_point& op_start,
             double& stall_s);
-  void assemble_abort(Run& run, TestbedResult& result);
+  void assemble_abort(Run& run, repair::Attempt& result);
 
   const char* name_;
   const char* metrics_prefix_;

@@ -85,22 +85,22 @@ class PacedChannel final : public Transport {
 }  // namespace
 
 Testbed::Testbed(topology::Cluster cluster, TestbedParams params)
-    : exec_("Testbed", "testbed", cluster, std::move(params)) {}
+    : Executor("Testbed", "testbed", cluster, std::move(params)) {}
 
-TestbedResult Testbed::execute(const repair::RepairPlan& plan,
-                               std::span<const OpId> outputs,
-                               std::span<const rs::Block> stripe) {
-  PacedChannel channel(exec_.cluster());
-  return exec_.execute(plan, outputs, stripe, channel);
+repair::Attempt Testbed::execute(const repair::RepairPlan& plan,
+                                 std::span<const OpId> outputs,
+                                 std::span<const rs::Block> stripe) {
+  PacedChannel channel(cluster());
+  return execute_over(plan, outputs, stripe, channel);
 }
 
 double Testbed::measure_mbps(topology::NodeId from, topology::NodeId to,
                              std::uint64_t bytes) {
   // Times the paced transfer alone (no op threads), mirroring how the paper
   // measured Table 1 with point-to-point transfers.
-  const util::Bandwidth bw = exec_.params().net.between_racks(
-      exec_.cluster().rack_of(from), exec_.cluster().rack_of(to));
-  const double scale = exec_.params().time_scale;
+  const util::Bandwidth bw = params().net.between_racks(
+      cluster().rack_of(from), cluster().rack_of(to));
+  const double scale = params().time_scale;
   const auto start = std::chrono::steady_clock::now();
   std::this_thread::sleep_for(
       std::chrono::duration<double>(paced_s(bytes, bw, scale)));

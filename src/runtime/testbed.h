@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 
 #include "repair/plan.h"
@@ -28,33 +27,20 @@
 
 namespace rpr::runtime {
 
-class Testbed {
+class Testbed final : public Executor {
  public:
   Testbed(topology::Cluster cluster, TestbedParams params);
 
   /// Runs the plan to completion with one thread per op. `stripe` supplies
   /// the block contents for kRead ops.
-  TestbedResult execute(const repair::RepairPlan& plan,
-                        std::span<const repair::OpId> outputs,
-                        std::span<const rs::Block> stripe);
-
-  [[nodiscard]] const topology::Cluster& cluster() const noexcept {
-    return exec_.cluster();
-  }
-
-  /// Nodes that have died so far (kill schedule entries whose time passed,
-  /// plus nodes lost to exhausted retries).
-  [[nodiscard]] std::set<topology::NodeId> dead_nodes() const {
-    return exec_.dead_nodes();
-  }
+  repair::Attempt execute(const repair::RepairPlan& plan,
+                          std::span<const repair::OpId> outputs,
+                          std::span<const rs::Block> stripe) override;
 
   /// Measures the achieved throughput between two nodes by timing a paced
   /// transfer of `bytes` (used to regenerate Table 1).
   [[nodiscard]] double measure_mbps(topology::NodeId from, topology::NodeId to,
                                     std::uint64_t bytes);
-
- private:
-  Executor exec_;
 };
 
 }  // namespace rpr::runtime

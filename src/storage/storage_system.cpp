@@ -218,6 +218,10 @@ std::vector<std::uint8_t> StorageSystem::get(StripeId stripe) const {
     object.insert(object.end(), bytes.begin(),
                   bytes.begin() + static_cast<std::ptrdiff_t>(len));
   }
+  for (auto& [b, bytes] : decoded) {
+    (void)b;
+    rs::BlockRecycler::shared().give({&bytes, 1});
+  }
   return object;
 }
 

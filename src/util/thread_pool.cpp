@@ -73,13 +73,14 @@ void ThreadPool::parallel_for(
   if (min_chunk < align) min_chunk = align;
 
   // Aim for ~2 chunks per participant so a straggling core can be
-  // back-filled, but never below min_chunk, and always an align multiple
-  // (the final chunk absorbs the remainder).
+  // back-filled, but never below min_chunk, and always an align multiple.
+  // A remainder shorter than min_chunk joins the chunk before it, so a
+  // range shorter than chunk + min_chunk is one chunk.
   const std::size_t parts = (threads_ + 1) * 2;
   std::size_t chunk = (total + parts - 1) / parts;
   chunk = ((chunk + align - 1) / align) * align;
   if (chunk < min_chunk) chunk = ((min_chunk + align - 1) / align) * align;
-  if (chunk >= total) {
+  if (total < chunk + min_chunk) {
     fn(0, total);
     return;
   }
@@ -90,8 +91,8 @@ void ThreadPool::parallel_for(
     std::size_t remaining;
   } job;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t b = 0; b < total; b += chunk) {
-    ranges.emplace_back(b, b + chunk < total ? b + chunk : total);
+  for (std::size_t b = 0; b < total; b = ranges.back().second) {
+    ranges.emplace_back(b, total - b < chunk + min_chunk ? total : b + chunk);
   }
   job.remaining = ranges.size();
 

@@ -32,11 +32,12 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const noexcept { return threads_; }
 
   /// Invoke fn(begin, end) over disjoint chunks covering [0, total).
-  /// Chunk boundaries are multiples of `align` (the final chunk absorbs the
-  /// remainder), and no chunk is smaller than min_chunk except that final
-  /// remainder. Blocks until all chunks completed. fn runs concurrently on
-  /// pool workers and the calling thread; it must be safe for disjoint
-  /// ranges. Runs inline when the range is not worth splitting.
+  /// Chunk boundaries are multiples of `align`, and no chunk is smaller
+  /// than min_chunk unless total is: a remainder shorter than min_chunk
+  /// joins the chunk before it. Blocks until all chunks completed. fn runs
+  /// concurrently on pool workers and the calling thread; it must be safe
+  /// for disjoint ranges. Runs inline when the range is not worth
+  /// splitting.
   void parallel_for(std::size_t total, std::size_t align,
                     std::size_t min_chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);

@@ -13,10 +13,16 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "net/tcp_runtime.h"
 #include "obs/metrics.h"
+#include "repair/executor_data.h"
 #include "repair/planner.h"
+#include "repair/replan.h"
 #include "runtime/testbed.h"
 #include "simnet/simnet.h"
 #include "storage/failure.h"
@@ -78,6 +84,167 @@ void expect_verified_output(const rpr::repair::ResilientOutcome& outcome,
 }
 
 }  // namespace
+
+// --- the session, on a scripted engine ------------------------------------
+
+namespace {
+
+/// A repair::Engine that plays a fixed script, on the calling thread:
+/// attempt 1 aborts on the death of `victim`, carrying the finished value
+/// of `banked` and of its inputs; attempt 2 aborts on a partition expected
+/// to heal in `heal_s` seconds; attempt 3 completes. Every plan it is given
+/// and every call is logged.
+class ScriptedEngine final : public rpr::repair::Engine {
+ public:
+  ScriptedEngine(NodeId victim, OpId banked, std::vector<int> sides,
+                 double heal_s)
+      : victim_(victim),
+        banked_(banked),
+        sides_(std::move(sides)),
+        heal_s_(heal_s) {}
+
+  rpr::repair::Attempt execute(const RepairPlan& plan,
+                               std::span<const OpId> outputs,
+                               std::span<const Block> stripe) override {
+    plans.push_back(plan);
+    log.push_back("execute");
+    rpr::repair::Attempt a;
+    switch (plans.size()) {
+      case 1: {
+        rpr::repair::Abort& abort = a.abort.emplace();
+        abort.dead_nodes = {victim_};
+        std::vector<OpId> done = plan.ops[banked_].inputs;
+        done.push_back(banked_);
+        auto values = rpr::repair::execute_on_data(plan, done, stripe);
+        for (std::size_t i = 0; i < done.size(); ++i) {
+          abort.finished.emplace_back(done[i], std::move(values[i]));
+        }
+        break;
+      }
+      case 2: {
+        rpr::repair::Abort& abort = a.abort.emplace();
+        abort.partitioned = true;
+        abort.heal_wait_s = heal_s_;
+        abort.partition_side = sides_;
+        break;
+      }
+      default:
+        a.outputs = rpr::repair::execute_on_data(plan, outputs, stripe);
+        break;
+    }
+    return a;
+  }
+
+  void wait_for_heal(double seconds) override {
+    log.push_back("wait " + std::to_string(seconds));
+  }
+
+  std::vector<RepairPlan> plans;
+  std::vector<std::string> log;
+
+ private:
+  NodeId victim_;
+  OpId banked_;
+  std::vector<int> sides_;
+  double heal_s_;
+};
+
+/// Blocks a plan reads (pseudo partial slots included).
+std::multiset<std::size_t> blocks_read(const RepairPlan& plan) {
+  std::multiset<std::size_t> blocks;
+  for (const auto& op : plan.ops) {
+    if (op.kind == OpKind::kRead) blocks.insert(op.block);
+  }
+  return blocks;
+}
+
+}  // namespace
+
+TEST(ResilientSession, ScriptedDeathThenHealingPartitionThenCompletion) {
+  RepairCase c(4096, 4096);
+  const auto& cluster = c.placed.cluster;
+  const auto& placement = c.placed.placement;
+  const NodeId dest = c.problem.replacements[0];
+  const auto first = c.planner->plan(c.problem);
+  const auto contrib = rpr::repair::leaf_contributions(first.plan);
+
+  // The victim: a helper read outside the recovery rack.
+  NodeId victim = rpr::fault::kNoNode;
+  std::size_t victim_block = 0;
+  for (const auto& op : first.plan.ops) {
+    if (op.kind == OpKind::kRead &&
+        cluster.rack_of(op.node) != cluster.rack_of(dest)) {
+      victim = op.node;
+      victim_block = op.block;
+      break;
+    }
+  }
+  ASSERT_NE(victim, rpr::fault::kNoNode);
+  // The banked value: the widest combine in a third rack, untouched by the
+  // victim's block.
+  OpId banked = first.plan.ops.size();
+  for (OpId id = 0; id < first.plan.ops.size(); ++id) {
+    const auto& op = first.plan.ops[id];
+    const auto rack = cluster.rack_of(op.node);
+    if (op.kind != OpKind::kCombine || rack == cluster.rack_of(dest) ||
+        rack == cluster.rack_of(victim) ||
+        contrib[id].count(victim_block) != 0) {
+      continue;
+    }
+    if (banked == first.plan.ops.size() ||
+        contrib[id].size() > contrib[banked].size()) {
+      banked = id;
+    }
+  }
+  ASSERT_LT(banked, first.plan.ops.size()) << "no combine in a third rack";
+  ASSERT_GE(contrib[banked].size(), 2u);
+  const NodeId holder = first.plan.ops[banked].node;
+
+  // The partition cuts the banked partial's rack off the recovery rack.
+  rpr::fault::Partition cut;
+  cut.side_b = {cluster.rack_of(holder)};
+  cut.at_s = 0.0;
+  cut.heal_after_s = 0.25;
+  ScriptedEngine engine(victim, banked, cut.sides(cluster), 0.25);
+
+  const auto outcome = rpr::repair::execute_resilient_with(
+      engine, c.problem, *c.planner, c.stripe, {});
+
+  EXPECT_EQ(engine.log, (std::vector<std::string>{
+                            "execute", "execute", "wait 0.250000", "execute"}));
+  EXPECT_EQ(outcome.replans, 2u);
+  EXPECT_EQ(outcome.partition_waits, 1u);
+  // The widest value folds in; its own inputs are inside it.
+  EXPECT_EQ(outcome.reused_values, 1u);
+  EXPECT_EQ(outcome.destinations, c.problem.replacements);
+
+  ASSERT_EQ(engine.plans.size(), 3u);
+  const std::size_t total = c.code.config().total();
+  for (std::size_t i = 1; i < engine.plans.size(); ++i) {
+    for (const auto& op : engine.plans[i].ops) {
+      EXPECT_NE(op.node, victim) << "plan " << i << " uses the dead helper";
+      if (op.kind == OpKind::kRead && op.block < total) {
+        EXPECT_NE(placement.node_of(op.block), victim);
+      }
+    }
+    // The banked partial is read from its pseudo slot at its holder.
+    EXPECT_EQ(std::count_if(engine.plans[i].ops.begin(),
+                            engine.plans[i].ops.end(),
+                            [&](const rpr::repair::PlanOp& op) {
+                              return op.kind == OpKind::kRead &&
+                                     op.block >= total && op.node == holder;
+                            }),
+              1)
+        << "plan " << i;
+  }
+  // Across the partition nothing was substituted: the helpers on the cut-off
+  // side are alive, so the retry reads exactly what the re-plan read.
+  EXPECT_EQ(blocks_read(engine.plans[2]), blocks_read(engine.plans[1]));
+
+  expect_verified_output(outcome, c.stripe);
+  EXPECT_EQ(outcome.outputs, rpr::repair::execute_on_data(
+                                 first.plan, first.outputs, c.stripe));
+}
 
 // --- simulator ------------------------------------------------------------
 
@@ -435,7 +602,8 @@ TYPED_TEST(ChaosStraggler, PermanentStragglerIsDeclaredLostNotItsReceivers) {
       const auto result =
           engine.execute(planned.plan, planned.outputs, c.stripe);
       ASSERT_TRUE(result.abort.has_value()) << "slice=" << slice;
-      EXPECT_EQ(result.abort->dead_node, straggler) << "slice=" << slice;
+      EXPECT_EQ(result.abort->dead_nodes.front(), straggler)
+          << "slice=" << slice;
       EXPECT_FALSE(result.abort->partitioned) << "slice=" << slice;
     }
 

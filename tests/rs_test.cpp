@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "gf/gf_region.h"
+#include "rs/block_recycler.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -216,6 +218,51 @@ TEST(RsCode, ShardedLargeBlockDecodeRoundTrip) {
   ASSERT_TRUE(code.decode(stripe, failed));
   for (std::size_t f : failed) {
     ASSERT_EQ(stripe[f], original[f]) << "block " << f;
+  }
+}
+
+// evaluate() takes its output from rs::BlockRecycler, whose buffers hold
+// whatever their last user left there: the pooled pass must overwrite every
+// byte. Buffers pre-filled with garbage still evaluate to the reference
+// kernel's result.
+TEST(RsCode, EvaluateIntoRecycledGarbageMatchesReference) {
+  const CodeConfig cfg{6, 3};
+  const RSCode code(cfg);
+  auto& recycler = rpr::rs::BlockRecycler::shared();
+  for (const std::size_t size :
+       {std::size_t{4096}, (std::size_t{256} << 10) + 1,
+        (std::size_t{768} << 10) + 13}) {
+    const auto stripe = rpr::testing::random_stripe(code, size, 203);
+    const std::vector<std::size_t> failed = {1, 4, 7};
+    const auto eqs =
+        code.repair_equations(failed, code.default_selection(failed));
+    for (const auto& eq : eqs) {
+      std::vector<std::uint8_t> coeffs;
+      std::vector<const std::uint8_t*> srcs;
+      for (std::size_t i = 0; i < eq.sources.size(); ++i) {
+        if (eq.coefficients[i] == 0) continue;
+        coeffs.push_back(eq.coefficients[i]);
+        srcs.push_back(stripe[eq.sources[i]].data());
+      }
+      Block expect(size, 0);
+      rpr::gf::ref::mul_region_add_multi(coeffs, srcs.data(), expect);
+
+      std::vector<Block> garbage(2);
+      std::set<const std::uint8_t*> recycled;
+      for (Block& g : garbage) {
+        g = recycler.take(size);
+        std::fill(g.begin(), g.end(), std::uint8_t{0xA5});
+        recycled.insert(g.data());
+      }
+      recycler.give(garbage);
+
+      const Block got = code.evaluate(eq, stripe);
+      EXPECT_EQ(recycled.count(got.data()), 1u)
+          << "block " << eq.failed_block << ": output not recycled";
+      EXPECT_EQ(got, expect) << "block " << eq.failed_block << ", " << size
+                             << " bytes";
+      EXPECT_EQ(got, stripe[eq.failed_block]);
+    }
   }
 }
 

@@ -142,9 +142,11 @@ TEST(Combinatorics, CountMatchesEnumeration) {
 namespace {
 
 // Collects the [begin, end) chunks a parallel_for produced and verifies they
-// tile `total` exactly once, with every internal boundary `align`-aligned.
+// tile `total` exactly once, with every internal boundary `align`-aligned
+// and no chunk shorter than `min_chunk` unless `total` is.
 void check_partition(std::vector<std::pair<std::size_t, std::size_t>> chunks,
-                     std::size_t total, std::size_t align) {
+                     std::size_t total, std::size_t align,
+                     std::size_t min_chunk) {
   std::sort(chunks.begin(), chunks.end());
   std::size_t cursor = 0;
   for (const auto& [b, e] : chunks) {
@@ -153,6 +155,8 @@ void check_partition(std::vector<std::pair<std::size_t, std::size_t>> chunks,
     if (e != total) {
       ASSERT_EQ(e % align, 0u) << "unaligned boundary " << e;
     }
+    ASSERT_GE(e - b, std::min(min_chunk, total))
+        << "short chunk [" << b << ", " << e << ") of " << total;
     cursor = e;
   }
   ASSERT_EQ(cursor, total) << "range not fully covered";
@@ -173,8 +177,31 @@ TEST(ThreadPoolSharded, CoversRangeExactlyOnce) {
     if (total == 0) {
       EXPECT_TRUE(chunks.empty());
     } else {
-      check_partition(std::move(chunks), total, 64);
+      check_partition(std::move(chunks), total, 64, 256);
     }
+  }
+}
+
+TEST(ThreadPoolSharded, ShortRemainderJoinsThePreviousChunk) {
+  // The pooled GF pass's shape: 64-byte alignment, 256 KiB floor. A
+  // remainder under the floor rides with the chunk before it, so 256 KiB + 1
+  // is one chunk, not a 256 KiB chunk and a 1-byte one.
+  constexpr std::size_t kAlign = 64;
+  constexpr std::size_t kMin = std::size_t{256} << 10;
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  util::ThreadPool pool(3);
+  for (const std::size_t total :
+       {kMin - 1, kMin, kMin + 1, 3 * kMin + 13, kMiB + 7, 4 * kMiB + 7}) {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    pool.parallel_for(total, kAlign, kMin, [&](std::size_t b, std::size_t e) {
+      const std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(b, e);
+    });
+    if (total == kMin + 1) {
+      EXPECT_EQ(chunks.size(), 1u);
+    }
+    check_partition(std::move(chunks), total, kAlign, kMin);
   }
 }
 

@@ -225,7 +225,10 @@ void BM_RsEncode(benchmark::State& state) {
   const rpr::rs::RSCode code(cfg);
   const std::size_t block = 256 << 10;
   std::vector<rpr::rs::Block> data(cfg.n);
-  for (std::size_t i = 0; i < cfg.n; ++i) data[i] = random_buf(block, 10 + i);
+  for (std::size_t i = 0; i < cfg.n; ++i) {
+    const auto bytes = random_buf(block, 10 + i);
+    data[i].assign(bytes.begin(), bytes.end());
+  }
   std::vector<rpr::rs::Block> parity(cfg.k);
   for (auto _ : state) {
     code.encode(data, parity);

@@ -195,7 +195,7 @@ LoadedStripe load_and_decode(const fs::path& dir, const VerifyReport& report) {
       out.damaged.push_back(b);
       continue;
     }
-    out.stripe[b] = std::move(bytes);
+    out.stripe[b].assign(bytes.begin(), bytes.end());
   }
   std::sort(out.damaged.begin(), out.damaged.end());
   if (out.damaged.size() > m.code.k) {

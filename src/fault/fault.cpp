@@ -386,7 +386,7 @@ std::string FaultSchedule::describe() const {
   return os.str();
 }
 
-void corrupt_bytes(std::vector<std::uint8_t>& bytes, std::uint64_t seed) {
+void corrupt_bytes(std::span<std::uint8_t> bytes, std::uint64_t seed) {
   if (bytes.empty()) return;
   util::Xoshiro256 rng(seed);
   // Flip a handful of bytes with a guaranteed-nonzero XOR mask so the

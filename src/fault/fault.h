@@ -61,6 +61,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -238,6 +239,6 @@ struct FaultSchedule {
 
 /// Deterministically corrupts `bytes` in place (flips a seeded selection of
 /// bytes — never a no-op on a non-empty buffer).
-void corrupt_bytes(std::vector<std::uint8_t>& bytes, std::uint64_t seed);
+void corrupt_bytes(std::span<std::uint8_t> bytes, std::uint64_t seed);
 
 }  // namespace rpr::fault

@@ -9,7 +9,6 @@
 
 #include "gf/gf_region.h"
 #include "repair/replan.h"
-#include "rs/block_recycler.h"
 
 namespace rpr::repair {
 
@@ -80,7 +79,7 @@ std::vector<rs::Block> execute_on_data(const RepairPlan& plan,
       }
       // A recycled buffer holds stale bytes; the encode overwrites them all
       // (an output whose terms cancel is written as zeros).
-      result[rows[i]] = rs::BlockRecycler::shared().take(len);
+      result[rows[i]] = rs::Block::uninitialized(len);
       dsts[i] = result[rows[i]].data();
     }
     std::vector<const std::uint8_t*> srcs(cols.size());

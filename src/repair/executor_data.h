@@ -13,8 +13,9 @@
 // pass (gf::encode_regions_pooled, gf/gf_region.h). By GF linearity the
 // bytes are those of the op-by-op evaluation; the plan's schedule is the
 // simulator's business. The output
-// buffers come from rs::BlockRecycler (rs/block_recycler.h), so a block
-// storage commits from a repair is one it can give back.
+// buffers are rs::Blocks taken uninitialized from the process-wide
+// rs::BlockPool (rs/block.h): a block storage commits from a repair goes
+// back to the pool when it dies.
 #pragma once
 
 #include <vector>

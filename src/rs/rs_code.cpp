@@ -6,7 +6,6 @@
 
 #include "gf/gf256.h"
 #include "gf/gf_region.h"
-#include "rs/block_recycler.h"
 #include "util/contracts.h"
 
 namespace rpr::rs {
@@ -73,7 +72,10 @@ void RSCode::encode(std::span<const Block> data,
   for (std::size_t j = 0; j < cfg_.n; ++j) srcs[j] = data[j].data();
   std::vector<std::uint8_t*> dsts(cfg_.k);
   for (std::size_t i = 0; i < cfg_.k; ++i) {
-    parity[i].resize(block_size);
+    // The pass overwrites every byte: a resized block would be zeroed first.
+    if (parity[i].size() != block_size) {
+      parity[i] = Block::uninitialized(block_size);
+    }
     dsts[i] = parity[i].data();
   }
   gf::encode_regions_pooled(coding_rows(), cfg_.k, cfg_.n, srcs.data(),
@@ -239,8 +241,8 @@ Block RSCode::evaluate(const RepairEquation& eq,
     coeffs.push_back(eq.coefficients[i]);
     srcs.push_back(src.data());
   }
-  // Recycled, not value-initialized: the pass overwrites every byte.
-  Block acc = BlockRecycler::shared().take(block_size);
+  // Recycled, not zero-filled: the pass overwrites every byte.
+  Block acc = Block::uninitialized(block_size);
   std::uint8_t* dst = acc.data();
   gf::encode_regions_pooled(coeffs, 1, coeffs.size(), srcs.data(), &dst,
                             block_size);

@@ -20,11 +20,9 @@
 #include <vector>
 
 #include "matrix/matrix.h"
+#include "rs/block.h"
 
 namespace rpr::rs {
-
-/// A block payload. Blocks within one stripe all have the same size.
-using Block = std::vector<std::uint8_t>;
 
 /// RS(n, k): n data blocks, k parity blocks (the paper's convention).
 struct CodeConfig {
@@ -78,8 +76,8 @@ class RSCode {
   }
 
   /// Encodes n equally-sized data blocks into k parity blocks, on the one
-  /// pooled GF pass (gf::encode_regions_pooled). parity[i] is resized to the
-  /// data block size.
+  /// pooled GF pass (gf::encode_regions_pooled). A parity block of another
+  /// size is replaced by an uninitialized one of the data block size.
   void encode(std::span<const Block> data, std::span<Block> parity) const;
 
   /// Encodes a whole stripe in place: blocks[0..n) are data, blocks[n..n+k)

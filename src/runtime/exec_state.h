@@ -20,12 +20,11 @@
 //    matrix-cost combine clears its slice first, sends memcpy, TCP ingest
 //    reads the wire into it), and nobody reads a slice before it is
 //    published;
-//  * recycling: values are taken from, and when a state dies given back
-//    to, the process-wide rs::BlockRecycler (rs/block_recycler.h), which
-//    the data executor and the storage layer share. It keeps a single size
-//    class, so it never retains more than the largest set of same-size
-//    blocks that were live at once. Steady-state runs therefore fault in
-//    no value pages.
+//  * recycling: values are rs::Blocks (rs/block.h) taken uninitialized
+//    from the process-wide rs::BlockPool, which the data executor and the
+//    storage layer share, and given back when the state dies. Steady-state
+//    runs therefore fault in no value pages. The outputs are moved out once
+//    every op thread has joined (take), never copied.
 //
 // Publication
 //  * slices complete strictly in order per op (each op has exactly one
@@ -61,7 +60,6 @@
 #include "check/scheduler.h"
 #include "obs/metrics.h"
 #include "repair/plan.h"
-#include "rs/block_recycler.h"
 #include "rs/rs_code.h"
 #include "util/slice.h"
 
@@ -140,7 +138,6 @@ class ExecState {
         slices_(slice_count(value_size, slice_size)) {}
   ExecState(const ExecState&) = delete;
   ExecState& operator=(const ExecState&) = delete;
-  ~ExecState() { rs::BlockRecycler::shared().give(value); }
 
   /// Slices every value is cut into (1 = whole-block mode).
   [[nodiscard]] std::size_t slices() const noexcept { return slices_; }
@@ -163,7 +160,7 @@ class ExecState {
     return std::min(slice_offset(upto), value_size_) - slice_offset(first);
   }
 
-  /// The op's value buffer, taken from the recycler on first call. Its
+  /// The op's value buffer, taken from the pool on first call. Its
   /// bytes are stale until the producer overwrites them: write every slice
   /// before publishing it. Only the op's producer may call this before
   /// publication; the returned reference (and the buffer's data pointer)
@@ -175,7 +172,7 @@ class ExecState {
       std::unique_lock lock(mu);
       if (value[id].size() == value_size_) return value[id];
     }
-    rs::Block taken = rs::BlockRecycler::shared().take(value_size_);
+    rs::Block taken = rs::Block::uninitialized(value_size_);
     std::unique_lock lock(mu);
     if (value[id].size() != value_size_) value[id] = std::move(taken);
     return value[id];
@@ -316,9 +313,11 @@ class ExecState {
     return slices_done[id];
   }
 
-  rs::Block take_copy(repair::OpId id) {
+  /// Moves the op's value out, leaving it empty: only once nothing reads
+  /// it any more (every op thread has joined).
+  rs::Block take(repair::OpId id) {
     std::unique_lock lock(mu);
-    return value[id];
+    return std::move(value[id]);
   }
 
   /// Test accessors: waiters notified so far, and waiters registered on

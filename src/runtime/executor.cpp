@@ -253,8 +253,16 @@ repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
   if (any_output_failed) {
     assemble_abort(run, result);
   } else {
+    // Every op thread has joined, so nothing reads a value any more: each
+    // output moves out (a repeated output is copied from its first).
     result.outputs.reserve(outputs.size());
-    for (OpId id : outputs) result.outputs.push_back(run.state.take_copy(id));
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      const auto first = static_cast<std::size_t>(
+          std::find(outputs.begin(), outputs.end(), outputs[i]) -
+          outputs.begin());
+      result.outputs.push_back(first == i ? run.state.take(outputs[i])
+                                          : rs::Block(result.outputs[first]));
+    }
   }
   return result;
 }
@@ -431,7 +439,8 @@ void Executor::assemble_abort(Run& run, repair::Attempt& result) {
     for (OpId id = 0; id < run.plan.ops.size(); ++id) {
       if (!run.state.done[id]) continue;
       if (dead_.count(run.plan.ops[id].node) != 0) continue;
-      abort.finished.emplace_back(id, run.state.value[id]);
+      // Called once every op thread has joined: the value moves out.
+      abort.finished.emplace_back(id, std::move(run.state.value[id]));
     }
   }
 }

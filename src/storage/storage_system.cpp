@@ -12,7 +12,6 @@
 #include "gf/fingerprint.h"
 #include "gf/gf_region.h"
 #include "obs/metrics.h"
-#include "rs/block_recycler.h"
 #include "util/thread_pool.h"
 
 namespace rpr::storage {
@@ -129,18 +128,6 @@ StorageSystem::StorageSystem(StorageOptions opts)
   opts_.chaos.validate(cluster_, code_.config().total());
 }
 
-StorageSystem::~StorageSystem() {
-  auto& recycler = rs::BlockRecycler::shared();
-  for (auto& [id, s] : stripes_) {
-    (void)id;
-    recycler.give(s.blocks);
-    for (auto& [b, bytes] : s.corrupt) {
-      (void)b;
-      recycler.give({&bytes, 1});
-    }
-  }
-}
-
 StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   const auto& cfg = code_.config();
   if (object.size() > cfg.n * opts_.block_size) {
@@ -148,9 +135,7 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   }
 
   std::vector<rs::Block> blocks(cfg.total());
-  for (rs::Block& b : blocks) {
-    b = rs::BlockRecycler::shared().take(opts_.block_size);
-  }
+  for (rs::Block& b : blocks) b = rs::Block::uninitialized(opts_.block_size);
   Stripe s;
   write_stripe(code_, object, blocks, s.digest);
   count_digested(opts_.probe, cfg.n * opts_.block_size);
@@ -174,7 +159,7 @@ StripeId StorageSystem::put(std::span<const std::uint8_t> object) {
   return id;
 }
 
-std::vector<std::uint8_t> StorageSystem::get(StripeId stripe) const {
+rs::Block StorageSystem::get(StripeId stripe) const {
   const auto it = stripes_.find(stripe);
   if (it == stripes_.end()) throw std::out_of_range("get: unknown stripe");
   const Stripe& s = it->second;
@@ -207,20 +192,14 @@ std::vector<std::uint8_t> StorageSystem::get(StripeId stripe) const {
     }
   }
 
-  // Write the object once: reserved (not zero-filled) with huge-page
-  // advice, then each block appended from its slot or its decode.
-  std::vector<std::uint8_t> object;
-  rs::reserve_huge(object, s.object_size);
+  // Write the object once into recycled pages, each block by one copy
+  // sharded over the shared pool, from its slot or its decode.
+  rs::Block object = rs::Block::uninitialized(s.object_size);
   for (std::size_t b = 0; b < used; ++b) {
     const auto d = decoded.find(b);
     const rs::Block& bytes = d != decoded.end() ? d->second : s.blocks[b];
-    const std::size_t len = std::min<std::size_t>(bs, s.object_size - b * bs);
-    object.insert(object.end(), bytes.begin(),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(len));
-  }
-  for (auto& [b, bytes] : decoded) {
-    (void)b;
-    rs::BlockRecycler::shared().give({&bytes, 1});
+    rs::copy_bytes(object.data() + b * bs, bytes.data(),
+                   std::min<std::size_t>(bs, s.object_size - b * bs));
   }
   return object;
 }
@@ -246,20 +225,14 @@ void StorageSystem::revive_node(NodeId node) {
 }
 
 void StorageSystem::wipe_node(NodeId node) {
-  std::vector<rs::Block> wiped;
   for (auto& [id, s] : stripes_) {
     (void)id;
     for (std::size_t b = 0; b < s.node_of_block.size(); ++b) {
       if (s.node_of_block[b] != node) continue;
-      // Release the bytes, not just the size: to the recycler.
-      wiped.push_back(std::move(s.blocks[b]));  // leaves the slot empty
-      if (const auto c = s.corrupt.find(b); c != s.corrupt.end()) {
-        wiped.push_back(std::move(c->second));
-        s.corrupt.erase(c);
-      }
+      s.blocks[b].clear();  // the pages go back to the pool
+      s.corrupt.erase(b);
     }
   }
-  rs::BlockRecycler::shared().give(wiped);
 }
 
 gf::Fingerprint StorageSystem::digest(

@@ -35,10 +35,12 @@
 //   * every block leaving storage is fingerprinted again before it is
 //     returned: read_block() checks the block it delivers, get() each block
 //     it decodes (intact blocks are copied straight from their slots);
-//   * block buffers come from, and go back to, the process-wide
-//     rs::BlockRecycler: put takes all n+k, repairs commit buffers the data
-//     executor took from it, and wiped nodes and a destroyed system give
-//     theirs back, so steady-state puts fault in no block pages;
+//   * blocks are rs::Blocks on the process-wide rs::BlockPool's recycled
+//     pages (rs/block.h): put takes all n+k uninitialized, repairs commit
+//     the data executor's outputs, get writes the object into one, and a
+//     block goes back to the pool when it dies (a wiped node, a destroyed
+//     system, a returned object dropped), so steady-state puts and gets
+//     fault in no block pages;
 //   * repair commits are verified: a rebuilt block is installed only after
 //     its digest matches the one recorded at encode time (a wrong repair
 //     throws instead of silently replacing good data with garbage);
@@ -164,8 +166,6 @@ struct FleetRepairReport {
 class StorageSystem {
  public:
   explicit StorageSystem(StorageOptions opts);
-  /// Gives every stored block back to rs::BlockRecycler.
-  ~StorageSystem();
   StorageSystem(const StorageSystem&) = delete;
   StorageSystem& operator=(const StorageSystem&) = delete;
 
@@ -180,9 +180,11 @@ class StorageSystem {
   /// Stores an object (padded to n * block_size) as one stripe.
   StripeId put(std::span<const std::uint8_t> object);
 
-  /// Reads the object back, transparently decoding around lost blocks.
-  /// Throws std::runtime_error if more than k blocks of the stripe are lost.
-  [[nodiscard]] std::vector<std::uint8_t> get(StripeId stripe) const;
+  /// Reads the object back, transparently decoding around lost blocks,
+  /// into one pooled block written once (rs::copy_bytes, sharded over the
+  /// shared thread pool). Throws std::runtime_error if more than k blocks of the
+  /// stripe are lost.
+  [[nodiscard]] rs::Block get(StripeId stripe) const;
 
   /// Marks a node dead and wipes its store.
   void fail_node(topology::NodeId node);

@@ -28,7 +28,7 @@
 
 namespace rpr::util {
 
-inline constexpr std::size_t kMappedSegmentBytes = std::size_t{4} << 20;
+inline constexpr std::size_t kMappedSegmentBytes = std::size_t{2} << 20;
 
 template <typename T>
 class SegmentedArray {

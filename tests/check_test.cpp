@@ -55,7 +55,7 @@ check::Scenario racy_resolve(std::set<std::string>* outcomes) {
     a.join();
     b.join();
     if (outcomes != nullptr) {
-      outcomes->insert(st.take_copy(0).empty() ? "failed" : "committed");
+      outcomes->insert(st.take(0).empty() ? "failed" : "committed");
     }
   };
 }
@@ -236,7 +236,7 @@ TEST(ExplorerFindings, PublishKeepsStorageStable) {
 
   EXPECT_EQ(st.value[0].data(), stable)
       << "publish() must not reallocate a pre-sized accumulator";
-  EXPECT_EQ(st.take_copy(0), full);
+  EXPECT_EQ(st.take(0), full);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ TEST(ExecStateTest, FirstWinsCommit) {
   st.publish(0, rs::Block(64, 0xBB));  // loser: no effect
   st.fail(0);                          // loser: no effect
   EXPECT_TRUE(st.resolved(0));
-  EXPECT_EQ(st.take_copy(0), rs::Block(64, 0xAA));
+  EXPECT_EQ(st.take(0), rs::Block(64, 0xAA));
 }
 
 TEST(ExecStateTest, FirstWinsFail) {

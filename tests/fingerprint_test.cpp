@@ -182,7 +182,8 @@ TEST(Fingerprint, ParityDigestsFollowFromDataDigests) {
                    << "RS(" << cfg.n << "," << cfg.k << ") length " << len);
       std::vector<rpr::rs::Block> stripe(cfg.total());
       for (std::size_t b = 0; b < cfg.n; ++b) {
-        stripe[b] = random_buf(len, 1000 * cfg.n + 7 * b + len);
+        const auto bytes = random_buf(len, 1000 * cfg.n + 7 * b + len);
+        stripe[b].assign(bytes.begin(), bytes.end());
       }
       code.encode_stripe(stripe);
       std::vector<gf::Fingerprint> fp(cfg.total());

@@ -15,7 +15,6 @@
 #include "gf/gf_region.h"
 #include "repair/executor_sim.h"
 #include "repair/replan.h"
-#include "rs/block_recycler.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -522,19 +521,17 @@ TEST(DataExecutor, AliasedValuesMatchCopyingReference) {
 }
 
 TEST(DataExecutor, CancelledOutputIsZeroInADirtyRecycledBuffer) {
-  // Outputs come from the recycler with stale bytes: the encode pass must
+  // Outputs come from the pool with stale bytes: the encode pass must
   // overwrite them, with zeros where an output's leaf terms cancel, alone
   // in its pass or next to an output that reads blocks.
   constexpr std::size_t kBlock = 160 << 10;  // crosses the shard threshold
-  auto& recycler = rpr::rs::BlockRecycler::shared();
-  const auto dirty = [&] {
+  const auto dirty = [] {
     std::vector<rpr::rs::Block> stale(4);
     for (auto& b : stale) {
-      b = recycler.take(kBlock);
+      b = rpr::rs::Block::uninitialized(kBlock);
       std::fill(b.begin(), b.end(), std::uint8_t{0xEE});
     }
-    recycler.give(stale);
-  };
+  };  // the stale blocks go back to the pool
   rpr::repair::RepairPlan plan;
   plan.block_size = kBlock;
   const auto a = plan.read(0, 0, 0x35);

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "gf/gf_region.h"
-#include "rs/block_recycler.h"
 #include "test_support.h"
 #include "util/combinatorics.h"
 
@@ -186,7 +185,7 @@ TEST(RsCode, ActiveSourcesCountsNonzeroCoefficients) {
 TEST(RsCode, ShardedLargeBlockEncodeMatchesRegionwiseEncode) {
   const CodeConfig cfg{6, 3};
   const RSCode code(cfg);
-  constexpr std::size_t kLarge = 1u << 20;  // 8 shards at the 128 KiB floor
+  constexpr std::size_t kLarge = 1u << 20;  // 4 shards at the 256 KiB floor
   const auto stripe = rpr::testing::random_stripe(code, kLarge, 200);
 
   // Re-encode an arbitrary interior window of every data block and check it
@@ -221,14 +220,13 @@ TEST(RsCode, ShardedLargeBlockDecodeRoundTrip) {
   }
 }
 
-// evaluate() takes its output from rs::BlockRecycler, whose buffers hold
-// whatever their last user left there: the pooled pass must overwrite every
+// evaluate() takes its output uninitialized from rs::BlockPool, whose
+// buffers hold whatever their last user left there: the pooled pass must overwrite every
 // byte. Buffers pre-filled with garbage still evaluate to the reference
 // kernel's result.
 TEST(RsCode, EvaluateIntoRecycledGarbageMatchesReference) {
   const CodeConfig cfg{6, 3};
   const RSCode code(cfg);
-  auto& recycler = rpr::rs::BlockRecycler::shared();
   for (const std::size_t size :
        {std::size_t{4096}, (std::size_t{256} << 10) + 1,
         (std::size_t{768} << 10) + 13}) {
@@ -250,11 +248,11 @@ TEST(RsCode, EvaluateIntoRecycledGarbageMatchesReference) {
       std::vector<Block> garbage(2);
       std::set<const std::uint8_t*> recycled;
       for (Block& g : garbage) {
-        g = recycler.take(size);
+        g = Block::uninitialized(size);
         std::fill(g.begin(), g.end(), std::uint8_t{0xA5});
         recycled.insert(g.data());
       }
-      recycler.give(garbage);
+      garbage.clear();  // back to the pool
 
       const Block got = code.evaluate(eq, stripe);
       EXPECT_EQ(recycled.count(got.data()), 1u)

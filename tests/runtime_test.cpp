@@ -169,6 +169,35 @@ TEST(Testbed, MultiFailureRepairBitExact) {
   }
 }
 
+TEST(Testbed, OutputsMoveOutAndARepeatedOneIsCopied) {
+  // A finished run moves its outputs out instead of copying them; an
+  // output requested twice comes back twice, equal and in its own pages.
+  const rpr::rs::CodeConfig cfg{6, 3};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  const auto stripe = rpr::testing::random_stripe(code, 4096, 321);
+
+  rpr::repair::RepairProblem problem;
+  problem.code = &code;
+  problem.placement = &placed.placement;
+  problem.block_size = 4096;
+  problem.failed = {0, 4};
+  problem.choose_default_replacements();
+  const auto planned = rpr::repair::RprPlanner().plan(problem);
+
+  Testbed bed(placed.cluster, fast_params(placed.cluster.racks()));
+  const std::vector<OpId> outputs = {planned.outputs[1], planned.outputs[0],
+                                     planned.outputs[1]};
+  const auto result = bed.execute(planned.plan, outputs, stripe);
+  ASSERT_FALSE(result.abort.has_value());
+  ASSERT_EQ(result.outputs.size(), 3u);
+  EXPECT_EQ(result.outputs[0], stripe[4]);
+  EXPECT_EQ(result.outputs[1], stripe[0]);
+  EXPECT_EQ(result.outputs[2], stripe[4]);
+  EXPECT_NE(result.outputs[0].data(), result.outputs[2].data());
+}
+
 TEST(Testbed, RprFasterThanTraditionalWallClock) {
   // End-to-end wall-time comparison on the throttled links. Blocks are
   // sized so transfers take milliseconds each, keeping the ordering stable

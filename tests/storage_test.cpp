@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/sinks.h"
 #include "repair/executor_data.h"
-#include "rs/block_recycler.h"
 #include "sched/scheduler.h"
 #include "storage/failure.h"
 #include "util/rng.h"
@@ -567,8 +566,8 @@ TEST(Storage, DigestsEachBlockOnce) {
 }
 
 TEST(Storage, RecycledBlocksNeverLeakStaleBytes) {
-  // put, repair and degraded reads take their blocks from the process-wide
-  // recycler and never clear them: put must overwrite every byte (the
+  // put, repair and degraded reads take their blocks uninitialized from the
+  // process-wide pool and never clear them: put must overwrite every byte (the
   // padded tail with zeros) and fingerprint what it wrote. A system full of
   // random objects is destroyed first, so the blocks a fresh system takes
   // hold its bytes; any byte put or a repair fails to write shows up as a
@@ -586,9 +585,10 @@ TEST(Storage, RecycledBlocksNeverLeakStaleBytes) {
         (void)dirty.put(random_object(n * bs, seed));
       }
     }
-    auto stale = rpr::rs::BlockRecycler::shared().take(bs);
-    EXPECT_NE(stale, rpr::rs::Block(bs, 0)) << "no stale block to recycle";
-    rpr::rs::BlockRecycler::shared().give({&stale, 1});
+    {
+      const auto stale = rpr::rs::Block::uninitialized(bs);
+      EXPECT_NE(stale, rpr::rs::Block(bs, 0)) << "no stale block to recycle";
+    }
 
     StorageSystem sys(o);
     const auto& cfg = sys.code().config();
@@ -641,6 +641,50 @@ TEST(Storage, RecycledBlocksNeverLeakStaleBytes) {
       check_all();
     }
   }
+}
+
+TEST(Storage, GetOfOddSizesIntoDirtyRecycledBufferIsByteIdentical) {
+  // get writes the object into an uninitialized pooled block by sharded
+  // copies: an object whose size is a multiple of neither the block size
+  // nor 64 B must come back byte-identical in a buffer dirtied with 0xA5,
+  // from intact slots and with a lost data block decoded.
+  StorageOptions o = small_opts();
+  o.block_size = (std::size_t{1} << 20) + 100;  // sharded, with a ragged tail
+  StorageSystem sys(o);
+  const std::size_t bs = o.block_size;
+  const std::size_t n = o.code.n;
+  std::vector<std::vector<std::uint8_t>> objects;
+  std::vector<rpr::storage::StripeId> ids;
+  for (const std::size_t size :
+       {n * bs - 37, 3 * bs + 1, std::size_t{77}, bs - 1}) {
+    objects.push_back(random_object(size, size));
+    ids.push_back(sys.put(objects.back()));
+  }
+  const auto check_all = [&] {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::size_t size = objects[i].size();
+      SCOPED_TRACE(testing::Message() << "object of " << size);
+      const std::uint8_t* pages = nullptr;
+      {
+        // A lost block's decode takes a block-sized buffer before the
+        // object's: keeping one cached makes that take a hit, so no miss
+        // evicts the dirtied buffer first.
+        const auto decode_buffer = rpr::rs::Block::uninitialized(bs);
+        auto dirty = rpr::rs::Block::uninitialized(size);
+        std::fill(dirty.begin(), dirty.end(), std::uint8_t{0xA5});
+        pages = dirty.data();
+      }
+      const auto got = sys.get(ids[i]);
+      EXPECT_EQ(got.data(), pages) << "get did not reuse the dirtied buffer";
+      EXPECT_EQ(got, objects[i]);
+    }
+  };
+  check_all();
+  for (const auto id : ids) {
+    sys.corrupt_block(id, 0);
+    ASSERT_EQ(sys.lost_blocks(id), std::vector<std::size_t>{0});
+  }
+  check_all();
 }
 
 TEST(Storage, IntactStateMatchesShadowModel) {

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "gf/gf_region.h"
 #include "net/message.h"
 #include "net/socket.h"
 
@@ -184,17 +186,32 @@ Xfer TcpTransport::move(Run& run, OpId id, std::size_t first,
       (params.net.between_racks(c.rack_of(op.from), c.rack_of(op.node))
            .as_bytes_per_sec() *
        params.time_scale);
-  // Stable once slice 0 published: producers stream into a pre-sized
-  // value buffer that is never reallocated.
-  const std::uint8_t* src = st.value[op.inputs[0]].data();
-  bool sent = false;
+  // Stable once slice 0 published: a read's view is its stripe block, and
+  // other producers stream into a pre-sized value buffer that is never
+  // reallocated.
+  const runtime::detail::Source in = st.source(op.inputs[0]);
+  const std::uint8_t* src = in.bytes + st.slice_offset(first);
+  const std::size_t len = st.range_len(first, upto);
+  const auto cancel = [&] { return dead_endpoint(run, op) != fault::kNoNode; };
+  // A scaled read goes out one pace chunk at a time through one scratch
+  // chunk; at scale 1 the bytes go straight from the source.
+  const auto scratch =
+      in.scale == 1 ? nullptr
+                    : std::make_unique_for_overwrite<std::uint8_t[]>(kPaceChunk);
+  bool sent = true;
   try {
     std::scoped_lock tx(tx_mu_[op.from]);
-    sent = send_payload_chunk(
-        conn_[id],
-        {src + st.slice_offset(first), st.range_len(first, upto)}, kPaceChunk,
-        static_cast<std::uint64_t>(chunk_s * 1e9),
-        [&] { return dead_endpoint(run, op) != fault::kNoNode; });
+    for (std::size_t off = 0; sent && off < len; off += kPaceChunk) {
+      std::span<const std::uint8_t> chunk{src + off,
+                                          std::min(kPaceChunk, len - off)};
+      if (in.scale != 1) {
+        gf::mul_region(in.scale, {scratch.get(), chunk.size()}, chunk);
+        chunk = {scratch.get(), chunk.size()};
+      }
+      sent = send_payload_chunk(conn_[id], chunk, kPaceChunk,
+                                static_cast<std::uint64_t>(chunk_s * 1e9),
+                                cancel);
+    }
   } catch (const std::exception&) {
     return conn_reused_[id] ? Xfer::kStale : Xfer::kUnreachable;
   }

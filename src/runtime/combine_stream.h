@@ -4,9 +4,11 @@
 // A combine consumes one slice from every input as soon as all of them
 // published it, writes the result into the op's buffer, and publishes the
 // slice immediately — downstream sends start forwarding while later slices
-// are still being computed. Inputs are read in place from the shared state,
-// never copied. The op's buffer holds stale bytes from an earlier run, so
-// every slice is overwritten, never accumulated into (see exec_state.h):
+// are still being computed. Inputs are read in place through their sources
+// (exec_state.h), never copied: an input's scale (a read's coefficient) is
+// folded into the op's coefficient for it, so a read feeds the combine
+// straight from its stripe block. The op's buffer holds stale bytes from an
+// earlier run, so every slice is overwritten, never accumulated into:
 //
 //  * the optimized path runs one fused multi-source pass per slice that
 //    overwrites it: the one pooled GF pass, gf::encode_regions_pooled with
@@ -70,9 +72,13 @@ bool stream_combine(ExecState& state, const repair::PlanOp& op,
   if (op.with_matrix_cost) build_and_invert_matrix(decode_matrix_dim);
   rs::Block& out = state.storage(id);
   const std::size_t nin = op.inputs.size();
+  // Scales are bound before any op thread starts, so they are final
+  // before the inputs publish; their bytes are read only after.
   std::vector<std::uint8_t> coeffs(nin);
   for (std::size_t i = 0; i < nin; ++i) {
-    coeffs[i] = op.input_coeffs.empty() ? std::uint8_t{1} : op.input_coeffs[i];
+    coeffs[i] = gf::mul(
+        op.input_coeffs.empty() ? std::uint8_t{1} : op.input_coeffs[i],
+        state.scale(op.inputs[i]));
   }
   std::vector<const std::uint8_t*> srcs(nin);
   for (std::size_t s = 0; s < state.slices(); ++s) {
@@ -95,7 +101,7 @@ bool stream_combine(ExecState& state, const repair::PlanOp& op,
     // Published input regions are final; reading them in place is
     // race-free (see exec_state.h).
     for (std::size_t i = 0; i < nin; ++i) {
-      srcs[i] = state.value[op.inputs[i]].data() + off;
+      srcs[i] = state.source(op.inputs[i]).bytes + off;
     }
     if (op.with_matrix_cost) {
       std::memset(out.data() + off, 0, len);

@@ -10,21 +10,28 @@
 // of its own.
 //
 // Values
-//  * every op value is one buffer of value_size() bytes, taken by its
+//  * a consumer reads an op's value through its source (source()): a
+//    pointer to value_size() bytes and a GF scale that the consumer applies
+//    where it already touches the bytes. A read is a view: its source is
+//    the stripe block itself with the op's coefficient, bound before any
+//    thread starts (bind_view), so a read takes no buffer and copies
+//    nothing. Every other op's source is its own buffer with scale 1;
+//  * an owned value is one buffer of value_size() bytes, taken by its
 //    producer on first use (storage()) and never reallocated afterwards —
 //    consumers read published regions by reference (no per-message scratch
 //    copies);
 //  * overwrite-before-publish: a taken buffer holds stale bytes from an
 //    earlier run, so every producer overwrites a slice before publishing it
-//    (reads and fast combines write with non-accumulating kernels, the
-//    matrix-cost combine clears its slice first, sends memcpy, TCP ingest
+//    (fast combines write with a non-accumulating kernel, the matrix-cost
+//    combine clears its slice first, sends write scale · input, TCP ingest
 //    reads the wire into it), and nobody reads a slice before it is
 //    published;
 //  * recycling: values are rs::Blocks (rs/block.h) taken uninitialized
 //    from the process-wide rs::BlockPool, which the data executor and the
 //    storage layer share, and given back when the state dies. Steady-state
 //    runs therefore fault in no value pages. The outputs are moved out once
-//    every op thread has joined (take), never copied.
+//    every op thread has joined (take), never copied; a view is the one
+//    value take() materializes, as scale · block in a pooled buffer.
 //
 // Publication
 //  * slices complete strictly in order per op (each op has exactly one
@@ -58,6 +65,7 @@
 #include <vector>
 
 #include "check/scheduler.h"
+#include "gf/gf_region.h"
 #include "obs/metrics.h"
 #include "repair/plan.h"
 #include "rs/rs_code.h"
@@ -124,6 +132,13 @@ class SliceMetrics {
   std::atomic<std::uint64_t> in_flight_{0};
 };
 
+/// Where a consumer reads an op's value: `scale` · the value_size() bytes
+/// at `bytes`.
+struct Source {
+  const std::uint8_t* bytes = nullptr;
+  std::uint8_t scale = 1;
+};
+
 /// Shared per-run execution state (see file comment).
 class ExecState {
  public:
@@ -132,6 +147,7 @@ class ExecState {
         slices_done(ops, 0),
         done(ops, false),
         failed(ops, false),
+        view_(ops),
         waiters_(ops),
         value_size_(value_size),
         slice_size_(slice_size == 0 ? value_size : slice_size),
@@ -158,6 +174,30 @@ class ExecState {
   [[nodiscard]] std::size_t range_len(std::size_t first,
                                       std::size_t upto) const noexcept {
     return std::min(slice_offset(upto), value_size_) - slice_offset(first);
+  }
+
+  /// Makes op `id` a view of `scale` · the value_size() bytes at `bytes`
+  /// (a read: its stripe block and coefficient). Call before any thread
+  /// uses the state — consumers read a source's scale before they wait for
+  /// its bytes. The op then takes no buffer; its producer only publishes.
+  void bind_view(repair::OpId id, const std::uint8_t* bytes,
+                 std::uint8_t scale) {
+    view_[id] = Source{bytes, scale};
+  }
+
+  /// The scale consumers apply to op `id`'s bytes: a view's coefficient,
+  /// 1 for an owned value. Fixed for the run, so it may be read before the
+  /// op publishes anything.
+  [[nodiscard]] std::uint8_t scale(repair::OpId id) const {
+    return view_[id].scale;
+  }
+
+  /// Where consumers read op `id`'s value. Call only once the op published
+  /// a slice: an owned buffer is taken by its producer on first use, so
+  /// its address is not stable before then.
+  [[nodiscard]] Source source(repair::OpId id) const {
+    return view_[id].bytes != nullptr ? view_[id]
+                                      : Source{value[id].data(), 1};
   }
 
   /// The op's value buffer, taken from the pool on first call. Its
@@ -314,10 +354,17 @@ class ExecState {
   }
 
   /// Moves the op's value out, leaving it empty: only once nothing reads
-  /// it any more (every op thread has joined).
+  /// it any more (every op thread has joined). A view is returned as an
+  /// owned scale · block copy in a pooled buffer; its block is untouched.
   rs::Block take(repair::OpId id) {
-    std::unique_lock lock(mu);
-    return std::move(value[id]);
+    const Source& v = view_[id];
+    if (v.bytes == nullptr) {
+      std::unique_lock lock(mu);
+      return std::move(value[id]);
+    }
+    rs::Block out = rs::Block::uninitialized(value_size_);
+    gf::mul_region(v.scale, out, {v.bytes, value_size_});
+    return out;
   }
 
   /// Test accessors: waiters notified so far, and waiters registered on
@@ -395,6 +442,9 @@ class ExecState {
     for (repair::OpId id : ids) std::erase(waiters_[id], &w);
   }
 
+  /// Per op: the bound view, or a null source for an owned value. Written
+  /// only before the op threads start.
+  std::vector<Source> view_;
   std::vector<std::vector<Waiter*>> waiters_;
   std::size_t wakes_ = 0;
   std::size_t value_size_;

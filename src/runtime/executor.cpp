@@ -1,8 +1,8 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "gf/gf_region.h"
@@ -35,9 +35,18 @@ Run::Run(Executor& executor, const repair::RepairPlan& repair_plan,
          std::span<const rs::Block> blocks)
     : ex(executor),
       plan(repair_plan),
-      stripe(blocks),
       state(plan.ops.size(), plan.block_size, ex.params().slice_size),
-      metrics(ex.params().metrics, ex.metrics_prefix_) {}
+      metrics(ex.params().metrics, ex.metrics_prefix_) {
+  // A read is a view of its stripe block scaled by its coefficient, bound
+  // here, before any op thread starts: consumers read a source's scale
+  // before they wait for its bytes.
+  for (OpId id = 0; id < plan.ops.size(); ++id) {
+    const PlanOp& op = plan.ops[id];
+    if (op.kind == OpKind::kRead) {
+      state.bind_view(id, blocks[op.block].data(), op.coeff);
+    }
+  }
+}
 
 bool Run::is_dead(NodeId node) { return ex.is_dead(node); }
 
@@ -63,10 +72,12 @@ void Run::note_partition(const fault::Partition* p) {
 }
 
 void Run::forward(OpId id, std::size_t first, std::size_t upto) {
+  const detail::Source in = state.source(plan.ops[id].inputs[0]);
   const std::size_t off = state.slice_offset(first);
-  std::memcpy(state.storage(id).data() + off,
-              state.value[plan.ops[id].inputs[0]].data() + off,
-              state.range_len(first, upto));
+  const std::size_t len = state.range_len(first, upto);
+  // A memcpy at scale 1; a scaled read's coefficient is applied here.
+  gf::mul_region(in.scale, {state.storage(id).data() + off, len},
+                 {in.bytes + off, len});
   state.publish_slices(id, upto);
 }
 
@@ -162,11 +173,19 @@ repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
                                        std::span<const rs::Block> stripe,
                                        Transport& transport) {
   repair::validate(plan, cluster_);
-  // Slice offsets derive from plan.block_size; every value must be exactly
-  // that long.
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind == OpKind::kRead &&
-        stripe[op.block].size() != plan.block_size) {
+  // Every read names a stripe block, and slice offsets derive from
+  // plan.block_size: every value must be exactly that long.
+  for (OpId id = 0; id < plan.ops.size(); ++id) {
+    const PlanOp& op = plan.ops[id];
+    if (op.kind != OpKind::kRead) continue;
+    if (op.block >= stripe.size()) {
+      throw std::out_of_range(std::string(name_) + ": op " +
+                              std::to_string(id) + " reads block " +
+                              std::to_string(op.block) + " of a " +
+                              std::to_string(stripe.size()) +
+                              "-block stripe");
+    }
+    if (stripe[op.block].size() != plan.block_size) {
       throw std::invalid_argument(std::string(name_) +
                                   ": stripe blocks must be plan.block_size");
     }
@@ -282,7 +301,8 @@ bool Executor::read(Run& run, OpId id, double& stall_s) {
     if (slowdisk_counted_.insert(op.node).second) ++run.faults;
   }
   // Reads are local and instant: every slice becomes available at once.
-  gf::mul_region(op.coeff, run.state.storage(id), run.stripe[op.block]);
+  // The value is a view of the stripe block (bound by Run), so nothing is
+  // copied; consumers apply the coefficient as they read it.
   run.state.publish_all(id);
   return true;
 }
@@ -433,16 +453,19 @@ void Executor::assemble_abort(Run& run, repair::Attempt& result) {
             : -1.0;
     abort.partition_side = cut->sides(cluster_);
   }
+  std::vector<OpId> banked;
   {
     std::scoped_lock fl(fault_mu_);
     std::unique_lock lock(run.state.mu);
     for (OpId id = 0; id < run.plan.ops.size(); ++id) {
       if (!run.state.done[id]) continue;
       if (dead_.count(run.plan.ops[id].node) != 0) continue;
-      // Called once every op thread has joined: the value moves out.
-      abort.finished.emplace_back(id, std::move(run.state.value[id]));
+      banked.push_back(id);
     }
   }
+  // Called once every op thread has joined: an owned value moves out, a
+  // read's view comes back as its own coeff · block copy.
+  for (OpId id : banked) abort.finished.emplace_back(id, run.state.take(id));
 }
 
 }  // namespace rpr::runtime

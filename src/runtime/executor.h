@@ -15,8 +15,11 @@
 // (`slice_size` 0 or >= the block), not a separate code path.
 //
 // The executor owns everything that does not depend on the wire:
-//  * reads (instant, or stalled by a slow disk), local moves and combines
-//    (detail::stream_combine);
+//  * reads (instant, or stalled by a slow disk): a read is a view of its
+//    stripe block plus its coefficient, bound before any op thread starts,
+//    and copies nothing — its consumers apply the coefficient as they touch
+//    the bytes;
+//  * local moves and combines (detail::stream_combine);
 //  * sends: the straggle -> attempt -> jittered-backoff retry loop around
 //    the transport, and who is declared lost when retries run out;
 //  * the fault session: kills on the wall clock since construction (and
@@ -107,6 +110,7 @@ class Executor;
 /// One execute() call: the shared value state plus the run's counters and
 /// blame, used by the op threads and the transport alike.
 struct Run {
+  /// Binds every read to its block of `blocks` (see ExecState::bind_view).
   Run(Executor& executor, const repair::RepairPlan& repair_plan,
       std::span<const rs::Block> blocks);
 
@@ -119,15 +123,14 @@ struct Run {
   /// Marks `node` dead for the rest of the session and blames it.
   void declare_lost(topology::NodeId node);
   void note_partition(const fault::Partition* p);
-  /// Copies slices [first, upto) of send op `id`'s input into its value
-  /// and publishes them.
+  /// Writes slices [first, upto) of send op `id`'s input, times the
+  /// input's scale (a memcpy at scale 1), into its value and publishes them.
   void forward(repair::OpId id, std::size_t first, std::size_t upto);
   /// Keeps the first unexpected exception; execute() rethrows it.
   void record_error(const std::string& what);
 
   Executor& ex;
   const repair::RepairPlan& plan;
-  std::span<const rs::Block> stripe;
   detail::ExecState state;
   detail::SliceMetrics metrics;
   std::atomic<std::uint64_t> cross_bytes{0};

@@ -1,6 +1,7 @@
 // Threaded-testbed tests: throttle accuracy, port serialization, plan
-// execution correctness over real bytes, region bandwidth matrix, and the
-// executor's recycled value buffers (on the testbed and over TCP).
+// execution correctness over real bytes, region bandwidth matrix, the
+// executor's recycled value buffers, and reads as views of their stripe
+// blocks (on the testbed and over TCP).
 #include "runtime/testbed.h"
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "gf/gf_region.h"
 #include "net/tcp_runtime.h"
 #include "repair/executor_data.h"
 #include "repair/planner.h"
+#include "runtime/exec_state.h"
 #include "test_support.h"
 
 using rpr::repair::OpId;
@@ -418,4 +421,249 @@ TEST(Testbed, SteadyStateExecuteFaultsInNoValuePages) {
       static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   EXPECT_LT(faults, value_pages / 16)
       << faults << " minor faults against " << value_pages << " value pages";
+}
+
+namespace {
+
+/// `c` · `block`, the value a read of `block` with coefficient `c` stands
+/// for.
+Block scaled(std::uint8_t c, const Block& block) {
+  Block out(block.size());
+  rpr::gf::mul_region(c, out, block);
+  return out;
+}
+
+}  // namespace
+
+TEST(ExecStateTest, BoundReadIsAViewAndTakeCopiesItScaled) {
+  // A bound read's source is the stripe block itself, not a copy; take()
+  // hands back c · block in its own pooled buffer and leaves the block as
+  // it was. An owned op's source stays its own buffer at scale 1.
+  constexpr std::size_t kSize = 4096 + 17;  // three slices and a short tail
+  constexpr std::uint8_t kCoeff = 0x53;
+  Block block(kSize);
+  for (std::size_t i = 0; i < kSize; ++i) {
+    block[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const Block before = block;
+
+  rpr::runtime::detail::ExecState st(2, kSize, 1536);
+  st.bind_view(0, block.data(), kCoeff);
+  // Scales are readable before anything is published or taken.
+  EXPECT_EQ(st.scale(0), kCoeff);
+  EXPECT_EQ(st.scale(1), 1);
+  st.publish_all(0);
+  EXPECT_EQ(st.source(0).bytes, block.data());
+  EXPECT_EQ(st.source(0).scale, kCoeff);
+  EXPECT_TRUE(st.value[0].empty()) << "a view takes no value buffer";
+
+  const Block& own = st.storage(1);
+  EXPECT_EQ(st.source(1).bytes, own.data());
+  EXPECT_EQ(st.source(1).scale, 1);
+
+  // The most recently released buffer of a size is the next one the pool
+  // hands out: a copy that comes back in it was taken from the pool.
+  const std::uint8_t* recycled = nullptr;
+  {
+    Block scrap = Block::uninitialized(kSize);
+    recycled = scrap.data();
+  }
+  const Block taken = st.take(0);
+  EXPECT_EQ(taken.data(), recycled);
+  EXPECT_NE(taken.data(), block.data());
+  EXPECT_EQ(taken, scaled(kCoeff, before));
+  EXPECT_EQ(block, before);
+  EXPECT_EQ(st.source(0).bytes, block.data()) << "take leaves the view bound";
+}
+
+TEST(Testbed, ReadOutsideTheStripeThrowsBeforeAnyThreadStarts) {
+  // A read of a block past the stripe is rejected up front, naming the op
+  // and the block, as execute_on_data rejects it — on both engines. The
+  // stripe handed over is a prefix of a real one, so the block past its end
+  // exists in memory and an unchecked index would run the plan silently.
+  const rpr::rs::CodeConfig cfg{6, 3};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  const auto stripe = rpr::testing::random_stripe(code, 4096, 7);
+  const std::span<const Block> prefix = std::span(stripe).first(4);
+
+  RepairPlan plan;
+  plan.block_size = 4096;
+  const OpId a = plan.read(placed.placement.node_of(0), 0, 1);
+  const OpId b = plan.read(placed.placement.node_of(0), 5, 1);
+  const OpId c = plan.combine(placed.placement.node_of(0), {a, b});
+  const std::vector<OpId> outputs = {c};
+  EXPECT_THROW((void)rpr::repair::execute_on_data(plan, outputs, prefix),
+               std::out_of_range);
+
+  for (const bool tcp : {false, true}) {
+    AnyEngine engine(tcp, placed.cluster, fast_params(placed.cluster.racks()));
+    try {
+      (void)engine.engine_->execute(plan, outputs, prefix);
+      ADD_FAILURE() << (tcp ? "tcp" : "testbed") << ": no exception";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("op 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("block 5"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Testbed, ReadViewsMatchDataExecutorOnEveryConsumer) {
+  // Reads are views: each consumer applies the read's coefficient where it
+  // touches the bytes — a combine folds it into its own coefficients (fused
+  // and matrix-cost paths), a send or local move writes coeff · block, a
+  // TCP send scales each pace chunk, and take() materializes a read that is
+  // itself an output. Every output must equal the data executor's, on both
+  // engines, whole-block, at 64 KiB slices and at slices with a short tail.
+  const rpr::rs::CodeConfig cfg{12, 4};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  constexpr std::size_t kBlock = 256 << 10;
+  const auto stripe = rpr::testing::random_stripe(code, kBlock, 2027);
+  const auto plan_for = [&](std::vector<std::size_t> failed,
+                            rpr::repair::Scheme scheme) {
+    rpr::repair::RepairProblem problem;
+    problem.code = &code;
+    problem.placement = &placed.placement;
+    problem.block_size = kBlock;
+    problem.failed = std::move(failed);
+    problem.choose_default_replacements();
+    return rpr::repair::make_planner(scheme)->plan(problem);
+  };
+  using rpr::repair::OpKind;
+  const auto scaled_read = [](const rpr::repair::PlanOp& op) {
+    return op.kind == OpKind::kRead && op.coeff != 1;
+  };
+
+  std::vector<std::pair<std::string, rpr::repair::PlannedRepair>> cases;
+  cases.emplace_back("rpr {13}", plan_for({13}, rpr::repair::Scheme::kRpr));
+  {
+    // The parity repair's reads carry coefficients other than 1, and one
+    // of them feeds a send and another a combine.
+    const auto& ops = cases.back().second.plan.ops;
+    bool sends = false;
+    bool combines = false;
+    for (const auto& op : ops) {
+      for (const OpId in : op.inputs) {
+        if (!scaled_read(ops[in])) continue;
+        sends |= op.kind == OpKind::kSend;
+        combines |= op.kind == OpKind::kCombine;
+      }
+    }
+    ASSERT_TRUE(sends && combines);
+  }
+  cases.emplace_back("rpr {0,13}",
+                     plan_for({0, 13}, rpr::repair::Scheme::kRpr));
+  cases.emplace_back("traditional {13}",
+                     plan_for({13}, rpr::repair::Scheme::kTraditional));
+  {
+    auto matrix = plan_for({13}, rpr::repair::Scheme::kRpr);
+    auto& ops = matrix.plan.ops;
+    const auto it = std::find_if(ops.begin(), ops.end(), [&](const auto& op) {
+      return op.kind == OpKind::kCombine &&
+             std::any_of(op.inputs.begin(), op.inputs.end(),
+                         [&](OpId in) { return scaled_read(ops[in]); });
+    });
+    ASSERT_NE(it, ops.end());
+    it->with_matrix_cost = true;
+    cases.emplace_back("rpr {13}, one matrix-cost combine", std::move(matrix));
+  }
+  {
+    // Hand plan: a scaled read moves to its own node (move_local), crosses
+    // to another node and meets a second scaled read there; the read and
+    // the send are outputs too.
+    rpr::repair::PlannedRepair hand;
+    hand.plan.block_size = kBlock;
+    const auto a = placed.placement.node_of(0);
+    const auto b = placed.placement.node_of(5);
+    ASSERT_NE(a, b);
+    const OpId r0 = hand.plan.read(a, 0, 7);
+    const OpId local = hand.plan.send(r0, a, a);
+    const OpId sent = hand.plan.send(local, a, b);
+    const OpId r5 = hand.plan.read(b, 5, 0xC4);
+    const OpId c = hand.plan.combine_scaled(b, {sent, r5}, {3, 1});
+    hand.outputs = {c, r0, sent};
+    cases.emplace_back("hand plan with a local move", std::move(hand));
+  }
+
+  TestbedParams params = fast_params(placed.cluster.racks());
+  params.time_scale = 1 << 20;  // links effectively unpaced
+  params.decode_matrix_dim = cfg.n;
+  params.retry.op_deadline_s = 5.0;
+  for (const auto& [name, planned] : cases) {
+    const auto expected = rpr::repair::execute_on_data(
+        planned.plan, planned.outputs, stripe);
+    for (const bool tcp : {false, true}) {
+      for (const std::size_t slice :
+           {std::size_t{0}, std::size_t{64} << 10, std::size_t{40000}}) {
+        params.slice_size = slice;
+        AnyEngine e(tcp, placed.cluster, params);
+        const auto r = e.execute(planned, stripe);
+        ASSERT_FALSE(r.abort.has_value()) << name;
+        EXPECT_EQ(r.outputs, expected)
+            << name << " on " << (tcp ? "tcp" : "testbed")
+            << " slice=" << slice;
+      }
+    }
+  }
+  // The views never wrote through to the stripe.
+  EXPECT_EQ(stripe, rpr::testing::random_stripe(code, kBlock, 2027));
+}
+
+TEST(Testbed, AbortBanksEveryFinishedReadAsCoeffTimesBlock) {
+  // A helper dead from the start fails the repair; every read that did
+  // finish is banked in Abort::finished as its own coeff · block value, on
+  // both engines.
+  const rpr::rs::CodeConfig cfg{12, 4};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  constexpr std::size_t kBlock = 256 << 10;
+  const auto stripe = rpr::testing::random_stripe(code, kBlock, 77);
+
+  rpr::repair::RepairProblem problem;
+  problem.code = &code;
+  problem.placement = &placed.placement;
+  problem.block_size = kBlock;
+  problem.failed = {13};
+  problem.choose_default_replacements();
+  const auto planned = rpr::repair::RprPlanner().plan(problem);
+  const auto& ops = planned.plan.ops;
+  const auto victim = std::find_if(ops.begin(), ops.end(), [](const auto& op) {
+    return op.kind == rpr::repair::OpKind::kRead && op.coeff != 1;
+  });
+  ASSERT_NE(victim, ops.end());
+  // Reads are instant: every read off the dead node finishes.
+  const auto live_reads = static_cast<std::size_t>(
+      std::count_if(ops.begin(), ops.end(), [&](const auto& op) {
+        return op.kind == rpr::repair::OpKind::kRead &&
+               op.node != victim->node;
+      }));
+
+  TestbedParams params = fast_params(placed.cluster.racks());
+  params.decode_matrix_dim = cfg.n;
+  params.slice_size = 64 << 10;
+  params.faults = rpr::fault::FaultSchedule::parse(
+      "kill:" + std::to_string(victim->node) + "@0");
+  for (const bool tcp : {false, true}) {
+    AnyEngine e(tcp, placed.cluster, params);
+    const auto r = e.execute(planned, stripe);
+    ASSERT_TRUE(r.abort.has_value()) << (tcp ? "tcp" : "testbed");
+    std::size_t reads = 0;
+    std::size_t scaled_reads = 0;
+    for (const auto& [id, value] : r.abort->finished) {
+      const auto& op = ops[id];
+      if (op.kind != rpr::repair::OpKind::kRead) continue;
+      ++reads;
+      scaled_reads += op.coeff != 1 ? 1 : 0;
+      EXPECT_NE(op.node, victim->node);
+      EXPECT_EQ(value, scaled(op.coeff, stripe[op.block]))
+          << (tcp ? "tcp" : "testbed") << " op " << id;
+    }
+    EXPECT_GT(scaled_reads, 0u) << (tcp ? "tcp" : "testbed");
+    EXPECT_EQ(reads, live_reads) << (tcp ? "tcp" : "testbed");
+  }
 }

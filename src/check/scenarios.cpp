@@ -31,9 +31,10 @@ rs::Block pattern_block(std::size_t size, std::uint8_t seed) {
   return b;
 }
 
-/// Fast testbed params for scheduled runs: huge time_scale turns paced
-/// sleeps into nanoseconds, so wall time per explored schedule is spawn +
-/// scheduling cost, not pacing.
+/// Fast testbed params for scheduled runs: at a huge time_scale a range's
+/// link time is nanoseconds, its deadline has passed before the channel
+/// looks (util/pace.h), and pacing makes no sleep call, so wall time per
+/// explored schedule is spawn + scheduling cost, not pacing.
 runtime::TestbedParams fast_params(std::size_t racks, std::size_t slice) {
   runtime::TestbedParams p;
   p.net = runtime::RegionNet::uniform(racks, util::Bandwidth::gbps(10),

@@ -1,8 +1,6 @@
 #include "net/message.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 namespace rpr::net {
 
@@ -19,6 +17,15 @@ void send_header(Socket& sock, std::uint64_t op_id,
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         std::size_t pace_chunk, std::uint64_t chunk_delay_ns,
                         const std::function<bool()>& cancel) {
+  util::Pacer pacer;
+  return send_payload_chunk(sock, payload, pacer, pace_chunk, chunk_delay_ns,
+                            cancel);
+}
+
+bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
+                        util::Pacer& pacer, std::size_t pace_chunk,
+                        std::uint64_t chunk_delay_ns,
+                        const std::function<bool()>& cancel) {
   if (pace_chunk == 0 && !cancel) {
     sock.write_all(payload);
     return true;
@@ -26,6 +33,7 @@ bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
   // Chunked streaming: cancellation needs chunk boundaries even when no
   // pacing was requested.
   const std::size_t chunk = pace_chunk != 0 ? pace_chunk : (64u << 10);
+  const double chunk_s = static_cast<double>(chunk_delay_ns) * 1e-9;
   std::size_t off = 0;
   while (off < payload.size()) {
     if (cancel && cancel()) return false;
@@ -33,7 +41,9 @@ bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
     sock.write_all(payload.subspan(off, len));
     off += len;
     if (chunk_delay_ns != 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(chunk_delay_ns));
+      pacer.owe(chunk_s * static_cast<double>(len) /
+                static_cast<double>(chunk));
+      pacer.wait();
     }
   }
   return true;

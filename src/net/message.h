@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/socket.h"
+#include "util/pace.h"
 
 namespace rpr::net {
 
@@ -27,8 +28,11 @@ struct MessageHeader {
 static_assert(sizeof(MessageHeader) == 24);
 
 /// Sends one value; `pace_chunk` and `chunk_delay_ns` implement sender-side
-/// bandwidth shaping (wondershaper's role in the paper's setup): after each
-/// `pace_chunk` bytes the sender sleeps `chunk_delay_ns`. A non-empty
+/// bandwidth shaping (wondershaper's role in the paper's setup): each
+/// `pace_chunk` bytes owe `chunk_delay_ns` of link time, and after each
+/// chunk the sender sleeps until its start plus the link time owed so far
+/// (util/pace.h), so the stream never beats the link and sleep overhead
+/// does not add up per chunk; a delay of 0 makes no sleep call. A non-empty
 /// `cancel` callback is polled between chunks (chunked sending is then
 /// forced even without pacing); returning true abandons the stream
 /// mid-payload — send_value returns false and the receiver sees a short
@@ -50,6 +54,13 @@ void send_header(Socket& sock, std::uint64_t op_id, std::uint64_t payload_len);
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         std::size_t pace_chunk = 0,
                         std::uint64_t chunk_delay_ns = 0,
+                        const std::function<bool()>& cancel = {});
+
+/// send_payload_chunk on `pacer`'s deadline: calls that share one pacer
+/// are paced as one stream (a short chunk owes its share of the delay).
+bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
+                        util::Pacer& pacer, std::size_t pace_chunk,
+                        std::uint64_t chunk_delay_ns,
                         const std::function<bool()>& cancel = {});
 
 struct ReceivedValue {

@@ -24,8 +24,8 @@ using topology::NodeId;
 
 namespace {
 
-/// Pacing granularity: the sender sleeps after each chunk of this many
-/// bytes, so the stream averages the link's bandwidth.
+/// Pacing granularity: each chunk of this many bytes owes its link time, and
+/// the sender sleeps to the range's deadline after it (util/pace.h).
 constexpr std::size_t kPaceChunk = 64 << 10;
 /// Poll interval of the acceptors and of idle frame loops. After the last op
 /// resolves, `end` waits out up to one tick of every such loop, so the tick
@@ -186,9 +186,9 @@ Xfer TcpTransport::move(Run& run, OpId id, std::size_t first,
       (params.net.between_racks(c.rack_of(op.from), c.rack_of(op.node))
            .as_bytes_per_sec() *
        params.time_scale);
-  // Stable once slice 0 published: a read's view is its stripe block, and
-  // other producers stream into a pre-sized value buffer that is never
-  // reallocated.
+  // Stable once slice 0 published: a view (a read, or a local move of one)
+  // resolves to its stripe block, and other producers stream into a
+  // pre-sized value buffer that is never reallocated.
   const runtime::detail::Source in = st.source(op.inputs[0]);
   const std::uint8_t* src = in.bytes + st.slice_offset(first);
   const std::size_t len = st.range_len(first, upto);
@@ -201,6 +201,7 @@ Xfer TcpTransport::move(Run& run, OpId id, std::size_t first,
   bool sent = true;
   try {
     std::scoped_lock tx(tx_mu_[op.from]);
+    util::Pacer pacer;  // the range owes its link time from here
     for (std::size_t off = 0; sent && off < len; off += kPaceChunk) {
       std::span<const std::uint8_t> chunk{src + off,
                                           std::min(kPaceChunk, len - off)};
@@ -208,7 +209,7 @@ Xfer TcpTransport::move(Run& run, OpId id, std::size_t first,
         gf::mul_region(in.scale, {scratch.get(), chunk.size()}, chunk);
         chunk = {scratch.get(), chunk.size()};
       }
-      sent = send_payload_chunk(conn_[id], chunk, kPaceChunk,
+      sent = send_payload_chunk(conn_[id], chunk, pacer, kPaceChunk,
                                 static_cast<std::uint64_t>(chunk_s * 1e9),
                                 cancel);
     }

@@ -12,18 +12,23 @@
 // Values
 //  * a consumer reads an op's value through its source (source()): a
 //    pointer to value_size() bytes and a GF scale that the consumer applies
-//    where it already touches the bytes. A read is a view: its source is
-//    the stripe block itself with the op's coefficient, bound before any
-//    thread starts (bind_view), so a read takes no buffer and copies
-//    nothing. Every other op's source is its own buffer with scale 1;
+//    where it already touches the bytes;
+//  * a view copies nothing and takes no buffer. Views are bound before any
+//    thread starts (bind_view): a read is a view of its stripe block with
+//    the op's coefficient; a local move, and a send on a transport that
+//    moves no bytes (the testbed's paced channel), is a view of its input
+//    and resolves to whatever that input resolves to — a stripe block and
+//    its coefficient, or another op's own buffer at scale 1. A view's
+//    producer only publishes; every other op owns its value, and its
+//    source is its own buffer with scale 1;
 //  * an owned value is one buffer of value_size() bytes, taken by its
 //    producer on first use (storage()) and never reallocated afterwards —
 //    consumers read published regions by reference (no per-message scratch
 //    copies);
 //  * overwrite-before-publish: a taken buffer holds stale bytes from an
-//    earlier run, so every producer overwrites a slice before publishing it
-//    (fast combines write with a non-accumulating kernel, the matrix-cost
-//    combine clears its slice first, sends write scale · input, TCP ingest
+//    earlier run, so every producer of an owned value overwrites a slice
+//    before publishing it (fast combines write with a non-accumulating
+//    kernel, the matrix-cost combine clears its slice first, TCP ingest
 //    reads the wire into it), and nobody reads a slice before it is
 //    published;
 //  * recycling: values are rs::Blocks (rs/block.h) taken uninitialized
@@ -31,7 +36,9 @@
 //    storage layer share, and given back when the state dies. Steady-state
 //    runs therefore fault in no value pages. The outputs are moved out once
 //    every op thread has joined (take), never copied; a view is the one
-//    value take() materializes, as scale · block in a pooled buffer.
+//    value take() materializes, as a scale · bytes copy in a pooled buffer.
+//    A view of an owned value copies from that buffer, so take a run's
+//    values in descending op id order: a view's id is above its input's.
 //
 // Publication
 //  * slices complete strictly in order per op (each op has exactly one
@@ -62,6 +69,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "check/scheduler.h"
@@ -148,10 +157,13 @@ class ExecState {
         done(ops, false),
         failed(ops, false),
         view_(ops),
+        owner_(ops),
         waiters_(ops),
         value_size_(value_size),
         slice_size_(slice_size == 0 ? value_size : slice_size),
-        slices_(slice_count(value_size, slice_size)) {}
+        slices_(slice_count(value_size, slice_size)) {
+    for (repair::OpId id = 0; id < ops; ++id) owner_[id] = id;
+  }
   ExecState(const ExecState&) = delete;
   ExecState& operator=(const ExecState&) = delete;
 
@@ -185,19 +197,30 @@ class ExecState {
     view_[id] = Source{bytes, scale};
   }
 
-  /// The scale consumers apply to op `id`'s bytes: a view's coefficient,
-  /// 1 for an owned value. Fixed for the run, so it may be read before the
-  /// op publishes anything.
+  /// Makes op `id` a view of op `input`'s value (a local move, or a send
+  /// that moves no bytes): it resolves to what `input` resolves to, so bind
+  /// in op order — an input before its users — and before any thread uses
+  /// the state. The op takes no buffer; its producer only publishes, once
+  /// `input` has published the same slices.
+  void bind_view(repair::OpId id, repair::OpId input) {
+    view_[id] = view_[input];
+    owner_[id] = owner_[input];
+  }
+
+  /// The scale consumers apply to op `id`'s bytes: the coefficient of the
+  /// read a view resolves to, 1 for an owned value or a view of one. Fixed
+  /// for the run, so it may be read before the op publishes anything.
   [[nodiscard]] std::uint8_t scale(repair::OpId id) const {
     return view_[id].scale;
   }
 
   /// Where consumers read op `id`'s value. Call only once the op published
   /// a slice: an owned buffer is taken by its producer on first use, so
-  /// its address is not stable before then.
+  /// its address is not stable before then (a view publishes only after
+  /// the value it resolves to did).
   [[nodiscard]] Source source(repair::OpId id) const {
     return view_[id].bytes != nullptr ? view_[id]
-                                      : Source{value[id].data(), 1};
+                                      : Source{value[owner_[id]].data(), 1};
   }
 
   /// The op's value buffer, taken from the pool on first call. Its
@@ -355,12 +378,20 @@ class ExecState {
 
   /// Moves the op's value out, leaving it empty: only once nothing reads
   /// it any more (every op thread has joined). A view is returned as an
-  /// owned scale · block copy in a pooled buffer; its block is untouched.
+  /// owned scale · bytes copy in a pooled buffer and leaves what it
+  /// resolves to untouched — take it before the value it aliases (see the
+  /// file comment).
   rs::Block take(repair::OpId id) {
-    const Source& v = view_[id];
-    if (v.bytes == nullptr) {
+    if (view_[id].bytes == nullptr && owner_[id] == id) {
       std::unique_lock lock(mu);
       return std::move(value[id]);
+    }
+    const Source v = source(id);
+    if (v.bytes == nullptr) {
+      throw std::logic_error("ExecState::take: op " + std::to_string(id) +
+                             " is a view of op " +
+                             std::to_string(owner_[id]) +
+                             ", whose value was already taken");
     }
     rs::Block out = rs::Block::uninitialized(value_size_);
     gf::mul_region(v.scale, out, {v.bytes, value_size_});
@@ -442,9 +473,12 @@ class ExecState {
     for (repair::OpId id : ids) std::erase(waiters_[id], &w);
   }
 
-  /// Per op: the bound view, or a null source for an owned value. Written
-  /// only before the op threads start.
+  /// Per op: the bound stripe view a value resolves to, or a null source;
+  /// and the op whose own buffer holds its bytes when the source is null
+  /// (the op itself unless it is a view of an owned value). Written only
+  /// before the op threads start.
   std::vector<Source> view_;
+  std::vector<repair::OpId> owner_;
   std::vector<std::vector<Waiter*>> waiters_;
   std::size_t wakes_ = 0;
   std::size_t value_size_;

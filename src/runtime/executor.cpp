@@ -1,11 +1,11 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
-#include "gf/gf_region.h"
 #include "runtime/combine_stream.h"
 #include "runtime/op_trace.h"
 
@@ -19,9 +19,9 @@ using Clock = detail::TraceClock;
 
 namespace {
 
-/// Upper bound on one forwarded slice range: large enough to amortize port
-/// locking and pacing-sleep granularity at 16 KiB slices, small enough to
-/// keep the pipeline fine-grained.
+/// Upper bound on one moved slice range: large enough to amortize port
+/// locking and per-range pacing at 16 KiB slices, small enough to keep the
+/// pipeline fine-grained.
 constexpr std::size_t kMaxBatchBytes = 256 << 10;
 
 void sleep_s(double s, double& stall_s) {
@@ -32,18 +32,21 @@ void sleep_s(double s, double& stall_s) {
 }  // namespace
 
 Run::Run(Executor& executor, const repair::RepairPlan& repair_plan,
-         std::span<const rs::Block> blocks)
+         std::span<const rs::Block> blocks, bool sends_are_views)
     : ex(executor),
       plan(repair_plan),
       state(plan.ops.size(), plan.block_size, ex.params().slice_size),
       metrics(ex.params().metrics, ex.metrics_prefix_) {
-  // A read is a view of its stripe block scaled by its coefficient, bound
-  // here, before any op thread starts: consumers read a source's scale
-  // before they wait for its bytes.
+  // Views are bound here, before any op thread starts (consumers read a
+  // source's scale before they wait for its bytes), and in op order, so a
+  // view of a view resolves to what its input resolves to.
   for (OpId id = 0; id < plan.ops.size(); ++id) {
     const PlanOp& op = plan.ops[id];
     if (op.kind == OpKind::kRead) {
       state.bind_view(id, blocks[op.block].data(), op.coeff);
+    } else if (op.kind == OpKind::kSend &&
+               (sends_are_views || op.from == op.node)) {
+      state.bind_view(id, op.inputs[0]);
     }
   }
 }
@@ -69,16 +72,6 @@ void Run::declare_lost(NodeId node) {
 void Run::note_partition(const fault::Partition* p) {
   const fault::Partition* expected = nullptr;
   first_cut.compare_exchange_strong(expected, p);
-}
-
-void Run::forward(OpId id, std::size_t first, std::size_t upto) {
-  const detail::Source in = state.source(plan.ops[id].inputs[0]);
-  const std::size_t off = state.slice_offset(first);
-  const std::size_t len = state.range_len(first, upto);
-  // A memcpy at scale 1; a scaled read's coefficient is applied here.
-  gf::mul_region(in.scale, {state.storage(id).data() + off, len},
-                 {in.bytes + off, len});
-  state.publish_slices(id, upto);
 }
 
 void Run::record_error(const std::string& what) {
@@ -190,7 +183,7 @@ repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
                                   ": stripe blocks must be plan.block_size");
     }
   }
-  Run run(*this, plan, stripe);
+  Run run(*this, plan, stripe, transport.sends_are_views());
   detail::name_node_tracks(cluster_, params_.recorder);
   // One DAG span id per plan op (0 = tracing disabled, no identity).
   const obs::SpanId span_base =
@@ -273,14 +266,22 @@ repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
     assemble_abort(run, result);
   } else {
     // Every op thread has joined, so nothing reads a value any more: each
-    // output moves out (a repeated output is copied from its first).
-    result.outputs.reserve(outputs.size());
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      const auto first = static_cast<std::size_t>(
-          std::find(outputs.begin(), outputs.end(), outputs[i]) -
-          outputs.begin());
-      result.outputs.push_back(first == i ? run.state.take(outputs[i])
-                                          : rs::Block(result.outputs[first]));
+    // output moves out (a repeated output is copied from its first), in
+    // descending op id order, so a view is copied before the value it
+    // aliases moves out.
+    std::vector<std::size_t> order(outputs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return outputs[a] > outputs[b];
+                     });
+    result.outputs.resize(outputs.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
+      result.outputs[i] =
+          k > 0 && outputs[order[k - 1]] == outputs[i]
+              ? rs::Block(result.outputs[order[k - 1]])
+              : run.state.take(outputs[i]);
     }
   }
   return result;
@@ -318,7 +319,8 @@ bool Executor::move_local(Run& run, OpId id,
       op_start = Clock::now();
       if (run.blame_if_dead(op.node)) return false;
     }
-    run.forward(id, s, upto);
+    // A view of its input (bound by Run): publishing is the whole move.
+    run.state.publish_slices(id, upto);
     s = upto;
   }
   return true;
@@ -379,7 +381,7 @@ bool Executor::send(Run& run, OpId id, Transport& transport,
           op_start = Clock::now();
         }
         // Fault/schedule boundary before the range moves: an explored kill
-        // can land between a slice becoming ready and its forward (mirrors
+        // can land between a slice becoming ready and its move (mirrors
         // stream_combine's per-slice point).
         check::point(check::PointKind::kStep, id, 0, "exec.send_slice");
         if (!opened) {
@@ -464,8 +466,13 @@ void Executor::assemble_abort(Run& run, repair::Attempt& result) {
     }
   }
   // Called once every op thread has joined: an owned value moves out, a
-  // read's view comes back as its own coeff · block copy.
-  for (OpId id : banked) abort.finished.emplace_back(id, run.state.take(id));
+  // view comes back as its own scale · bytes copy. Views are taken first
+  // (descending op id): a send's view of a combine must copy the combine's
+  // buffer before that buffer moves out.
+  abort.finished.resize(banked.size());
+  for (std::size_t i = banked.size(); i-- > 0;) {
+    abort.finished[i] = {banked[i], run.state.take(banked[i])};
+  }
 }
 
 }  // namespace rpr::runtime

@@ -10,16 +10,21 @@
 //
 // Every value streams through detail::ExecState in slices of `slice_size`
 // bytes (slice pipelining, Li et al., "Repair Pipelining for Erasure-Coded
-// Storage"): a combine or forward starts on a slice the moment every input
+// Storage"): a combine or send starts on a slice the moment every input
 // published it. Whole-block store-and-forward is the one-slice case
 // (`slice_size` 0 or >= the block), not a separate code path.
 //
+// Only TCP moves real bytes. Before any op thread starts, the executor
+// binds as views (exec_state.h) every read (its stripe block plus its
+// coefficient), every local move, and — on a transport whose sends move no
+// bytes (the testbed's paced channel) — every send: each is a view of its
+// input and copies nothing. Consumers apply a view's coefficient as they
+// touch the bytes.
+//
 // The executor owns everything that does not depend on the wire:
-//  * reads (instant, or stalled by a slow disk): a read is a view of its
-//    stripe block plus its coefficient, bound before any op thread starts,
-//    and copies nothing — its consumers apply the coefficient as they touch
-//    the bytes;
-//  * local moves and combines (detail::stream_combine);
+//  * reads (instant, or stalled by a slow disk), which only publish;
+//  * local moves, which publish as their input does, and combines
+//    (detail::stream_combine);
 //  * sends: the straggle -> attempt -> jittered-backoff retry loop around
 //    the transport, and who is declared lost when retries run out;
 //  * the fault session: kills on the wall clock since construction (and
@@ -110,9 +115,11 @@ class Executor;
 /// One execute() call: the shared value state plus the run's counters and
 /// blame, used by the op threads and the transport alike.
 struct Run {
-  /// Binds every read to its block of `blocks` (see ExecState::bind_view).
+  /// Binds every read to its block of `blocks`, and every local move — and
+  /// every send when `sends_are_views` — to its input (see
+  /// ExecState::bind_view).
   Run(Executor& executor, const repair::RepairPlan& repair_plan,
-      std::span<const rs::Block> blocks);
+      std::span<const rs::Block> blocks, bool sends_are_views);
 
   /// True iff `node` is dead (kill time passed, explorer kill, or lost).
   bool is_dead(topology::NodeId node);
@@ -123,9 +130,6 @@ struct Run {
   /// Marks `node` dead for the rest of the session and blames it.
   void declare_lost(topology::NodeId node);
   void note_partition(const fault::Partition* p);
-  /// Writes slices [first, upto) of send op `id`'s input, times the
-  /// input's scale (a memcpy at scale 1), into its value and publishes them.
-  void forward(repair::OpId id, std::size_t first, std::size_t upto);
   /// Keeps the first unexpected exception; execute() rethrows it.
   void record_error(const std::string& what);
 
@@ -155,6 +159,11 @@ struct Run {
 class Transport {
  public:
   virtual ~Transport() = default;
+  /// True iff a send's value is a view of its input: move() only paces
+  /// the range and publishes it, and the receiver keeps no copy (the
+  /// testbed's channel). False when the receiving side writes its own copy
+  /// of the bytes (TCP ingest).
+  [[nodiscard]] virtual bool sends_are_views() const { return false; }
   /// Per-run setup before any op thread starts (TCP: listeners, acceptors).
   virtual void begin(Run&) {}
   /// Per-run teardown after every op thread finished.

@@ -1,8 +1,9 @@
 #include "runtime/testbed.h"
 
-#include <algorithm>
 #include <thread>
 #include <vector>
+
+#include "util/pace.h"
 
 namespace rpr::runtime {
 
@@ -19,6 +20,9 @@ double paced_s(std::uint64_t bytes, util::Bandwidth bw, double scale) {
 /// The testbed's transport: a port-locked paced channel (see testbed.h).
 class PacedChannel final : public Transport {
  public:
+  /// A send moves no bytes: its value is a view of its input (exec_state.h).
+  bool sends_are_views() const override { return true; }
+
   explicit PacedChannel(const topology::Cluster& c)
       : node_tx_(c.total_nodes()),
         node_rx_(c.total_nodes()),
@@ -53,29 +57,31 @@ class PacedChannel final : public Transport {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count(),
         len);
-    run.forward(id, first, upto);
+    // Paced: the range has "arrived". The send is a view of its input, so
+    // publishing the range is the whole delivery.
+    run.state.publish_slices(id, upto);
     return Xfer::kOk;
   }
 
  private:
-  /// Sleeps out the transfer in kStepS steps, polling both endpoints and
-  /// the fabric between steps.
+  /// Sleeps until the range's start plus its link time (util/pace.h) in
+  /// steps of at most kStep, polling both endpoints and the fabric before
+  /// every step and once after the last. A range whose deadline has already
+  /// passed polls once and makes no sleep call.
   static Xfer pace(Run& run, const PlanOp& op, std::uint64_t bytes) {
-    constexpr double kStepS = 0.0005;
+    constexpr auto kStep = std::chrono::microseconds(500);
     const topology::Cluster& c = run.ex.cluster();
     const topology::RackId rf = c.rack_of(op.from);
     const topology::RackId rt = c.rack_of(op.node);
-    const double total_s =
-        paced_s(bytes, run.ex.params().net.between_racks(rf, rt),
-                run.ex.params().time_scale);
-    for (double sent_s = 0.0; sent_s < total_s; sent_s += kStepS) {
+    util::Pacer pacer;
+    pacer.owe(paced_s(bytes, run.ex.params().net.between_racks(rf, rt),
+                      run.ex.params().time_scale));
+    do {
       if (run.blame_if_dead(op.from) || run.blame_if_dead(op.node)) {
         return Xfer::kDead;
       }
       if (run.ex.active_partition(rf, rt) != nullptr) return Xfer::kCut;
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(std::min(kStepS, total_s - sent_s)));
-    }
+    } while (!pacer.step(kStep));
     return Xfer::kOk;
   }
 

@@ -1,7 +1,10 @@
-// Threaded testbed: runtime::Executor over a paced channel. Bytes move
-// between nodes through bandwidth-throttled in-process transfers, partial
+// Threaded testbed: runtime::Executor over a paced channel — the
+// simulator's port model on the wall clock, and nothing more. Partial
 // decodes run the real region kernels, and matrix-path decodes run the
-// general (unoptimized) GF path plus a real matrix inversion. Total repair
+// general (unoptimized) GF path plus a real matrix inversion, but the
+// channel moves no bytes: a send is a view of its input (exec_state.h),
+// and the channel only holds the ports for the range's link time, then
+// publishes it. (TCP is the engine that moves real bytes.) Total repair
 // time is measured wall-clock; see runtime/executor.h for the op threads,
 // slicing, fault injection and blame.
 //
@@ -11,10 +14,12 @@
 // taken per range, so concurrent streams through one port interleave at
 // slice granularity. Acquisition follows a fixed stage order (node TX ->
 // rack TX -> rack RX -> node RX), which rules out deadlock by
-// construction. Pacing sleeps in short steps, so a mid-transfer death or
+// construction. Pacing sleeps toward the range's deadline — its start plus
+// its link time (util/pace.h) — in short steps, so a mid-transfer death or
 // an active fabric partition interrupts the transfer rather than
-// completing it; a retried attempt resumes from the first slice not yet
-// forwarded.
+// completing it, and a range whose deadline has already passed makes no
+// sleep call; a retried attempt resumes from the first slice not yet
+// published.
 #pragma once
 
 #include <cstdint>

@@ -5,17 +5,23 @@
 #include "runtime/testbed.h"
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "check/scheduler.h"
 #include "fault/fault.h"
 #include "gf/gf_region.h"
 #include "net/tcp_runtime.h"
+#include "obs/metrics.h"
 #include "repair/executor_data.h"
 #include "repair/planner.h"
 #include "runtime/exec_state.h"
@@ -666,4 +672,366 @@ TEST(Testbed, AbortBanksEveryFinishedReadAsCoeffTimesBlock) {
     EXPECT_GT(scaled_reads, 0u) << (tcp ? "tcp" : "testbed");
     EXPECT_EQ(reads, live_reads) << (tcp ? "tcp" : "testbed");
   }
+}
+
+namespace {
+
+/// Hand plan over an RS(12,4) placement in which sends and local moves are
+/// views of views: a scaled read feeds a send, a send forwards a send, a
+/// combine's value crosses on, and two local moves end the chains. Every
+/// op is an output, so each send sits in the output list together with its
+/// input. `dead_end`, when not kNoNode, receives one last send.
+rpr::repair::PlannedRepair views_of_views_plan(
+    const rpr::topology::Placement& placement, std::size_t block,
+    rpr::topology::NodeId dead_end = rpr::fault::kNoNode) {
+  rpr::repair::PlannedRepair hand;
+  auto& plan = hand.plan;
+  plan.block_size = block;
+  const auto a = placement.node_of(0);
+  const auto b = placement.node_of(5);
+  const auto c = placement.node_of(13);
+  const OpId r0 = plan.read(a, 0, 7);
+  const OpId s0 = plan.send(r0, a, b);  // a scaled read feeds a send
+  const OpId s1 = plan.send(s0, b, c);  // a send of a send
+  plan.send(s1, c, c);                  // a local move of it
+  const OpId r5 = plan.read(b, 5, 1);
+  const OpId cb = plan.combine_scaled(b, {s0, r5}, {3, 1});
+  const OpId s2 = plan.send(cb, b, c);  // carries the combine
+  const OpId local = plan.send(s2, c, c);
+  if (dead_end != rpr::fault::kNoNode) plan.send(local, c, dead_end);
+  for (OpId id = 0; id < plan.ops.size(); ++id) hand.outputs.push_back(id);
+  return hand;
+}
+
+/// Bytes the process-wide block pool has lent out right now.
+std::size_t pool_live_bytes() {
+  return rpr::rs::BlockPool::shared().stats().live_bytes;
+}
+
+}  // namespace
+
+TEST(Testbed, SendViewsMatchDataExecutorOnEveryEngine) {
+  // Sends on the paced channel and local moves on either engine are views
+  // of their inputs; TCP still carries real bytes. Every output — a send
+  // next to its own input, a send of a send, local moves that are outputs
+  // themselves, and the RPR parity repair whose scaled reads feed sends —
+  // equals the data executor's, on both engines, whole-block, at 64 KiB
+  // slices and at slices with a short tail.
+  const rpr::rs::CodeConfig cfg{12, 4};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  constexpr std::size_t kBlock = 256 << 10;
+  const auto stripe = rpr::testing::random_stripe(code, kBlock, 4099);
+
+  std::vector<std::pair<std::string, rpr::repair::PlannedRepair>> cases;
+  cases.emplace_back("views of views",
+                     views_of_views_plan(placed.placement, kBlock));
+  {
+    rpr::repair::RepairProblem problem;
+    problem.code = &code;
+    problem.placement = &placed.placement;
+    problem.block_size = kBlock;
+    problem.failed = {13};
+    problem.choose_default_replacements();
+    auto planned = rpr::repair::RprPlanner().plan(problem);
+    // Each send is an output next to the value it carries.
+    const auto& ops = planned.plan.ops;
+    for (OpId id = 0; id < ops.size(); ++id) {
+      if (ops[id].kind != rpr::repair::OpKind::kSend) continue;
+      planned.outputs.push_back(id);
+      planned.outputs.push_back(ops[id].inputs[0]);
+    }
+    cases.emplace_back("rpr {13}, every send and its input", std::move(planned));
+  }
+
+  TestbedParams params = fast_params(placed.cluster.racks());
+  params.time_scale = 1 << 20;  // links effectively unpaced
+  params.decode_matrix_dim = cfg.n;
+  params.retry.op_deadline_s = 5.0;
+  for (const auto& [name, planned] : cases) {
+    const auto expected = rpr::repair::execute_on_data(
+        planned.plan, planned.outputs, stripe);
+    for (const bool tcp : {false, true}) {
+      for (const std::size_t slice :
+           {std::size_t{0}, std::size_t{64} << 10, std::size_t{40000}}) {
+        params.slice_size = slice;
+        AnyEngine e(tcp, placed.cluster, params);
+        const auto r = e.execute(planned, stripe);
+        ASSERT_FALSE(r.abort.has_value()) << name;
+        EXPECT_EQ(r.outputs, expected)
+            << name << " on " << (tcp ? "tcp" : "testbed")
+            << " slice=" << slice;
+      }
+    }
+  }
+  EXPECT_EQ(stripe, rpr::testing::random_stripe(code, kBlock, 4099));
+}
+
+TEST(Testbed, AbortBanksACombineAndTheSendThatCarriesIt) {
+  // The last hop runs into a node dead from the start. Everything else
+  // finishes and is banked — among it a combine and the send that carries
+  // it, which on the testbed is a view of the combine's buffer. Each banked
+  // value must equal the data executor's, byte for byte, on both engines.
+  const rpr::rs::CodeConfig cfg{12, 4};
+  const rpr::rs::RSCode code(cfg);
+  auto placed = rpr::topology::make_placed_stripe(
+      cfg, rpr::topology::PlacementPolicy::kRpr);
+  constexpr std::size_t kBlock = 256 << 10;
+  const auto stripe = rpr::testing::random_stripe(code, kBlock, 61);
+  const auto dead = placed.placement.node_of(9);
+  const auto planned = views_of_views_plan(placed.placement, kBlock, dead);
+  const auto& ops = planned.plan.ops;
+  std::vector<OpId> live;
+  for (OpId id = 0; id + 1 < ops.size(); ++id) live.push_back(id);
+  const auto expected = rpr::repair::execute_on_data(planned.plan, live,
+                                                     stripe);
+
+  TestbedParams params = fast_params(placed.cluster.racks());
+  params.time_scale = 1 << 20;
+  params.faults =
+      rpr::fault::FaultSchedule::parse("kill:" + std::to_string(dead) + "@0");
+  for (const bool tcp : {false, true}) {
+    for (const std::size_t slice : {std::size_t{0}, std::size_t{64} << 10}) {
+      params.slice_size = slice;
+      AnyEngine e(tcp, placed.cluster, params);
+      const auto r = e.engine_->execute(
+          planned.plan, std::vector<OpId>{OpId(ops.size() - 1)}, stripe);
+      ASSERT_TRUE(r.abort.has_value()) << (tcp ? "tcp" : "testbed");
+      std::vector<bool> banked(ops.size(), false);
+      for (const auto& [id, value] : r.abort->finished) {
+        ASSERT_LT(id, live.size());
+        banked[id] = true;
+        EXPECT_EQ(value, expected[id])
+            << (tcp ? "tcp" : "testbed") << " slice=" << slice << " op "
+            << id << " (" << ops[id].label << ")";
+      }
+      for (OpId id = 0; id < live.size(); ++id) {
+        EXPECT_TRUE(banked[id]) << (tcp ? "tcp" : "testbed") << " op " << id;
+      }
+    }
+  }
+}
+
+TEST(Testbed, SendTakesNoPooledBuffer) {
+  // A send on the paced channel is a view of its input: while a slow disk
+  // holds the run open after the send has finished, the run has taken no
+  // pooled buffer at all (the read is a view too). Over TCP the receiver
+  // writes its own copy, one buffer.
+  const Cluster cluster(2, 2, 0);
+  constexpr std::size_t kBlock = 1 << 20;
+  std::vector<Block> stripe(2, Block(kBlock));
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    stripe[0][i] = static_cast<std::uint8_t>(i * 29 + 3);
+    stripe[1][i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  RepairPlan plan;
+  plan.block_size = kBlock;
+  const OpId r = plan.read(0, 0, 5);
+  const OpId s = plan.send(r, 0, 2);  // cross-rack
+  const OpId slow = plan.read(3, 1, 1);
+  const std::vector<OpId> outputs = {s, slow};
+  const auto expected = rpr::repair::execute_on_data(plan, outputs, stripe);
+
+  TestbedParams params = fast_params(2);
+  params.time_scale = 1.0;  // the send takes ~8.4 ms
+  params.slice_size = 64 << 10;
+  // Node 3's read takes ~400 ms: 1 MiB at 10 Gb/s, 480 times slower.
+  params.faults = rpr::fault::FaultSchedule::parse("slowdisk:3*480");
+  for (const bool tcp : {false, true}) {
+    AnyEngine e(tcp, cluster, params);
+    const std::size_t before = pool_live_bytes();
+    const auto start = std::chrono::steady_clock::now();
+    rpr::repair::Attempt result;
+    std::thread run([&] { result = e.engine_->execute(plan, outputs, stripe); });
+    // Sample while the slow read holds the run open: well after the send
+    // finished, and well before the outputs are copied out.
+    std::this_thread::sleep_until(start + std::chrono::milliseconds(150));
+    std::size_t peak = 0;
+    while (std::chrono::steady_clock::now() <
+           start + std::chrono::milliseconds(250)) {
+      peak = std::max(peak, pool_live_bytes() - before);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    run.join();
+    ASSERT_FALSE(result.abort.has_value());
+    EXPECT_EQ(result.outputs, expected) << (tcp ? "tcp" : "testbed");
+    EXPECT_EQ(peak, tcp ? kBlock : 0u) << (tcp ? "tcp" : "testbed");
+  }
+}
+
+namespace {
+
+/// Sanitizer builds slow every instruction between two sleeps many times
+/// over, so a bound on pacing overhead only holds in uninstrumented builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Read on node 0 of a 2 x 2 cluster, sent across racks to node 2.
+RepairPlan cross_send_plan(std::size_t block) {
+  RepairPlan plan;
+  plan.block_size = block;
+  plan.send(plan.read(0, 0, 1), 0, 2);
+  return plan;
+}
+
+}  // namespace
+
+TEST(Testbed, PacedTransferKeepsToItsLinkTimeOnEitherEngine) {
+  // Both transports sleep to a deadline — the range's start plus its link
+  // time — instead of once per step: a paced transfer never finishes
+  // before its link time, and sleep overhead does not add up per step.
+  // 16 MiB over 1 Gb/s at time_scale 4 is 33.6 ms of link time; sleeping
+  // after every 64 KiB TCP chunk took about 1.7x that. The bound is on the
+  // best of three runs.
+  const Cluster cluster(2, 2, 0);
+  constexpr std::size_t kBlock = 16 << 20;
+  const std::vector<Block> stripe(1, Block(kBlock, 0x5A));
+  const RepairPlan plan = cross_send_plan(kBlock);
+  TestbedParams params = fast_params(2);
+  params.time_scale = 4.0;
+  const double link_s =
+      static_cast<double>(kBlock) /
+      (Bandwidth::gbps(1).as_bytes_per_sec() * params.time_scale);
+  for (const bool tcp : {false, true}) {
+    for (const std::size_t slice : {std::size_t{0}, std::size_t{64} << 10}) {
+      params.slice_size = slice;
+      AnyEngine e(tcp, cluster, params);
+      double best = 1e9;
+      for (int rep = 0; rep < 3; ++rep) {
+        const auto r =
+            e.engine_->execute(plan, std::vector<OpId>{1}, stripe);
+        ASSERT_FALSE(r.abort.has_value());
+        ASSERT_EQ(r.outputs.at(0), stripe[0]);
+        EXPECT_GE(r.elapsed_s, link_s)
+            << (tcp ? "tcp" : "testbed") << " slice=" << slice;
+        best = std::min(best, r.elapsed_s);
+      }
+      // Lock-graph recording captures a stack at every lock acquisition,
+      // which dwarfs the overhead bounded here; its runs check lock order,
+      // and sanitizer runs check races.
+      if (kSanitized || rpr::check::lock_graph_enabled()) continue;
+      EXPECT_LT(best, 1.5 * link_s)
+          << (tcp ? "tcp" : "testbed") << " slice=" << slice << ": "
+          << best / link_s << "x the link time";
+    }
+  }
+}
+
+namespace {
+
+/// Widens the calling thread's timer slack — and so that of every thread
+/// it starts — for its lifetime: any sleep call then takes at least about
+/// `ns`, however short the sleep asked for, on any host.
+class TimerSlack {
+ public:
+  explicit TimerSlack(unsigned long ns)
+      : saved_(static_cast<unsigned long>(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0))) {
+    prctl(PR_SET_TIMERSLACK, ns, 0, 0, 0);
+  }
+  ~TimerSlack() { prctl(PR_SET_TIMERSLACK, saved_, 0, 0, 0); }
+  TimerSlack(const TimerSlack&) = delete;
+  TimerSlack& operator=(const TimerSlack&) = delete;
+
+ private:
+  unsigned long saved_;
+};
+
+}  // namespace
+
+TEST(Testbed, UnpacedSendOfAStreamingCombineSleepsNoFloorPerRange) {
+  // On an unpaced link a moved range's link time is nanoseconds. The
+  // channel sleeps to the range's deadline, which has passed by then, so
+  // it makes no sleep call; sleeping each range's link time paid the
+  // host's sleep floor per range instead (its timer slack plus a wakeup,
+  // about 55 us by default), with the ports held. The test widens its
+  // threads' timer slack to 2 ms, so that floor cannot hide under a
+  // sanitizer's slowdown. A send fed by a streaming combine at 4 KiB
+  // slices then moves hundreds of ranges: the median range must take a
+  // fifth of the floor or less, and the repair must finish at least 5x
+  // under slices x floor.
+  constexpr double kFloorS = 2e-3;
+  const TimerSlack slack(static_cast<unsigned long>(kFloorS * 1e9));
+  const Cluster cluster(2, 2, 0);
+  constexpr std::size_t kBlock = 4 << 20;
+  constexpr std::size_t kSlice = 4 << 10;
+  std::vector<Block> stripe(2, Block(kBlock));
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    stripe[0][i] = static_cast<std::uint8_t>(i * 13 + 1);
+    stripe[1][i] = static_cast<std::uint8_t>(i * 17 + 5);
+  }
+  RepairPlan plan;
+  plan.block_size = kBlock;
+  const OpId c =
+      plan.combine(0, {plan.read(0, 0, 1), plan.read(0, 1, 1)});
+  const OpId s = plan.send(c, 0, 2);
+  const std::vector<OpId> outputs = {s};
+  const auto expected = rpr::repair::execute_on_data(plan, outputs, stripe);
+
+  rpr::obs::MetricsRegistry metrics;
+  TestbedParams params = fast_params(2);
+  params.time_scale = 1 << 20;
+  params.slice_size = kSlice;
+  params.metrics = &metrics;
+  Testbed bed(cluster, params);
+  const auto r = bed.execute(plan, outputs, stripe);
+  ASSERT_FALSE(r.abort.has_value());
+  ASSERT_EQ(r.outputs, expected);
+  const auto& ranges = metrics.histogram("testbed.slice.cross_latency_s");
+  ASSERT_GT(ranges.count(), 0u);
+  // Lock-graph recording captures a stack at every lock acquisition, which
+  // dwarfs the cost bounded here; its runs check lock order.
+  if (rpr::check::lock_graph_enabled()) return;
+  EXPECT_LT(ranges.quantile(0.5), kFloorS / 5)
+      << "median of " << ranges.count() << " ranges";
+  EXPECT_LT(r.elapsed_s, (kBlock / kSlice) * kFloorS / 5)
+      << ranges.count() << " ranges";
+}
+
+TEST(ExecStateTest, SendViewResolvesToItsInputAndIsTakenBeforeIt) {
+  // A send bound as a view resolves to what its input resolves to: a
+  // read's stripe block and coefficient, or a combine's own buffer at
+  // scale 1. It takes no buffer, and take() copies it — so it must be
+  // taken before the value it aliases moves out; taken after, it throws
+  // instead of reading an empty value.
+  constexpr std::size_t kSize = 4096;
+  constexpr std::uint8_t kCoeff = 0x1D;
+  Block block(kSize);
+  for (std::size_t i = 0; i < kSize; ++i) {
+    block[i] = static_cast<std::uint8_t>(i * 11 + 2);
+  }
+
+  rpr::runtime::detail::ExecState st(5, kSize, 1024);
+  st.bind_view(0, block.data(), kCoeff);  // read
+  st.bind_view(1, 0);                     // send of the read
+  st.bind_view(2, 1);                     // send of that send
+  st.bind_view(4, 3);                     // send of the combine (op 3)
+  EXPECT_EQ(st.scale(2), kCoeff);
+  EXPECT_EQ(st.scale(4), 1);
+  for (OpId id = 0; id < 3; ++id) st.publish_all(id);
+  EXPECT_EQ(st.source(2).bytes, block.data());
+
+  Block& own = st.storage(3);
+  for (std::size_t i = 0; i < kSize; ++i) own[i] = static_cast<std::uint8_t>(i);
+  const Block combined = own;
+  st.publish_all(3);
+  st.publish_all(4);
+  EXPECT_EQ(st.source(4).bytes, own.data());
+  for (const OpId view : {OpId{1}, OpId{2}, OpId{4}}) {
+    EXPECT_TRUE(st.value[view].empty()) << "op " << view;
+  }
+
+  EXPECT_EQ(st.take(4), combined);
+  EXPECT_EQ(st.take(2), scaled(kCoeff, block));
+  EXPECT_EQ(st.take(3), combined);
+  EXPECT_THROW((void)st.take(4), std::logic_error);
 }

@@ -1,6 +1,7 @@
 #include "check/lock_graph.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -21,12 +22,20 @@ namespace {
 
 std::atomic<bool> g_lock_graph_enabled{false};
 
-/// Locks currently held by this thread, with the (symbolized-on-demand)
-/// acquisition stack captured when the graph was enabled.
+/// A call stack's raw return addresses: cheap to capture, symbolized only
+/// when an edge keeps it as its witness.
+struct Stack {
+  static constexpr int kDepth = 12;
+  std::array<void*, kDepth> frames{};
+  int n = 0;
+};
+
+/// Locks currently held by this thread, with the acquisition stack
+/// captured when the graph was enabled.
 struct HeldLock {
   const void* mutex;
   const char* cls;
-  std::string stack;
+  Stack stack;
 };
 thread_local std::vector<HeldLock>* t_held = nullptr;
 
@@ -35,24 +44,30 @@ std::vector<HeldLock>& held() {
   return *t_held;
 }
 
-/// Captures and symbolizes the current call stack (skipping the capture
-/// machinery itself). Frames are joined with '|' so an edge dumps as one
-/// tab-separated line.
-std::string capture_stack() {
+/// Captures the current call stack.
+Stack capture_stack() {
+  Stack s;
 #if defined(__GLIBC__)
-  constexpr int kDepth = 12;
-  void* frames[kDepth];
-  const int n = backtrace(frames, kDepth);
-  char** symbols = backtrace_symbols(frames, n);
+  s.n = backtrace(s.frames.data(), Stack::kDepth);
+#endif
+  return s;
+}
+
+/// Symbolizes a captured stack (skipping the capture machinery itself).
+/// Frames are joined with '|' so an edge dumps as one tab-separated line.
+std::string symbolize(const Stack& s) {
+#if defined(__GLIBC__)
+  char** symbols = backtrace_symbols(s.frames.data(), s.n);
   if (symbols == nullptr) return "<backtrace failed>";
   std::string out;
-  for (int i = 2; i < n; ++i) {  // skip capture_stack + on_acquire
+  for (int i = 2; i < s.n; ++i) {  // skip capture_stack + on_acquire
     if (!out.empty()) out += "|";
     out += symbols[i];
   }
   std::free(symbols);  // NOLINT(cppcoreguidelines-no-malloc)
   return out;
 #else
+  (void)s;
   return "<no backtrace on this platform>";
 #endif
 }
@@ -117,7 +132,7 @@ LockGraph& LockGraph::instance() {
 
 void LockGraph::on_acquire(const void* m, const char* cls) {
   std::vector<HeldLock>& h = held();
-  const std::string stack = capture_stack();
+  const Stack stack = capture_stack();
   if (!h.empty()) {
     std::scoped_lock lock(mu_);
     for (const HeldLock& held_lock : h) {
@@ -125,8 +140,8 @@ void LockGraph::on_acquire(const void* m, const char* cls) {
       if (e.count == 0) {
         e.from = held_lock.cls;
         e.to = cls;
-        e.from_stack = held_lock.stack;
-        e.to_stack = stack;
+        e.from_stack = symbolize(held_lock.stack);
+        e.to_stack = symbolize(stack);
       }
       ++e.count;
     }

@@ -15,14 +15,6 @@ void send_header(Socket& sock, std::uint64_t op_id,
 }
 
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
-                        std::size_t pace_chunk, std::uint64_t chunk_delay_ns,
-                        const std::function<bool()>& cancel) {
-  util::Pacer pacer;
-  return send_payload_chunk(sock, payload, pacer, pace_chunk, chunk_delay_ns,
-                            cancel);
-}
-
-bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         util::Pacer& pacer, std::size_t pace_chunk,
                         std::uint64_t chunk_delay_ns,
                         const std::function<bool()>& cancel) {
@@ -55,7 +47,9 @@ bool send_value(Socket& sock, std::uint64_t op_id,
                 const std::function<bool()>& cancel) {
   if (cancel && cancel()) return false;
   send_header(sock, op_id, payload.size());
-  return send_payload_chunk(sock, payload, pace_chunk, chunk_delay_ns, cancel);
+  util::Pacer pacer;
+  return send_payload_chunk(sock, payload, pacer, pace_chunk, chunk_delay_ns,
+                            cancel);
 }
 
 ValueHeader recv_header(Socket& sock, std::uint64_t max_payload) {
@@ -64,21 +58,12 @@ ValueHeader recv_header(Socket& sock, std::uint64_t max_payload) {
   MessageHeader h;
   std::memcpy(&h, buf, sizeof(h));
   if (h.magic != kMagic) {
-    throw std::runtime_error("recv_value: bad magic");
+    throw std::runtime_error("recv_header: bad magic");
   }
   if (h.payload_len > max_payload) {
-    throw std::runtime_error("recv_value: oversized payload");
+    throw std::runtime_error("recv_header: oversized payload");
   }
   return {h.op_id, h.payload_len};
-}
-
-ReceivedValue recv_value(Socket& sock, std::uint64_t max_payload) {
-  const ValueHeader h = recv_header(sock, max_payload);
-  ReceivedValue v;
-  v.op_id = h.op_id;
-  v.payload.resize(h.payload_len);
-  sock.read_exact(v.payload);
-  return v;
 }
 
 }  // namespace rpr::net

@@ -10,7 +10,6 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "net/socket.h"
 #include "util/pace.h"
@@ -48,30 +47,19 @@ bool send_value(Socket& sock, std::uint64_t op_id,
 void send_header(Socket& sock, std::uint64_t op_id, std::uint64_t payload_len);
 
 /// Streams one contiguous piece of a message payload already framed by
-/// send_header, with the same pacing/cancellation contract as send_value.
-/// Returns false iff `cancel` fired (the stream is then abandoned
-/// mid-payload and the socket must be discarded).
-bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
-                        std::size_t pace_chunk = 0,
-                        std::uint64_t chunk_delay_ns = 0,
-                        const std::function<bool()>& cancel = {});
-
-/// send_payload_chunk on `pacer`'s deadline: calls that share one pacer
-/// are paced as one stream (a short chunk owes its share of the delay).
+/// send_header, with the same pacing/cancellation contract as send_value,
+/// on `pacer`'s deadline: calls that share one pacer are paced as one
+/// stream (a short chunk owes its share of the delay). Returns false iff
+/// `cancel` fired (the stream is then abandoned mid-payload and the socket
+/// must be discarded).
 bool send_payload_chunk(Socket& sock, std::span<const std::uint8_t> payload,
                         util::Pacer& pacer, std::size_t pace_chunk,
                         std::uint64_t chunk_delay_ns,
                         const std::function<bool()>& cancel = {});
 
-struct ReceivedValue {
-  std::uint64_t op_id = 0;
-  std::vector<std::uint8_t> payload;
-};
-
 /// A validated frame header; the payload (payload_len bytes) is still on
-/// the wire, to be drained by the caller — typically straight into the op's
-/// pre-sized accumulator, which is what lets the receiver skip the
-/// per-message scratch buffer recv_value allocates.
+/// the wire, to be drained by the caller with Socket::read_exact, straight
+/// into the op's pre-sized value buffer.
 struct ValueHeader {
   std::uint64_t op_id = 0;
   std::uint64_t payload_len = 0;
@@ -79,9 +67,5 @@ struct ValueHeader {
 
 /// Receives and validates one frame header; throws on malformed input.
 [[nodiscard]] ValueHeader recv_header(Socket& sock, std::uint64_t max_payload);
-
-/// Receives exactly one framed value; throws on malformed input.
-[[nodiscard]] ReceivedValue recv_value(Socket& sock,
-                                       std::uint64_t max_payload);
 
 }  // namespace rpr::net

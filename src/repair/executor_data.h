@@ -14,7 +14,7 @@
 // bytes are those of the op-by-op evaluation; the plan's schedule is the
 // simulator's business. The output
 // buffers are rs::Blocks taken uninitialized from the process-wide
-// rs::BlockPool (rs/block.h): a block storage commits from a repair goes
+// util::PagePool (util/pages.h): a block storage commits from a repair goes
 // back to the pool when it dies.
 #pragma once
 

@@ -3,11 +3,11 @@
 // A fresh block-sized buffer costs one page fault per 4 KiB page the first
 // time it is written, which on a 16 MiB block is more than the GF work done
 // on it, and std::vector writes every page once more to value-initialise
-// it. A Block takes its pages from the process-wide BlockPool and gives
-// them back when it dies, so every layer that keeps blocks (the threaded
-// executor's op values, the data executor's outputs, storage's slots and
-// the objects get returns) reuses pages that are already faulted in, and
-// nobody gives anything back by hand.
+// it. A Block takes its pages from the process-wide util::PagePool
+// (util/pages.h) and gives them back when it dies, so every layer that
+// keeps blocks (the threaded executor's op values, the data executor's
+// outputs, storage's slots and the objects get returns) reuses pages that
+// are already faulted in, and nobody gives anything back by hand.
 //
 // Contract:
 //  * Block::uninitialized(n) is the one way to take bytes without writing
@@ -19,14 +19,6 @@
 //    when large); a move steals the pages; clear() and destruction give
 //    them back.
 //
-// BlockPool keeps released buffers by exact size. Its retention rule: the
-// pooled live bytes plus the cached bytes never exceed the peak of pooled
-// live bytes. A miss first evicts cached buffers of other sizes, least
-// recently released first, until that holds, so the pool never holds more
-// than the most the process had live at once. A miss of 2 MiB or more maps
-// fresh huge-page-advised pages (util::map_pages), whose first touch
-// faults 2 MiB at a time; smaller ones come from operator new.
-//
 // Block is deliberately not std::vector<std::uint8_t, Allocator>: with any
 // allocator but std::allocator, libstdc++ copies element by element, which
 // made block copies several times slower (docs/PERFORMANCE.md).
@@ -37,61 +29,13 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
-#include <vector>
+
+#include "util/pages.h"
 
 namespace rpr::rs {
-
-/// The process-wide cache of block pages (see the file comment).
-class BlockPool {
- public:
-  struct Stats {
-    std::size_t live_bytes = 0;       ///< held by living Blocks
-    std::size_t cached_bytes = 0;     ///< released, kept for reuse
-    std::size_t peak_live_bytes = 0;  ///< high-water mark of live_bytes
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-  };
-
-  /// The pool every Block uses; never destroyed.
-  static BlockPool& shared();
-
-  BlockPool() = default;
-  /// Frees the cached buffers; every taken one must have been given back.
-  ~BlockPool();
-  BlockPool(const BlockPool&) = delete;
-  BlockPool& operator=(const BlockPool&) = delete;
-
-  [[nodiscard]] Stats stats();
-
- private:
-  friend class Block;
-  friend struct BlockPoolPeer;  // the unit tests drive a private pool
-  struct Taken {
-    std::uint8_t* data;
-    bool zeroed;  ///< fresh pages, known to read as zeros
-  };
-  /// A buffer of `bytes` (> 0) with unspecified contents.
-  Taken take(std::size_t bytes);
-  void give(std::uint8_t* data, std::size_t bytes) noexcept;
-
-  struct Cached {
-    std::uint8_t* data;
-    std::size_t bytes;
-  };
-  using CachedList = std::list<Cached>;
-  std::mutex mu_;  // guards the rest
-  CachedList lru_;  ///< least recently released first
-  /// Each size's entries of lru_, least recently released first.
-  std::map<std::size_t, std::vector<CachedList::iterator>> by_size_;
-  Stats stats_;
-};
 
 /// memcpy of `n` bytes; from 1 MiB up it is sharded over
 /// util::ThreadPool::shared(), since one core cannot saturate memory.
@@ -212,8 +156,8 @@ class Block {
   bool adopt(std::size_t size) {
     release();
     if (size == 0) return true;
-    const BlockPool::Taken t = BlockPool::shared().take(size);
-    data_ = t.data;
+    const util::PagePool::Taken t = util::PagePool::shared().take(size);
+    data_ = static_cast<std::uint8_t*>(t.data);
     size_ = size;
     return t.zeroed;
   }
@@ -221,7 +165,7 @@ class Block {
   /// True when they are fresh pages that read as zeros.
   bool reshape(std::size_t size) { return size != size_ && adopt(size); }
   void release() noexcept {
-    if (data_ != nullptr) BlockPool::shared().give(data_, size_);
+    if (data_ != nullptr) util::PagePool::shared().give(data_, size_, size_);
     data_ = nullptr;
     size_ = 0;
   }

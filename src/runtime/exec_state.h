@@ -32,13 +32,14 @@
 //    reads the wire into it), and nobody reads a slice before it is
 //    published;
 //  * recycling: values are rs::Blocks (rs/block.h) taken uninitialized
-//    from the process-wide rs::BlockPool, which the data executor and the
+//    from the process-wide util::PagePool, which the data executor and the
 //    storage layer share, and given back when the state dies. Steady-state
 //    runs therefore fault in no value pages. The outputs are moved out once
-//    every op thread has joined (take), never copied; a view is the one
+//    every op thread has joined (take_all), never copied; a view is the one
 //    value take() materializes, as a scale · bytes copy in a pooled buffer.
-//    A view of an owned value copies from that buffer, so take a run's
-//    values in descending op id order: a view's id is above its input's.
+//    A view of an owned value copies from that buffer, so take_all takes a
+//    run's values in descending op id order: a view's id is above its
+//    input's.
 //
 // Publication
 //  * slices complete strictly in order per op (each op has exactly one
@@ -69,6 +70,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -376,11 +379,32 @@ class ExecState {
     return slices_done[id];
   }
 
+  /// Moves the values of `ids` out (take), returned parallel to `ids`:
+  /// only once nothing reads them any more (every op thread has joined).
+  /// Takes in descending op id order, so a view is copied before the value
+  /// it aliases moves out; a repeated id is copied from its first take.
+  std::vector<rs::Block> take_all(std::span<const repair::OpId> ids) {
+    std::vector<std::size_t> order(ids.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return ids[a] > ids[b];
+                     });
+    std::vector<rs::Block> out(ids.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::size_t i = order[k];
+      out[i] = k > 0 && ids[order[k - 1]] == ids[i]
+                   ? rs::Block(out[order[k - 1]])
+                   : take(ids[i]);
+    }
+    return out;
+  }
+
   /// Moves the op's value out, leaving it empty: only once nothing reads
   /// it any more (every op thread has joined). A view is returned as an
   /// owned scale · bytes copy in a pooled buffer and leaves what it
-  /// resolves to untouched — take it before the value it aliases (see the
-  /// file comment).
+  /// resolves to untouched — take it before the value it aliases
+  /// (take_all does).
   rs::Block take(repair::OpId id) {
     if (view_[id].bytes == nullptr && owner_[id] == id) {
       std::unique_lock lock(mu);

@@ -1,7 +1,6 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -265,24 +264,8 @@ repair::Attempt Executor::execute_over(const repair::RepairPlan& plan,
   if (any_output_failed) {
     assemble_abort(run, result);
   } else {
-    // Every op thread has joined, so nothing reads a value any more: each
-    // output moves out (a repeated output is copied from its first), in
-    // descending op id order, so a view is copied before the value it
-    // aliases moves out.
-    std::vector<std::size_t> order(outputs.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return outputs[a] > outputs[b];
-                     });
-    result.outputs.resize(outputs.size());
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::size_t i = order[k];
-      result.outputs[i] =
-          k > 0 && outputs[order[k - 1]] == outputs[i]
-              ? rs::Block(result.outputs[order[k - 1]])
-              : run.state.take(outputs[i]);
-    }
+    // Every op thread has joined, so nothing reads a value any more.
+    result.outputs = run.state.take_all(outputs);
   }
   return result;
 }
@@ -466,12 +449,11 @@ void Executor::assemble_abort(Run& run, repair::Attempt& result) {
     }
   }
   // Called once every op thread has joined: an owned value moves out, a
-  // view comes back as its own scale · bytes copy. Views are taken first
-  // (descending op id): a send's view of a combine must copy the combine's
-  // buffer before that buffer moves out.
-  abort.finished.resize(banked.size());
-  for (std::size_t i = banked.size(); i-- > 0;) {
-    abort.finished[i] = {banked[i], run.state.take(banked[i])};
+  // view comes back as its own scale · bytes copy.
+  std::vector<rs::Block> values = run.state.take_all(banked);
+  abort.finished.reserve(banked.size());
+  for (std::size_t i = 0; i < banked.size(); ++i) {
+    abort.finished.emplace_back(banked[i], std::move(values[i]));
   }
 }
 

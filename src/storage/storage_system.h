@@ -35,8 +35,8 @@
 //   * every block leaving storage is fingerprinted again before it is
 //     returned: read_block() checks the block it delivers, get() each block
 //     it decodes (intact blocks are copied straight from their slots);
-//   * blocks are rs::Blocks on the process-wide rs::BlockPool's recycled
-//     pages (rs/block.h): put takes all n+k uninitialized, repairs commit
+//   * blocks are rs::Blocks on the process-wide util::PagePool's recycled
+//     pages (util/pages.h): put takes all n+k uninitialized, repairs commit
 //     the data executor's outputs, get writes the object into one, and a
 //     block goes back to the pool when it dies (a wiped node, a destroyed
 //     system, a returned object dropped), so steady-state puts and gets

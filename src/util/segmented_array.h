@@ -6,10 +6,11 @@
 // frees one: the array never holds two copies of its contents, and a
 // reference to an element stays valid until the array dies.
 //
-// Segments under kMappedSegmentBytes come from operator new, so a small
-// array costs one small allocation. From there on a segment is whole pages
-// from util::map_pages: zero-filled, faulted in on first touch (2 MiB at a
-// time where the kernel allows), and unmapped when the array dies.
+// A segment of kPooledBytes (128 KiB) or more comes from util::PagePool
+// and goes back to it, with the bytes the array used of it, when the array
+// dies: the next array of the same shape reuses pages already faulted in.
+// Smaller ones come from operator new, whose heap keeps them; in the pool
+// their misses would evict cached blocks (docs/PERFORMANCE.md).
 #pragma once
 
 #include <algorithm>
@@ -27,8 +28,6 @@
 #include "util/pages.h"
 
 namespace rpr::util {
-
-inline constexpr std::size_t kMappedSegmentBytes = std::size_t{2} << 20;
 
 template <typename T>
 class SegmentedArray {
@@ -73,22 +72,25 @@ class SegmentedArray {
         segments_(std::exchange(o.segments_, 0)),
         size_(std::exchange(o.size_, 0)),
         tail_(std::exchange(o.tail_, nullptr)),
-        tail_end_(std::exchange(o.tail_end_, nullptr)) {}
+        tail_end_(std::exchange(o.tail_end_, nullptr)),
+        tail_zeroed_(std::exchange(o.tail_zeroed_, false)) {}
   SegmentedArray& operator=(SegmentedArray o) noexcept {
     std::swap(seg_, o.seg_);
     std::swap(segments_, o.segments_);
     std::swap(size_, o.size_);
     std::swap(tail_, o.tail_);
     std::swap(tail_end_, o.tail_end_);
+    std::swap(tail_zeroed_, o.tail_zeroed_);
     return *this;
   }
   ~SegmentedArray() {
     for (std::size_t j = 0; j < segments_; ++j) {
-      if (mapped(j)) {
-        unmap_pages(seg_[j], bytes(j));
-      } else {
+      if (!pooled(j)) {
         ::operator delete(seg_[j]);
+        continue;
       }
+      const std::size_t used = std::min(capacity(j), size_ - start(j));
+      PagePool::shared().give(seg_[j], bytes(j), used * sizeof(T));
     }
   }
 
@@ -108,8 +110,8 @@ class SegmentedArray {
   }
 
   /// Appends value-initialized (zero) elements up to size `n`; no-op when
-  /// the array already has `n`. Mapped segments are already zero there,
-  /// so only their pages that are read later get faulted in.
+  /// the array already has `n`. A fresh mapped segment is already zero
+  /// there, so only its pages that are read later get faulted in.
   void grow_to(std::size_t n)
     requires std::is_arithmetic_v<T>
   {
@@ -117,7 +119,7 @@ class SegmentedArray {
       if (tail_ == tail_end_) add_segment();
       const std::size_t j = segment_of(size_);
       const std::size_t stop = std::min(n, start(j + 1));
-      if (!mapped(j)) std::fill(slot(size_), slot(stop - 1) + 1, T{});
+      if (!tail_zeroed_) std::fill(slot(size_), slot(stop - 1) + 1, T{});
       set_size(stop);
     }
   }
@@ -166,8 +168,10 @@ class SegmentedArray {
   static constexpr std::size_t bytes(std::size_t j) noexcept {
     return capacity(j) * sizeof(T);
   }
-  static constexpr bool mapped(std::size_t j) noexcept {
-    return bytes(j) >= kMappedSegmentBytes;
+
+  static constexpr std::size_t kPooledBytes = std::size_t{128} << 10;
+  static constexpr bool pooled(std::size_t j) noexcept {
+    return bytes(j) >= kPooledBytes;
   }
 
   T* slot(std::size_t i) const noexcept {
@@ -181,8 +185,12 @@ class SegmentedArray {
       throw std::length_error("SegmentedArray: too many elements");
     }
     const std::size_t j = segments_;
-    seg_[j] = static_cast<T*>(mapped(j) ? map_pages(bytes(j))
-                                        : ::operator new(bytes(j)));
+    const PagePool::Taken t = pooled(j)
+                                  ? PagePool::shared().take(bytes(j))
+                                  : PagePool::Taken{::operator new(bytes(j)),
+                                                    false};
+    seg_[j] = static_cast<T*>(t.data);
+    tail_zeroed_ = t.zeroed;
     ++segments_;
     tail_ = seg_[j];
     tail_end_ = seg_[j] + capacity(j);
@@ -201,6 +209,9 @@ class SegmentedArray {
   /// when the array is full.
   T* tail_ = nullptr;
   T* tail_end_ = nullptr;
+  /// The last segment is fresh mapped pages: its elements past size() read
+  /// as zeros.
+  bool tail_zeroed_ = false;
 };
 
 }  // namespace rpr::util

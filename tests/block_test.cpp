@@ -1,8 +1,9 @@
-// rs::Block and rs::BlockPool: the one block type and the page pool under
+// rs::Block and util::PagePool: the one block type and the page pool under
 // it. A copy is independent of its source, the sized constructors and
 // resize never expose recycled bytes, the uninitialized constructor reuses
 // released pages, the pool never holds more than the peak of its live
-// bytes, and concurrent takes and releases keep its books (run under TSan).
+// bytes, a hit hands out the most used buffer of its size, and concurrent
+// takes and releases keep its books (run under TSan).
 #include "rs/block.h"
 
 #include <gtest/gtest.h>
@@ -12,29 +13,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/pages.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-
-namespace rpr::rs {
-
-/// Drives a private pool's take and give, which only Block calls in the
-/// library.
-struct BlockPoolPeer {
-  static std::uint8_t* take(BlockPool& pool, std::size_t bytes) {
-    return pool.take(bytes).data;
-  }
-  static void give(BlockPool& pool, std::uint8_t* data, std::size_t bytes) {
-    pool.give(data, bytes);
-  }
-};
-
-}  // namespace rpr::rs
 
 namespace {
 
 using rpr::rs::Block;
-using rpr::rs::BlockPool;
-using rpr::rs::BlockPoolPeer;
+using rpr::util::PagePool;
 
 constexpr std::size_t kMiB = std::size_t{1} << 20;
 
@@ -139,14 +125,14 @@ TEST(Block, SizedConstructorAndResizeNeverExposeRecycledBytes) {
   }
 }
 
-TEST(BlockPool, UninitializedHandsBackABufferReleasedAtTheSameSize) {
+TEST(PagePool, UninitializedHandsBackABufferReleasedAtTheSameSize) {
   for (const std::size_t size : {std::size_t{4096}, 16 * kMiB, 16 * kMiB + 13}) {
     SCOPED_TRACE(testing::Message() << size << " bytes");
     const std::uint8_t* released = dirty(size);
-    const BlockPool::Stats before = BlockPool::shared().stats();
+    const PagePool::Stats before = PagePool::shared().stats();
     const Block again = Block::uninitialized(size);
     EXPECT_EQ(again.data(), released);
-    const BlockPool::Stats after = BlockPool::shared().stats();
+    const PagePool::Stats after = PagePool::shared().stats();
     EXPECT_EQ(after.hits, before.hits + 1) << "the second take was no hit";
     EXPECT_EQ(after.live_bytes, before.live_bytes + size);
   }
@@ -160,23 +146,23 @@ TEST(BlockPool, UninitializedHandsBackABufferReleasedAtTheSameSize) {
   EXPECT_EQ(Block::uninitialized(4096).data(), pages);
 }
 
-TEST(BlockPool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
+TEST(PagePool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   // A private pool, so the books start at zero. Sizes as store-wave uses
   // them (16 MiB blocks, a 192 MiB object) plus odd ones; nothing is
   // written, so no page is faulted in.
-  BlockPool pool;
+  PagePool pool;
   const auto check = [&](const char* step) {
-    const BlockPool::Stats s = pool.stats();
+    const PagePool::Stats s = pool.stats();
     EXPECT_LE(s.live_bytes + s.cached_bytes, s.peak_live_bytes) << step;
   };
-  std::vector<std::pair<std::uint8_t*, std::size_t>> live;
+  std::vector<std::pair<void*, std::size_t>> live;
   const auto take = [&](std::size_t bytes) {
-    live.emplace_back(BlockPoolPeer::take(pool, bytes), bytes);
+    live.emplace_back(pool.take(bytes).data, bytes);
     check("take");
   };
   const auto give_all = [&] {
     for (const auto& [p, bytes] : live) {
-      BlockPoolPeer::give(pool, p, bytes);
+      pool.give(p, bytes, bytes);
       check("give");
     }
     live.clear();
@@ -191,7 +177,7 @@ TEST(BlockPool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   // 192 MiB is more than everything cached: the miss evicts it all, least
   // recently released first, and the peak rises to the new live bytes.
   take(192 * kMiB);
-  BlockPool::Stats s = pool.stats();
+  PagePool::Stats s = pool.stats();
   EXPECT_EQ(s.cached_bytes, 0u);
   EXPECT_EQ(s.evictions, 6u);
   EXPECT_EQ(s.peak_live_bytes, 192 * kMiB);
@@ -222,11 +208,33 @@ TEST(BlockPool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   check("end");
 }
 
-TEST(BlockPool, ConcurrentTakeAndReleaseFromPoolWorkers) {
+TEST(PagePool, HitReturnsTheMostUsedBufferOfItsSize) {
+  // An array's partly used last segment must not go to a taker that fills
+  // it while a full one of the same size is cached (nothing is written, so
+  // no page is faulted in).
+  PagePool pool;
+  const std::size_t size = 4 * kMiB;
+  void* full = pool.take(size).data;
+  void* half = pool.take(size).data;
+  void* empty = pool.take(size).data;
+  void* also_full = pool.take(size).data;
+  pool.give(full, size, size);
+  pool.give(also_full, size, size);
+  pool.give(half, size, size / 2);
+  pool.give(empty, size, 0);
+  EXPECT_EQ(pool.take(size).data, also_full);  // most recent of the full
+  EXPECT_EQ(pool.take(size).data, full);
+  EXPECT_EQ(pool.take(size).data, half);
+  EXPECT_EQ(pool.take(size).data, empty);
+  for (void* p : {full, half, empty, also_full}) pool.give(p, size, 0);
+  EXPECT_EQ(pool.stats().hits, 4u);
+}
+
+TEST(PagePool, ConcurrentTakeAndReleaseFromPoolWorkers) {
   // Pool workers take, write, check, copy and release blocks of a few
   // sizes at once; every block holds only its own bytes, and the pool's
   // books balance afterwards.
-  const BlockPool::Stats before = BlockPool::shared().stats();
+  const PagePool::Stats before = PagePool::shared().stats();
   std::atomic<std::size_t> bad{0};
   rpr::util::ThreadPool::shared().parallel_for(
       64, 1, 1, [&](std::size_t begin, std::size_t end) {
@@ -247,7 +255,7 @@ TEST(BlockPool, ConcurrentTakeAndReleaseFromPoolWorkers) {
         }
       });
   EXPECT_EQ(bad.load(), 0u);
-  const BlockPool::Stats after = BlockPool::shared().stats();
+  const PagePool::Stats after = PagePool::shared().stats();
   EXPECT_EQ(after.live_bytes, before.live_bytes);
   EXPECT_LE(after.live_bytes + after.cached_bytes, after.peak_live_bytes);
 }

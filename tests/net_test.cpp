@@ -62,10 +62,13 @@ TEST(NetSocket, ReadExactDetectsEof) {
 
 TEST(NetMessage, FramedValueRoundTrip) {
   rpr::net::Listener listener;
-  rpr::net::ReceivedValue got;
+  rpr::net::ValueHeader got;
+  std::vector<std::uint8_t> received;
   std::thread server([&] {
     rpr::net::Socket peer = listener.accept();
-    got = rpr::net::recv_value(peer, 1 << 20);
+    got = rpr::net::recv_header(peer, 1 << 20);
+    received.resize(got.payload_len);
+    peer.read_exact(received);
   });
   rpr::net::Socket client = rpr::net::connect_local(listener.port());
   std::vector<std::uint8_t> payload(4096);
@@ -75,7 +78,7 @@ TEST(NetMessage, FramedValueRoundTrip) {
   rpr::net::send_value(client, 42, payload);
   server.join();
   EXPECT_EQ(got.op_id, 42u);
-  EXPECT_EQ(got.payload, payload);
+  EXPECT_EQ(received, payload);
 }
 
 TEST(NetMessage, OversizedPayloadRejected) {
@@ -84,7 +87,7 @@ TEST(NetMessage, OversizedPayloadRejected) {
   std::thread server([&] {
     rpr::net::Socket peer = listener.accept();
     try {
-      (void)rpr::net::recv_value(peer, /*max_payload=*/16);
+      (void)rpr::net::recv_header(peer, /*max_payload=*/16);
     } catch (const std::exception& e) {
       error = e.what();
     }

@@ -220,7 +220,7 @@ TEST(RsCode, ShardedLargeBlockDecodeRoundTrip) {
   }
 }
 
-// evaluate() takes its output uninitialized from rs::BlockPool, whose
+// evaluate() takes its output uninitialized from util::PagePool, whose
 // buffers hold whatever their last user left there: the pooled pass must overwrite every
 // byte. Buffers pre-filled with garbage still evaluate to the reference
 // kernel's result.

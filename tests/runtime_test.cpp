@@ -26,6 +26,7 @@
 #include "repair/planner.h"
 #include "runtime/exec_state.h"
 #include "test_support.h"
+#include "util/pages.h"
 
 using rpr::repair::OpId;
 using rpr::repair::RepairPlan;
@@ -703,9 +704,9 @@ rpr::repair::PlannedRepair views_of_views_plan(
   return hand;
 }
 
-/// Bytes the process-wide block pool has lent out right now.
+/// Bytes the process-wide page pool has lent out right now.
 std::size_t pool_live_bytes() {
-  return rpr::rs::BlockPool::shared().stats().live_bytes;
+  return rpr::util::PagePool::shared().stats().live_bytes;
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/pages.h"
+
 using rpr::simnet::SimNetwork;
 using rpr::topology::Cluster;
 using rpr::topology::NetworkParams;
@@ -295,4 +297,29 @@ TEST(SimNet, TagOutsideThirtyTwoBitsThrows) {
   const auto r = net.run();
   EXPECT_EQ(r.tasks[t].op, std::numeric_limits<std::int32_t>::max());
   EXPECT_EQ(r.tasks[t].slice, -1);
+}
+
+TEST(SimNet, SecondRunOfAPlanTakesEverySegmentFromThePool) {
+  // Enough tasks that the task store's segments reach the pooled sizes.
+  // The first run leaves those segments in the page pool; running the same
+  // plan again takes every one of them back, with no new miss.
+  using rpr::simnet::TaskId;
+  using rpr::util::PagePool;
+  const auto simulate = [] {
+    SimNetwork net(Cluster(2, 4, 0), round_params());
+    std::vector<TaskId> last;
+    for (std::size_t i = 0; i < 100'000; ++i) {
+      const auto from = static_cast<rpr::topology::NodeId>(i % 8);
+      std::vector<TaskId> deps;
+      if (i >= 8) deps.push_back(last[i - 8]);
+      last.push_back(net.add_transfer(from, (from + 3) % 8, kBlock, deps));
+    }
+    return net.run().makespan;
+  };
+  const SimTime first = simulate();
+  const PagePool::Stats before = PagePool::shared().stats();
+  EXPECT_EQ(simulate(), first);
+  const PagePool::Stats after = PagePool::shared().stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_GT(after.hits, before.hits);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/combinatorics.h"
+#include "util/pages.h"
 #include "util/rng.h"
 #include "util/segmented_array.h"
 #include "util/table.h"
@@ -291,12 +292,11 @@ namespace {
 
 using Seg = util::SegmentedArray<std::uint64_t>;
 constexpr std::size_t kB = Seg::kBase;
-/// Elements before the first segment of 4 MiB or more: it comes from
-/// map_pages rather than operator new.
+/// Elements before the first segment of 2 MiB or more: the pool maps its
+/// pages rather than taking them from operator new.
 constexpr std::size_t kFirstMapped = [] {
   std::size_t start = 0;
-  for (std::size_t cap = kB; cap * sizeof(std::uint64_t) <
-                             util::kMappedSegmentBytes;
+  for (std::size_t cap = kB; cap * sizeof(std::uint64_t) < util::kMappedBytes;
        cap *= 2) {
     start += cap;
   }
@@ -376,14 +376,17 @@ TEST(SegmentedArray, CopyAndMoveKeepContents) {
 }
 
 TEST(SegmentedArray, GrowToZeroFills) {
-  // Dirty the allocator's free lists with segments of the same sizes.
+  // Dirty the heap and the pool with segments of the same sizes, mapped
+  // ones included (the last two are 2 and 4 MiB), so the array below grows
+  // on recycled segments and must still read zeros.
+  const std::size_t big = 2 * (util::kMappedBytes / 4);
   {
     util::SegmentedArray<std::uint32_t> dirty;
-    for (std::size_t i = 0; i < 10'000; ++i) dirty.push_back(0xffffffffu);
+    for (std::size_t i = 0; i < big; ++i) dirty.push_back(0xffffffffu);
   }
+  const std::size_t misses = util::PagePool::shared().stats().misses;
   util::SegmentedArray<std::uint32_t> a;
   a.push_back(7);
-  const std::size_t big = 2 * (util::kMappedSegmentBytes / 4);
   std::size_t expected = 1;
   for (const std::size_t n : {std::size_t{3}, std::size_t{1000},
                               std::size_t{5000}, std::size_t{1000}, big}) {
@@ -391,6 +394,8 @@ TEST(SegmentedArray, GrowToZeroFills) {
     expected = std::max(expected, n);  // never shrinks
     ASSERT_EQ(a.size(), expected);
   }
+  EXPECT_EQ(util::PagePool::shared().stats().misses, misses)
+      << "a segment was not recycled";
   EXPECT_EQ(a[0], 7u);
   for (std::size_t i = 1; i < a.size(); ++i) ASSERT_EQ(a[i], 0u) << i;
   a.push_back(9);

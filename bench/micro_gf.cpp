@@ -126,10 +126,11 @@ void BM_MulRegionAddMulti(benchmark::State& state) {
 }
 BENCHMARK(BM_MulRegionAddMulti)->Apply(for_each_supported_tier);
 
-// The storage digest: eight mul_region_add_multi lane passes per 256-byte
-// chunk, so BM_MulRegionAddMulti on the same tier is its ceiling. The
-// 16 MiB row (a store-wave block) is sharded across the shared pool, as
-// storage calls it.
+// The storage digest: every 256-byte chunk folded into eight lanes, by one
+// pass per group of lanes the tier's fold kernel holds in registers (two on
+// gfni and avx512), or by one mul_region_add_multi pass per lane on tiers
+// without one. The 16 MiB row (a store-wave block) is sharded across the
+// shared pool, as storage calls it.
 void BM_Fingerprint(benchmark::State& state) {
   if (!select_tier(state, state.range(1))) return;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -150,6 +151,29 @@ BENCHMARK(BM_Fingerprint)
       }
     })
     ->UseRealTime();
+
+// One serial fold of a 32 KiB tile at a nonzero chunk index: what put does
+// with each tile it has just copied, while it is still in L1.
+void BM_FoldTile(benchmark::State& state) {
+  if (!select_tier(state, state.range(0))) return;
+  constexpr std::size_t kTile = 32 << 10;
+  const auto tile = random_buf(kTile, 32);
+  gf::Fingerprint fp;
+  for (auto _ : state) {
+    gf::fold(fp, tile, 128);
+    benchmark::DoNotOptimize(fp.lanes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTile));
+}
+BENCHMARK(BM_FoldTile)
+    ->ArgName("tier")
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const gf::SimdTier tier : gf::supported_tiers()) {
+        b->Arg(static_cast<std::int64_t>(tier));
+      }
+    });
 
 // The byte-serial digest the fingerprint replaced in storage (still the
 // archive manifest's checksum): one thread, no tiers.

@@ -7,12 +7,14 @@
 //     F_L(x) = Σ_j c_{L,j} · x_j        L = 0..7, over GF(2^8) byte-wise,
 //
 // where c_{L,j} is byte L of splitmix64(K + j) for one fixed 64-bit key K.
-// Each lane is one `mul_region_add_multi` call over a run of chunks, so the
-// fingerprint runs at the region kernels' speed on every tier and gives the
-// same bytes on every tier (the kernels are exact field arithmetic). Long
-// blocks are sharded across the shared thread pool; each shard folds its
-// chunks into private lanes that are XORed together, so the pooled result
-// is the serial one.
+// The fold is one dispatched kernel per run of up to 128 chunks (32 KiB),
+// handed that run's coefficient words: it loads each chunk once per group
+// of lanes it holds in registers (on gfni two groups of four, one affine
+// op per lane and vector), and tiers without such a kernel fold lane by
+// lane through `mul_region_add_multi`'s kernel. Every tier gives the same
+// bytes (the kernels are exact field arithmetic). Long blocks are sharded
+// across the shared thread pool; each shard folds its chunks into private
+// lanes that are XORed together, so the pooled result is the serial one.
 //
 // Properties (homomorphic hashing after Krohn, Freedman & Mazières, IEEE
 // S&P 2004, used here against random faults, not adversaries):
@@ -66,6 +68,13 @@ struct Fingerprint {
 /// across util::ThreadPool::shared() for long blocks.
 [[nodiscard]] Fingerprint fingerprint(std::span<const std::uint8_t> bytes);
 
+/// Copies `src` into `dst` (equal sizes, no overlap) and returns the
+/// fingerprint of the copy, in one pooled pass: each 32 KiB tile is folded
+/// right after it is written, while it is still in L1, so the copy is not
+/// read back from memory. Throws std::invalid_argument if the sizes differ.
+[[nodiscard]] Fingerprint fingerprint_copy(std::span<std::uint8_t> dst,
+                                           std::span<const std::uint8_t> src);
+
 /// Folds one piece of a block into `fp`'s lanes: `bytes` holds chunks
 /// first_chunk, first_chunk + 1, … of the block, and only the block's last
 /// piece may end inside a chunk (that chunk is zero-padded). Serial; it
@@ -80,6 +89,10 @@ void fold(Fingerprint& fp, std::span<const std::uint8_t> bytes,
 namespace ref {
 /// Byte-at-a-time evaluation of the definition above (test oracle).
 [[nodiscard]] Fingerprint fingerprint(std::span<const std::uint8_t> bytes);
+/// The same evaluation of gf::fold (test oracle): a piece whose chunks
+/// start at any index, without the block before it.
+void fold(Fingerprint& fp, std::span<const std::uint8_t> bytes,
+          std::size_t first_chunk);
 }  // namespace ref
 
 }  // namespace rpr::gf

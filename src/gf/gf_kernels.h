@@ -1,10 +1,10 @@
 // Internal kernel interface for the GF region dispatch layer.
 //
-// Each instruction-set tier (scalar, SSSE3, AVX2, NEON) provides one
-// `Kernels` table of raw-pointer region primitives. The public span API in
-// gf_region.h selects a table once at startup (CPUID + the RPR_GF_FORCE
-// override) and forwards through it; nothing outside src/gf includes this
-// header.
+// Each instruction-set tier (scalar, SSSE3, AVX2, NEON, AVX-512, GFNI)
+// provides one `Kernels` table of raw-pointer region primitives and the
+// fingerprint fold. The public span API in gf_region.h selects a table
+// once at startup (CPUID + the RPR_GF_FORCE override) and forwards through
+// it; nothing outside src/gf includes this header.
 //
 // SIMD translation units are compiled with per-file ISA flags
 // (-mssse3 / -mavx2), so they must contain *only* code reached through the
@@ -81,6 +81,16 @@ struct Kernels {
   // to its scalar split-table loop.
   void (*gf16_mul_region_add)(const Gf16SplitTables& t, std::uint8_t* dst,
                               const std::uint8_t* src, std::size_t n);
+
+  // The fingerprint fold (fingerprint.h) over `count` contiguous 256-byte
+  // chunks at `data`, any alignment: for each lane L = 0..7,
+  //   lanes[256L, 256L + 256) ^= sum_i byte_L(coeffs[i]) * chunk_i
+  // with byte_L(w) = (w >> 8L) & 0xFF. Each chunk is loaded once per group
+  // of lanes held in registers, instead of once per lane. Null on tiers
+  // without a one-pass version; fingerprint.cpp then folds lane by lane
+  // through mul_region_multi.
+  void (*fold_chunks)(const std::uint64_t* coeffs, std::size_t count,
+                      const std::uint8_t* data, std::uint8_t* lanes);
 };
 
 /// The table the dispatcher currently routes through (selecting one on the

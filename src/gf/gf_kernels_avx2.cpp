@@ -145,6 +145,63 @@ void mul_region_multi_avx2(const std::uint8_t* coeffs, std::size_t k,
   }
 }
 
+// Fingerprint fold: eight ymm accumulators hold a 64-byte quarter of four
+// lanes, so a pass walks every chunk once for that quarter, taking each
+// vector's nibbles once for the four lanes; eight passes (two lane groups
+// by four quarters) cover the lanes. The fixed-count loops are unrolled so
+// the accumulators stay in registers (GCC at -O2 keeps them in memory).
+void fold_chunks_avx2(const std::uint64_t* coeffs, std::size_t count,
+                      const std::uint8_t* data, std::uint8_t* lanes) {
+  const SplitTable* tables = split_tables();
+  const __m256i mask = _mm256_set1_epi8(0x0F);
+  for (std::size_t g = 0; g < 8; g += 4) {
+    for (std::size_t q = 0; q < 256; q += 64) {
+      std::uint8_t* out = lanes + 256 * g + q;
+      __m256i acc[4][2];
+      #pragma GCC unroll 4
+      for (int l = 0; l < 4; ++l) {
+        #pragma GCC unroll 2
+        for (int v = 0; v < 2; ++v) {
+          acc[l][v] = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(out + 256 * l + 32 * v));
+        }
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::uint8_t* in = data + 256 * i + q;
+        __m256i lo[2], hi[2];
+        #pragma GCC unroll 2
+        for (int v = 0; v < 2; ++v) {
+          const __m256i x =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 32 * v));
+          lo[v] = _mm256_and_si256(x, mask);
+          hi[v] = _mm256_and_si256(_mm256_srli_epi64(x, 4), mask);
+        }
+        const std::uint64_t c = coeffs[i] >> (8 * g);
+        #pragma GCC unroll 4
+        for (int l = 0; l < 4; ++l) {
+          const SplitTable& t = tables[(c >> (8 * l)) & 0xFF];
+          const __m256i tlo = broadcast_table(t.lo);
+          const __m256i thi = broadcast_table(t.hi);
+          #pragma GCC unroll 2
+          for (int v = 0; v < 2; ++v) {
+            acc[l][v] = _mm256_xor_si256(
+                acc[l][v], _mm256_xor_si256(_mm256_shuffle_epi8(tlo, lo[v]),
+                                            _mm256_shuffle_epi8(thi, hi[v])));
+          }
+        }
+      }
+      #pragma GCC unroll 4
+      for (int l = 0; l < 4; ++l) {
+        #pragma GCC unroll 2
+        for (int v = 0; v < 2; ++v) {
+          _mm256_storeu_si256(
+              reinterpret_cast<__m256i*>(out + 256 * l + 32 * v), acc[l][v]);
+        }
+      }
+    }
+  }
+}
+
 void gf16_mul_region_add_avx2(const Gf16SplitTables& t, std::uint8_t* dst,
                               const std::uint8_t* src, std::size_t n) {
   const __m256i t0l = broadcast_table(t.t[0]);
@@ -211,7 +268,7 @@ void gf16_mul_region_add_avx2(const Gf16SplitTables& t, std::uint8_t* dst,
 const Kernels& avx2_kernels() {
   static constexpr Kernels k{
       "avx2",          xor_region_avx2,      mul_region_add_avx2,
-      mul_region_multi_avx2, gf16_mul_region_add_avx2,
+      mul_region_multi_avx2, gf16_mul_region_add_avx2, fold_chunks_avx2,
   };
   return k;
 }

@@ -169,6 +169,59 @@ void mul_region_multi_avx512(const std::uint8_t* coeffs, std::size_t k,
   }
 }
 
+// Fingerprint fold, split-nibble: a pass holds four lanes in 16
+// accumulators and walks every chunk once, taking each vector's nibbles
+// once for the four lanes; two passes cover the eight lanes. The
+// three-way XOR (vpternlogq 0x96) adds both lookups in one op. The
+// fixed-count loops are unrolled so the accumulators stay in registers
+// (GCC at -O2 keeps them in memory).
+void fold_chunks_avx512(const std::uint64_t* coeffs, std::size_t count,
+                        const std::uint8_t* data, std::uint8_t* lanes) {
+  const SplitTable* tables = split_tables();
+  const __m512i mask = _mm512_set1_epi8(0x0F);
+  for (std::size_t g = 0; g < 8; g += 4) {
+    std::uint8_t* out = lanes + 256 * g;
+    __m512i acc[4][4];
+    #pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        acc[l][v] = _mm512_loadu_si512(out + 256 * l + 64 * v);
+      }
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint8_t* chunk = data + 256 * i;
+      __m512i lo[4], hi[4];
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        const __m512i x = _mm512_loadu_si512(chunk + 64 * v);
+        lo[v] = _mm512_and_si512(x, mask);
+        hi[v] = _mm512_and_si512(_mm512_srli_epi64(x, 4), mask);
+      }
+      const std::uint64_t c = coeffs[i] >> (8 * g);
+      #pragma GCC unroll 4
+      for (int l = 0; l < 4; ++l) {
+        const SplitTable& t = tables[(c >> (8 * l)) & 0xFF];
+        const __m512i tlo = broadcast_table(t.lo);
+        const __m512i thi = broadcast_table(t.hi);
+        #pragma GCC unroll 4
+        for (int v = 0; v < 4; ++v) {
+          acc[l][v] = _mm512_ternarylogic_epi64(
+              acc[l][v], _mm512_shuffle_epi8(tlo, lo[v]),
+              _mm512_shuffle_epi8(thi, hi[v]), 0x96);
+        }
+      }
+    }
+    #pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        _mm512_storeu_si512(out + 256 * l + 64 * v, acc[l][v]);
+      }
+    }
+  }
+}
+
 // GF(2^16) byte-planar kernel: straight port of the AVX2 version. vpshufb,
 // vpunpck{l,h} and the deinterleave shuffle all operate per 128-bit lane on
 // zmm exactly as on ymm, and the deinterleave/re-interleave pair is
@@ -338,12 +391,56 @@ void mul_region_multi_gfni(const std::uint8_t* coeffs, std::size_t k,
   }
 }
 
+// Fingerprint fold: a pass holds four lanes in 16 accumulators and walks
+// every chunk once, one affine op per lane and vector; two passes cover the
+// eight lanes, so a chunk is loaded twice instead of eight times. A zero
+// coefficient byte selects the zero matrix, so no lane needs a branch.
+// Unrolled like the avx512 fold above.
+void fold_chunks_gfni(const std::uint64_t* coeffs, std::size_t count,
+                      const std::uint8_t* data, std::uint8_t* lanes) {
+  const std::uint64_t* mats = gfni_matrices();
+  for (std::size_t g = 0; g < 8; g += 4) {
+    std::uint8_t* out = lanes + 256 * g;
+    __m512i acc[4][4];
+    #pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        acc[l][v] = _mm512_loadu_si512(out + 256 * l + 64 * v);
+      }
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint8_t* chunk = data + 256 * i;
+      __m512i x[4];
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) x[v] = _mm512_loadu_si512(chunk + 64 * v);
+      const std::uint64_t c = coeffs[i] >> (8 * g);
+      #pragma GCC unroll 4
+      for (int l = 0; l < 4; ++l) {
+        const __m512i m = _mm512_set1_epi64(
+            static_cast<long long>(mats[(c >> (8 * l)) & 0xFF]));
+        #pragma GCC unroll 4
+        for (int v = 0; v < 4; ++v) {
+          acc[l][v] = _mm512_xor_si512(acc[l][v], gfmul64(x[v], m));
+        }
+      }
+    }
+    #pragma GCC unroll 4
+    for (int l = 0; l < 4; ++l) {
+      #pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        _mm512_storeu_si512(out + 256 * l + 64 * v, acc[l][v]);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const Kernels& avx512_kernels() {
   static constexpr Kernels k{
       "avx512",          xor_region_avx512,      mul_region_add_avx512,
-      mul_region_multi_avx512, gf16_mul_region_add_avx512,
+      mul_region_multi_avx512, gf16_mul_region_add_avx512, fold_chunks_avx512,
   };
   return k;
 }
@@ -354,7 +451,7 @@ const Kernels& gfni_kernels() {
   // vpshufb-on-zmm planar kernel, which any GFNI-capable CPU also supports.
   static constexpr Kernels k{
       "gfni",          xor_region_avx512,      mul_region_add_gfni,
-      mul_region_multi_gfni, gf16_mul_region_add_avx512,
+      mul_region_multi_gfni, gf16_mul_region_add_avx512, fold_chunks_gfni,
   };
   return k;
 }

@@ -154,6 +154,7 @@ const Kernels& neon_kernels() {
   static constexpr Kernels k{
       "neon",          xor_region_neon,      mul_region_add_neon,
       mul_region_multi_neon, gf16_mul_region_add_neon,
+      /*fold_chunks=*/nullptr,
   };
   return k;
 }

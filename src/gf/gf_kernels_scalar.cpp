@@ -85,6 +85,7 @@ const Kernels& scalar_kernels() {
   static constexpr Kernels k{
       "scalar",          xor_region_scalar,      mul_region_add_scalar,
       mul_region_multi_scalar, /*gf16_mul_region_add=*/nullptr,
+      /*fold_chunks=*/nullptr,
   };
   return k;
 }

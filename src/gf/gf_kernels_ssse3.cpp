@@ -196,6 +196,7 @@ const Kernels& ssse3_kernels() {
   static constexpr Kernels k{
       "ssse3",          xor_region_ssse3,      mul_region_add_ssse3,
       mul_region_multi_ssse3, gf16_mul_region_add_ssse3,
+      /*fold_chunks=*/nullptr,
   };
   return k;
 }

@@ -445,11 +445,18 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
   const bool block_lost =
       std::find(lost.begin(), lost.end(), block) != lost.end();
 
+  // A read must never deliver wrong bytes: what it hands the client is
+  // checked against the encode-time digest.
+  gf::Fingerprint delivered;
   if (!block_lost) {
-    // Healthy read: hand back the stored (digest-intact) bytes; the cost
-    // is one block transfer to the reader.
+    // Healthy read: hand back a copy of the stored bytes, fingerprinted
+    // tile by tile as it is written; the cost is one block transfer to the
+    // reader.
     const NodeId src = s.node_of_block[block];
-    report.data = s.blocks[block];
+    const rs::Block& stored = s.blocks[block];
+    report.data = rs::Block::uninitialized(stored.size());
+    count_digested(opts_.probe, stored.size());
+    delivered = gf::fingerprint_copy(report.data, stored);
     repair::RepairPlan plan;
     plan.block_size = opts_.block_size;
     const auto r = plan.read(src, block, 1);
@@ -479,11 +486,9 @@ ReadReport StorageSystem::read_block(StripeId stripe, std::size_t block,
     report.replans = out.replans;
     report.retries = out.retries;
     report.faults_injected = out.faults_injected;
+    delivered = digest(report.data);
   }
-
-  // A read must never deliver wrong bytes: verify against the encode-time
-  // digest before handing the block to the client.
-  if (digest(report.data) != s.digest[block]) {
+  if (delivered != s.digest[block]) {
     throw std::runtime_error("read_block: block " + std::to_string(block) +
                              " failed digest verification");
   }

@@ -33,8 +33,10 @@
 //     is a lookup and corrupt bytes never reach a planner, executor or
 //     decoder;
 //   * every block leaving storage is fingerprinted again before it is
-//     returned: read_block() checks the block it delivers, get() each block
-//     it decodes (intact blocks are copied straight from their slots);
+//     returned: read_block() checks the block it delivers (a healthy read
+//     folds its copy tile by tile as it writes it, gf::fingerprint_copy),
+//     get() each block it decodes (intact blocks are copied straight from
+//     their slots);
 //   * blocks are rs::Blocks on the process-wide util::PagePool's recycled
 //     pages (util/pages.h): put takes all n+k uninitialized, repairs commit
 //     the data executor's outputs, get writes the object into one, and a

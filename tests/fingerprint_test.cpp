@@ -169,6 +169,57 @@ TEST(Fingerprint, TilesFoldedInAnyOrderMatchTheDefinition) {
   }
 }
 
+TEST(Fingerprint, FoldKernelMatchesDefinitionAtEdges) {
+  // The fold kernels at their edges: chunk counts around the 128-chunk
+  // segment, chunk indices far past the first segment, data that starts
+  // off a vector boundary, a piece that ends in a tail, and lanes that
+  // already hold another fold (the kernels accumulate).
+  const TierGuard guard;
+  const auto buf = random_buf(257 * gf::kFingerprintChunk + 63 + 100, 41);
+  const auto dirt = random_buf(gf::Fingerprint{}.lanes.size(), 42);
+  gf::Fingerprint dirty;
+  std::copy(dirt.begin(), dirt.end(), dirty.lanes.begin());
+  for (const std::size_t count : {1u, 127u, 128u, 129u, 255u, 257u}) {
+    for (const std::size_t first : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{127}, (std::size_t{1} << 20) + 3}) {
+      for (const std::size_t offset : {0u, 1u, 31u, 63u}) {
+        for (const std::size_t tail : {0u, 100u}) {
+          const std::span<const std::uint8_t> piece(
+              buf.data() + offset, count * gf::kFingerprintChunk + tail);
+          gf::Fingerprint want = dirty;
+          gf::ref::fold(want, piece, first);
+          if (first == 0) {
+            gf::Fingerprint clean = gf::ref::fingerprint(piece);
+            gf::xor_region(clean.lanes, dirty.lanes);
+            ASSERT_EQ(want.lanes, clean.lanes);
+          }
+          for (const gf::SimdTier tier : gf::supported_tiers()) {
+            ASSERT_TRUE(gf::set_tier(tier));
+            gf::Fingerprint got = dirty;
+            gf::fold(got, piece, first);
+            EXPECT_EQ(got, want)
+                << gf::tier_name(tier) << " count " << count << " first "
+                << first << " offset " << offset << " tail " << tail;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Fingerprint, CopyWritesTheBytesItFingerprints) {
+  for (const std::size_t n : kPoolSizes) {
+    const auto x = random_buf(n, n + 5);
+    std::vector<std::uint8_t> copy(n, 0xA5);
+    EXPECT_EQ(gf::fingerprint_copy(copy, x), gf::ref::fingerprint(x))
+        << "length " << n;
+    EXPECT_EQ(copy, x) << "length " << n;
+  }
+  std::vector<std::uint8_t> short_dst(10);
+  EXPECT_THROW((void)gf::fingerprint_copy(short_dst, random_buf(11, 1)),
+               std::invalid_argument);
+}
+
 TEST(Fingerprint, ParityDigestsFollowFromDataDigests) {
   // fp(P_i) = Σ_j g_ij · fp(D_j): encoding the data blocks' lanes with the
   // code's own matrix gives each parity block's fingerprint.

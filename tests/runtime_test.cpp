@@ -209,16 +209,19 @@ TEST(Testbed, OutputsMoveOutAndARepeatedOneIsCopied) {
 }
 
 TEST(Testbed, RprFasterThanTraditionalWallClock) {
-  // End-to-end wall-time comparison on the throttled links. Blocks are
-  // sized so transfers take milliseconds each, keeping the ordering stable
-  // against sleep-pacing jitter.
+  // End-to-end wall-time comparison on the throttled links, slowed until
+  // transfer time dominates compute by construction: a 256 KiB block
+  // crosses a 1 Gb/s rack link in 2.1 ms, 67 ms at time_scale 1/32. The
+  // traditional repair serializes eight of them into the replacement
+  // (~0.54 s), RPR's pipeline three (~0.21 s). The ~0.33 s gap is over ten
+  // times the whole repair's compute even in a Debug TSan build (~25 ms
+  // more than the paced transfers), so instrumentation and sleep-pacing
+  // jitter cannot reorder the two.
   const rpr::rs::CodeConfig cfg{8, 2};
   const rpr::rs::RSCode code(cfg);
   auto placed = rpr::topology::make_placed_stripe(
       cfg, rpr::topology::PlacementPolicy::kRpr);
-  // 1 MiB blocks at unscaled link speeds: one cross transfer ~8.4 ms,
-  // which dwarfs the (single-core, serialized) compute in this environment.
-  const std::uint64_t block = 1 << 20;
+  const std::uint64_t block = 256 << 10;
   const auto stripe = rpr::testing::random_stripe(code, block, 5);
 
   rpr::repair::RepairProblem problem;
@@ -229,7 +232,7 @@ TEST(Testbed, RprFasterThanTraditionalWallClock) {
   problem.choose_default_replacements();
 
   auto params = fast_params(placed.cluster.racks());
-  params.time_scale = 1.0;
+  params.time_scale = 1.0 / 32;
   auto run = [&](const rpr::repair::Planner& planner) {
     const auto planned = planner.plan(problem);
     Testbed bed(placed.cluster, params);

@@ -191,6 +191,27 @@ TEST(Storage, ReadBlockHealthyAndDegraded) {
   EXPECT_EQ(sys.lost_blocks(id), (std::vector<std::size_t>{0}));
 }
 
+TEST(Storage, HealthyReadOfATailChunkBlockIsVerified) {
+  // 1 MiB + 100 bytes: a healthy read copies and fingerprints the block
+  // over several pool shards, and the last one ends in a tail chunk.
+  StorageOptions o = small_opts();
+  o.block_size = (1 << 20) + 100;
+  StorageSystem sys(o);
+  const auto obj = random_object(o.block_size + 5000, 37);
+  const auto id = sys.put(obj);
+  const auto nodes = sys.stripe_nodes(id);
+  for (const std::size_t b : {0u, 1u}) {
+    const auto read = sys.read_block(id, b, nodes.back());
+    EXPECT_FALSE(read.degraded);
+    EXPECT_TRUE(read.verified);
+    rpr::rs::Block want(o.block_size);  // zero-padded past the object
+    const std::size_t at = b * o.block_size;
+    std::copy_n(obj.data() + at, std::min(o.block_size, obj.size() - at),
+                want.data());
+    EXPECT_EQ(read.data, want) << "block " << b;
+  }
+}
+
 TEST(Storage, ZeroFaultSessionMatchesPlanSimulateAndExecute) {
   // With no chaos schedule, repair() and a degraded read_block() are the
   // zero-fault resilient session: the same rebuilt bytes, traffic, time

@@ -31,7 +31,7 @@ TaskId FluidNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
 TaskId FluidNetwork::add_compute(NodeId at, SimTime duration,
                                  const std::vector<TaskId>& deps,
                                  std::string_view label) {
-  const TaskId id = tasks_.add_compute(cluster_, at, deps, label);
+  const TaskId id = tasks_.add_compute(cluster_, at, duration, deps, label);
   remaining_.push_back(util::to_sec(duration));  // cpu-seconds
   return id;
 }
@@ -292,6 +292,8 @@ RunResult FluidNetwork::run() {
   // Close every sampled series at the makespan (active is empty here).
   sample_uplinks(std::vector<double>(tasks_.size(), 0.0));
   result.makespan = static_cast<SimTime>(now * 1e9);
+  result.store_bytes = tasks_.bytes() + remaining_.size() * sizeof(double) +
+                       unmet.size() * sizeof(std::size_t);
   return std::move(result);
 }
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/contracts.h"
+#include "util/quad_heap.h"
 
 namespace rpr::simnet {
 
@@ -39,20 +40,34 @@ TaskId TaskTable::add(const TaskStats& st, std::span<const TaskId> deps,
       throw std::invalid_argument("TaskTable: dependency on unknown task");
     }
   }
-  if (id >= kNoLink || links_.size() + deps.size() >= kNoLink) {
+  // A run that does not fit where the arena ends pads less than three
+  // times its own length before it (SegmentedArray::append_run).
+  if (id >= kNoLink || links_.size() + deps.size() >= kNoLink ||
+      result_.dep_ids_.size() + 4 * deps.size() >= kNoLink) {
     throw std::length_error("TaskTable: too many tasks");
   }
   TaskStats rec = st;
   rec.label = intern(label);
-  result_.tasks.push_back(rec);
+  rec.dep_begin_ = static_cast<std::uint32_t>(result_.dep_ids_.size());
   result_.dep_ids_.append_run(deps);
-  result_.dep_end_.push_back(result_.dep_ids_.size());
   first_dependent_.push_back(kNoLink);
   for (const TaskId d : deps) {
+    if (d + 1 == id && !rec.after_prev_) {
+      rec.after_prev_ = true;
+      continue;
+    }
     links_.push_back(Link{static_cast<std::uint32_t>(id), first_dependent_[d]});
     first_dependent_[d] = static_cast<std::uint32_t>(links_.size() - 1);
   }
+  result_.tasks.push_back(rec);
   return id;
+}
+
+std::size_t TaskTable::bytes() const noexcept {
+  return result_.tasks.size() * sizeof(TaskStats) +
+         result_.dep_ids_.size() * sizeof(std::uint32_t) +
+         first_dependent_.size() * sizeof(std::uint32_t) +
+         links_.size() * sizeof(Link);
 }
 
 namespace {
@@ -85,7 +100,7 @@ TaskId TaskTable::add_transfer(const topology::Cluster& cluster, NodeId from,
 }
 
 TaskId TaskTable::add_compute(const topology::Cluster& cluster, NodeId at,
-                              std::span<const TaskId> deps,
+                              SimTime duration, std::span<const TaskId> deps,
                               std::string_view label) {
   if (at >= cluster.total_nodes()) {
     throw std::invalid_argument("add_compute: node out of range");
@@ -93,6 +108,7 @@ TaskId TaskTable::add_compute(const topology::Cluster& cluster, NodeId at,
   TaskStats st;
   st.kind = TaskKind::kCompute;
   st.from = st.node = narrow<std::uint32_t>(at, "add_compute");
+  st.finish = duration;
   return add(st, deps, label);
 }
 
@@ -142,17 +158,13 @@ SimNetwork::SimNetwork(topology::Cluster cluster,
 TaskId SimNetwork::add_transfer(NodeId from, NodeId to, std::uint64_t bytes,
                                 const std::vector<TaskId>& deps,
                                 std::string_view label) {
-  const TaskId id = tasks_.add_transfer(cluster_, from, to, bytes, deps, label);
-  compute_time_.push_back(0);
-  return id;
+  return tasks_.add_transfer(cluster_, from, to, bytes, deps, label);
 }
 
 TaskId SimNetwork::add_compute(NodeId at, SimTime duration,
                                const std::vector<TaskId>& deps,
                                std::string_view label) {
-  const TaskId id = tasks_.add_compute(cluster_, at, deps, label);
-  compute_time_.push_back(duration);
-  return id;
+  return tasks_.add_compute(cluster_, at, duration, deps, label);
 }
 
 void SimNetwork::tag_task(TaskId id, std::int64_t op, std::int64_t slice) {
@@ -224,11 +236,12 @@ SimTime SimNetwork::decode_duration(std::uint64_t bytes,
 namespace {
 
 /// A task's place in the start order: earliest ready first, then highest
-/// priority, then submission order.
+/// priority, then submission order. Unique per task, so every correct
+/// priority queue pops the same sequence.
 struct Key {
   SimTime ready;
   int priority;
-  TaskId id;
+  std::uint32_t id;  ///< TaskTable caps ids below 2^32
   [[nodiscard]] bool before(const Key& o) const {
     if (ready != o.ready) return ready < o.ready;
     if (priority != o.priority) return priority > o.priority;
@@ -236,27 +249,15 @@ struct Key {
   }
 };
 
-/// Min-heap on `before` over a plain vector.
-template <typename T>
-class MinHeap {
- public:
-  [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
-  [[nodiscard]] const T& top() const { return v_.front(); }
-  void push(const T& x) {
-    v_.push_back(x);
-    std::push_heap(v_.begin(), v_.end(), after);
+/// Orders the event-queue entries below by their `before`.
+struct Earlier {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    return a.before(b);
   }
-  T pop() {
-    std::pop_heap(v_.begin(), v_.end(), after);
-    T x = v_.back();
-    v_.pop_back();
-    return x;
-  }
-
- private:
-  static bool after(const T& a, const T& b) { return b.before(a); }
-  std::vector<T> v_;
 };
+template <typename T>
+using EventQueue = util::QuadHeap<T, Earlier>;
 
 struct Completion {
   SimTime finish;
@@ -283,13 +284,14 @@ struct Candidate {
 /// credit bucket, which is "busy" until its debt is repaid.
 struct Resource {
   SimTime free_at = 0;
-  MinHeap<Key> waiters;
+  EventQueue<Key> waiters;
   /// One waiter has been handed to the candidate heap and not yet looked
   /// at; the next is woken only after it, and only if still free.
   bool waking = false;
 };
 
-/// A bucket's debt is repaid at `at`: wake its waiters then.
+/// A bucket's debt is repaid at `at`: wake its waiters then. Two entries
+/// can be equal only if they are identical.
 struct Repayment {
   SimTime at;
   std::size_t bucket;
@@ -297,6 +299,10 @@ struct Repayment {
     return at != o.at ? at < o.at : bucket < o.bucket;
   }
 };
+
+/// A task's entry in the engine's state array: its unfinished deps, or
+/// kDone once it has finished.
+constexpr std::uint32_t kDone = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -336,10 +342,10 @@ class SimNetwork::Engine {
       while (!running_.empty() && running_.top().finish == now_) {
         const TaskId id = running_.pop().id;
         ++completed;
-        done_[id] = 1;
+        state_[id] = kDone;
         batch.push_back(id);
         tasks_.for_each_dependent(id, [&](TaskId d) {
-          if (--unmet_[d] == 0) make_ready(d);
+          if (--state_[d] == 0) make_ready(d);
         });
       }
       if (net_.finish_hook_ && !batch.empty()) {
@@ -365,6 +371,8 @@ class SimNetwork::Engine {
     }
     result.makespan = now_;
     result.start_attempts = attempts_;
+    result.store_bytes =
+        tasks_.bytes() + state_.size() * sizeof(std::uint32_t);
 #if RPR_CONTRACTS_ENABLED
     for (const TaskStats& st : result.tasks) {
       RPR_ENSURE(st.finish <= result.makespan,
@@ -404,14 +412,13 @@ class SimNetwork::Engine {
   /// Registers tasks [first, size) — all of them at the start of the run,
   /// or those the finish hook just added — counting only unfinished deps.
   void integrate(std::size_t first) {
-    unmet_.grow_to(tasks_.size());
-    done_.grow_to(tasks_.size());
+    state_.grow_to(tasks_.size());
     for (TaskId id = first; id < tasks_.size(); ++id) {
       std::uint32_t unmet = 0;
-      for (const TaskId d : tasks_.deps(id)) {
-        if (!done_[d]) ++unmet;
+      for (const std::uint32_t d : tasks_.deps(id)) {
+        if (state_[d] != kDone) ++unmet;
       }
-      unmet_[id] = unmet;
+      state_[id] = unmet;
       if (unmet == 0) make_ready(id);
     }
   }
@@ -419,11 +426,11 @@ class SimNetwork::Engine {
   /// The task's dependencies are done: it is ready now, or at its earliest
   /// start if that is later.
   void make_ready(TaskId id) {
-    RPR_INVARIANT(unmet_[id] == 0,
+    RPR_INVARIANT(state_[id] == 0,
                   "a task becomes ready only once all dependencies finished");
     TaskStats& st = tasks_[id];
     st.ready = std::max(now_, st.ready);
-    const Key key{st.ready, st.priority, id};
+    const Key key{st.ready, st.priority, static_cast<std::uint32_t>(id)};
     if (key.ready > now_) {
       timed_.push(key);
     } else {
@@ -489,7 +496,7 @@ class SimNetwork::Engine {
 
     SimTime duration = 0;
     if (st.kind == TaskKind::kCompute) {
-      duration = net_.compute_time_[key.id];
+      duration = st.finish;  // parked there by add_compute
       if (!net_.compute_slowdown_.empty() &&
           net_.compute_slowdown_[st.from] > 1.0) {
         duration = static_cast<SimTime>(static_cast<double>(duration) *
@@ -562,12 +569,12 @@ class SimNetwork::Engine {
   const double share_;  ///< the arbiter's repair share
   SimTime now_ = 0;
   std::size_t attempts_ = 0;
-  util::SegmentedArray<std::uint32_t> unmet_;
-  util::SegmentedArray<char> done_;
-  MinHeap<Completion> running_;
-  MinHeap<Key> timed_;  ///< ready, but not before their ready time
-  MinHeap<Candidate> candidates_;
-  MinHeap<Repayment> repaid_;
+  /// Per task: its unfinished deps, or kDone.
+  util::SegmentedArray<std::uint32_t> state_;
+  EventQueue<Completion> running_;
+  EventQueue<Key> timed_;  ///< ready, but not before their ready time
+  EventQueue<Candidate> candidates_;
+  EventQueue<Repayment> repaid_;
 };
 
 RunResult SimNetwork::run() {

@@ -36,6 +36,14 @@
 // bucket repayment and the earliest ready time still in the future
 // (arrival timers, client reads), so a timed task starts on time even
 // while other ready tasks are blocked.
+//
+// Every event queue (running completions, candidates, timed tasks, bucket
+// repayments and each port's waiters) is one util::QuadHeap, a 4-ary
+// min-heap. Every key carries its own tie-breaker ((ready, priority, id),
+// (finish, id), (at, bucket)), and the only equal keys are identical
+// repayments, so the pop sequence, and with it the schedule, is the one
+// any correct priority queue gives. The engine's per-task state is one
+// array: each task's count of unfinished deps, or a done sentinel.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +98,8 @@ using LabelId = std::uint32_t;
 struct TaskStats {
   util::SimTime ready = 0;   ///< all dependencies finished
   util::SimTime start = 0;   ///< ports acquired
-  util::SimTime finish = 0;  ///< done
+  /// Done. Until a compute starts, its duration is parked here.
+  util::SimTime finish = 0;
   std::uint64_t bytes = 0;
   /// Plan-op / slice identity stamped by the lowering (tag_task); -1 when
   /// the task was submitted directly rather than lowered from a plan.
@@ -105,8 +114,17 @@ struct TaskStats {
   TaskKind kind = TaskKind::kTransfer;
   TrafficClass cls = TrafficClass::kRepair;
   bool cross_rack = false;
+
+ private:
+  friend class TaskTable;
+  friend struct RunResult;
+  /// The task lists task id - 1 among its deps: that dependent edge is
+  /// this bit, not a link (each slice's edge on its predecessor).
+  bool after_prev_ = false;
+  /// Size of the deps arena before this task's run was appended.
+  std::uint32_t dep_begin_ = 0;
 };
-static_assert(sizeof(TaskStats) <= 64, "TaskStats is one cache line");
+static_assert(sizeof(TaskStats) == 64, "TaskStats is one cache line");
 
 struct RunResult {
   util::SimTime makespan = 0;
@@ -127,6 +145,10 @@ struct RunResult {
   /// it became ready, plus once per wake-up by a freed port or a repaid
   /// arbiter bucket. The simulator's cost in proportion to its tasks.
   std::size_t start_attempts = 0;
+  /// Bytes the task store held at the end of the run: records, the deps
+  /// arena, the dependent links and the simulator's own per-task state,
+  /// counted in elements used (labels are not counted).
+  std::size_t store_bytes = 0;
   /// Indexed by TaskId; read it by index, size() or range-for. Storage
   /// that never moves: a fleet run holds millions of tasks, and regrowing
   /// a vector of them would copy every record several times over.
@@ -136,10 +158,15 @@ struct RunResult {
   [[nodiscard]] const std::string& label(TaskId id) const {
     return labels_[tasks[id].label];
   }
-  /// The task ids this task waited on — the causal edges the instrument
-  /// layer turns into trace flow arrows and the critical-path DAG.
-  [[nodiscard]] std::span<const TaskId> deps(TaskId id) const {
-    return dep_ids_.run(id == 0 ? 0 : dep_end_[id - 1], dep_end_[id]);
+  /// The task ids this task waited on, in the order they were given — the
+  /// causal edges the instrument layer turns into trace flow arrows and
+  /// the critical-path DAG. Stored in 32 bits (TaskTable caps ids below
+  /// 2^32).
+  [[nodiscard]] std::span<const std::uint32_t> deps(TaskId id) const {
+    const std::size_t end = id + 1 < tasks.size()
+                                ? tasks[id + 1].dep_begin_
+                                : dep_ids_.size();
+    return dep_ids_.run(tasks[id].dep_begin_, end);
   }
 
  private:
@@ -147,16 +174,18 @@ struct RunResult {
   /// Interned labels; labels_[0] is "".
   std::vector<std::string> labels_{std::string()};
   /// Every task's deps, appended in id order as one contiguous run each;
-  /// dep_end_[i] is dep_ids_.size() just after task i's run.
-  util::SegmentedArray<TaskId> dep_ids_;
-  util::SegmentedArray<std::size_t> dep_end_;
+  /// task i's run begins at tasks[i].dep_begin_ and ends where task i+1's
+  /// begins (or at the arena's end).
+  util::SegmentedArray<std::uint32_t> dep_ids_;
 };
 
 /// The task store both simulators build their RunResult in: one 64-byte
-/// TaskStats per task, every task's deps in one arena, labels interned,
-/// and each task's dependents as a linked list over one link arena
-/// (dependents arrive after the task, even mid-run). Every per-task array
-/// is a util::SegmentedArray: it grows without copying, and once large it
+/// TaskStats per task, every task's deps in one arena of 32-bit ids with
+/// each task's run contiguous, labels interned, and each task's dependents
+/// as a linked list over one link arena (dependents arrive after the task,
+/// even mid-run), except the task just after it, which carries that edge
+/// as a bit in its own record. Every per-task array is a
+/// util::SegmentedArray: it grows without copying, and once large it
 /// faults its pages in 2 MiB at a time.
 class TaskTable {
  public:
@@ -166,9 +195,12 @@ class TaskTable {
   TaskId add_transfer(const topology::Cluster& cluster, topology::NodeId from,
                       topology::NodeId to, std::uint64_t bytes,
                       std::span<const TaskId> deps, std::string_view label);
-  /// Appends a compute at node `at` after `deps` (checked likewise).
+  /// Appends a compute of `duration` at node `at` after `deps` (checked
+  /// likewise). The duration is parked in the record's `finish` until the
+  /// task starts.
   TaskId add_compute(const topology::Cluster& cluster, topology::NodeId at,
-                     std::span<const TaskId> deps, std::string_view label);
+                     util::SimTime duration, std::span<const TaskId> deps,
+                     std::string_view label);
   /// SimNetwork::tag_task: throws std::out_of_range unless `op` and
   /// `slice` fit in TaskStats' 32-bit fields.
   void tag(TaskId id, std::int64_t op, std::int64_t slice);
@@ -181,13 +213,14 @@ class TaskTable {
   [[nodiscard]] TaskStats& operator[](TaskId id) {
     return result_.tasks[id];
   }
-  [[nodiscard]] std::span<const TaskId> deps(TaskId id) const {
+  [[nodiscard]] std::span<const std::uint32_t> deps(TaskId id) const {
     return result_.deps(id);
   }
   /// Calls f(dependent) for every task that lists `id` among its deps, in
   /// no particular order.
   template <typename F>
   void for_each_dependent(TaskId id, F&& f) const {
+    if (id + 1 < size() && result_.tasks[id + 1].after_prev_) f(id + 1);
     for (std::uint32_t l = first_dependent_[id]; l != kNoLink;
          l = links_[l].next) {
       f(TaskId{links_[l].task});
@@ -196,6 +229,8 @@ class TaskTable {
   /// The result under construction; run() fills in the aggregates and
   /// moves it out.
   [[nodiscard]] RunResult& result() noexcept { return result_; }
+  /// Bytes of the records, deps arena and dependent links so far.
+  [[nodiscard]] std::size_t bytes() const noexcept;
 
  private:
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
@@ -320,9 +355,6 @@ class SimNetwork {
   topology::Cluster cluster_;
   topology::NetworkParams params_;
   TaskTable tasks_;
-  /// Compute duration per task (0 for transfers, whose time follows from
-  /// their bytes and the link they cross).
-  util::SegmentedArray<util::SimTime> compute_time_;
   /// Per-node outgoing-transfer slowdown (1.0 = healthy); empty when unused.
   std::vector<double> tx_slowdown_;
   /// Per-node compute slowdown (slow disk feeding decode); empty = unused.

@@ -1,10 +1,12 @@
 #include "util/pages.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <utility>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -87,7 +89,9 @@ PagePool& PagePool::shared() {
 }
 
 PagePool::~PagePool() {
-  for (const Cached& c : lru_) deallocate(c.data, c.bytes);
+  for (const auto& [bytes, cached] : by_size_) {
+    for (const Cached& c : cached) deallocate(c.data, bytes);
+  }
 }
 
 PagePool::Stats PagePool::stats() {
@@ -96,7 +100,7 @@ PagePool::Stats PagePool::stats() {
 }
 
 PagePool::Taken PagePool::take(std::size_t bytes) {
-  std::vector<Cached> evicted;  // freed outside the lock
+  std::vector<std::pair<void*, std::size_t>> evicted;  // freed unlocked
   {
     const std::scoped_lock lock(mu_);
     stats_.live_bytes += bytes;
@@ -104,14 +108,13 @@ PagePool::Taken PagePool::take(std::size_t bytes) {
         std::max(stats_.peak_live_bytes, stats_.live_bytes);
     if (const auto it = by_size_.find(bytes); it != by_size_.end()) {
       // The most used buffer, the most recently released among equals.
-      std::vector<CachedList::iterator>& same = it->second;
+      std::vector<Cached>& same = it->second;
       auto pick = std::prev(same.end());
-      for (auto e = pick; e != same.begin() && (*pick)->used < bytes;) {
+      for (auto e = pick; e != same.begin() && pick->used < bytes;) {
         --e;
-        if ((*e)->used > (*pick)->used) pick = e;
+        if (e->used > pick->used) pick = e;
       }
-      void* data = (*pick)->data;
-      lru_.erase(*pick);
+      void* data = pick->data;
       same.erase(pick);
       if (same.empty()) by_size_.erase(it);
       stats_.cached_bytes -= bytes;
@@ -120,20 +123,38 @@ PagePool::Taken PagePool::take(std::size_t bytes) {
       return {data, false};
     }
     ++stats_.misses;
-    // No cached buffer of this size: make room under the peak, least
-    // recently released first.
-    while (stats_.live_bytes + stats_.cached_bytes > stats_.peak_live_bytes) {
-      const Cached c = lru_.front();
-      const auto it = by_size_.find(c.bytes);
-      it->second.erase(it->second.begin());
-      if (it->second.empty()) by_size_.erase(it);
-      lru_.pop_front();
-      stats_.cached_bytes -= c.bytes;
+    // No cached buffer of this size: make room under the peak. The peak
+    // is at least the live bytes, so what is over is at most what is
+    // cached.
+    const auto over = [&] {
+      const std::size_t total = stats_.live_bytes + stats_.cached_bytes;
+      return total > stats_.peak_live_bytes ? total - stats_.peak_live_bytes
+                                            : 0;
+    };
+    // Drops the least recently released buffer of one size.
+    const auto evict = [&](auto it) {
+      std::vector<Cached>& same = it->second;
+      evicted.emplace_back(same.front().data, it->first);
+      stats_.cached_bytes -= it->first;
       ++stats_.evictions;
-      evicted.push_back(c);
+      same.erase(same.begin());
+      if (same.empty()) by_size_.erase(it);
+    };
+    // First the buffers of its own class, [2^j, 2^(j+1)) around `bytes`.
+    const std::size_t class_lo = std::bit_floor(bytes);
+    for (auto it = by_size_.lower_bound(class_lo);
+         over() > 0 && it != by_size_.end() && it->first / 2 < class_lo;
+         it = by_size_.lower_bound(class_lo)) {
+      evict(it);
+    }
+    // Then the smallest buffer that covers the rest, or the largest.
+    while (over() > 0) {
+      auto it = by_size_.lower_bound(over());
+      if (it == by_size_.end()) it = std::prev(by_size_.end());
+      evict(it);
     }
   }
-  for (const Cached& c : evicted) deallocate(c.data, c.bytes);
+  for (const auto& [data, size] : evicted) deallocate(data, size);
   try {
     return allocate(bytes);
   } catch (...) {
@@ -157,8 +178,7 @@ void PagePool::give(void* data, std::size_t bytes,
 #endif
   poison(data, bytes);
   const std::scoped_lock lock(mu_);
-  lru_.push_back({data, bytes, used});
-  by_size_[bytes].push_back(std::prev(lru_.end()));
+  by_size_[bytes].push_back({data, used});
   stats_.live_bytes -= bytes;
   stats_.cached_bytes += bytes;
 }

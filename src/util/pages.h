@@ -5,12 +5,16 @@
 // hands them back still faulted in.
 //
 // Retention: the pooled live bytes plus the cached bytes never exceed the
-// peak of pooled live bytes; a miss first evicts cached buffers of other
-// sizes, least recently released first, until that holds. A hit returns
-// the buffer of that size whose last user wrote the most (the most
-// recently released among equals), and a cached mapped buffer keeps only
-// the huge pages that user wrote into, so a run that repeats an earlier
-// one gets back the buffers it had (docs/PERFORMANCE.md).
+// peak of pooled live bytes. A miss that would break that evicts by size:
+// first cached buffers of its own class (sizes in the same power-of-two
+// range, the buffers most like the one it needs), then the smallest
+// buffer that covers what is still over, or the largest when none does
+// alone. A small miss thus never frees a large buffer while smaller ones
+// would do. A hit returns the buffer of that size whose last user wrote
+// the most (the most recently released among equals), and a cached mapped
+// buffer keeps only the huge pages that user wrote into, so a run that
+// repeats an earlier one gets back the buffers it had
+// (docs/PERFORMANCE.md).
 //
 // A miss of kMappedBytes or more maps fresh zero-filled pages advised as
 // transparent huge pages; a smaller one comes from operator new. Under
@@ -18,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <list>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -67,14 +70,11 @@ class PagePool {
  private:
   struct Cached {
     void* data;
-    std::size_t bytes;
     std::size_t used;  ///< bytes its last user wrote
   };
-  using CachedList = std::list<Cached>;
-  std::mutex mu_;   // guards the rest
-  CachedList lru_;  ///< least recently released first
-  /// Each size's entries of lru_, least recently released first.
-  std::map<std::size_t, std::vector<CachedList::iterator>> by_size_;
+  std::mutex mu_;  // guards the rest
+  /// The cached buffers of each size, least recently released first.
+  std::map<std::size_t, std::vector<Cached>> by_size_;
   Stats stats_;
 };
 

@@ -127,17 +127,13 @@ class SegmentedArray {
   /// Appends `run` contiguously: when it does not fit in the room left in
   /// the last segment, that room is padded with T{} and the run starts a
   /// later segment. Read it back with run(size before, size after).
-  void append_run(std::span<const T> run) {
-    if (run.empty()) return;
-    for (;;) {
-      if (tail_ == tail_end_) add_segment();
-      const std::size_t end = start(segment_of(size_) + 1);
-      if (end - size_ >= run.size()) break;
-      std::fill(slot(size_), slot(end - 1) + 1, T{});
-      set_size(end);
-    }
-    std::memcpy(static_cast<void*>(tail_), run.data(), run.size_bytes());
-    set_size(size_ + run.size());
+  void append_run(std::span<const T> run) { append(run); }
+  /// The same for a run of another integer type, each element narrowed
+  /// with static_cast: the caller checks that they fit.
+  template <typename U>
+    requires std::is_integral_v<U> && (!std::is_same_v<U, T>)
+  void append_run(std::span<const U> run) {
+    append(run);
   }
 
   /// The elements of the append_run call that took size() from `begin` to
@@ -172,6 +168,25 @@ class SegmentedArray {
   static constexpr std::size_t kPooledBytes = std::size_t{128} << 10;
   static constexpr bool pooled(std::size_t j) noexcept {
     return bytes(j) >= kPooledBytes;
+  }
+
+  template <typename U>
+  void append(std::span<const U> run) {
+    if (run.empty()) return;
+    for (;;) {
+      if (tail_ == tail_end_) add_segment();
+      const std::size_t end = start(segment_of(size_) + 1);
+      if (end - size_ >= run.size()) break;
+      std::fill(slot(size_), slot(end - 1) + 1, T{});
+      set_size(end);
+    }
+    if constexpr (std::is_same_v<U, T>) {
+      std::memcpy(static_cast<void*>(tail_), run.data(), run.size_bytes());
+    } else {
+      std::transform(run.begin(), run.end(), tail_,
+                     [](U u) { return static_cast<T>(u); });
+    }
+    set_size(size_ + run.size());
   }
 
   T* slot(std::size_t i) const noexcept {

@@ -174,8 +174,10 @@ TEST(PagePool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   give_all();
   EXPECT_EQ(pool.stats().peak_live_bytes, 64 * kMiB + 16 * kMiB + 13 + 4097);
 
-  // 192 MiB is more than everything cached: the miss evicts it all, least
-  // recently released first, and the peak rises to the new live bytes.
+  // 192 MiB is more than everything cached: its class (128-256 MiB) holds
+  // nothing, and no one buffer covers the 80 MiB over the new peak, so
+  // the largest go first until one does: 16 MiB + 13, four 16 MiB, then
+  // the 4097-byte buffer. The peak rises to the new live bytes.
   take(192 * kMiB);
   PagePool::Stats s = pool.stats();
   EXPECT_EQ(s.cached_bytes, 0u);
@@ -184,7 +186,8 @@ TEST(PagePool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   give_all();
 
   // Twelve 16 MiB blocks fit under the 192 MiB peak beside nothing else:
-  // the first miss evicts the object buffer, the rest need no eviction.
+  // the first miss evicts the object buffer, the smallest that covers
+  // 16 MiB, and the rest need no eviction.
   for (int i = 0; i < 12; ++i) take(16 * kMiB);
   s = pool.stats();
   EXPECT_EQ(s.evictions, 7u);
@@ -196,16 +199,50 @@ TEST(PagePool, MixedSizesKeepLivePlusCachedUnderPeakLive) {
   s = pool.stats();
   EXPECT_EQ(s.evictions, 7u);
   EXPECT_EQ(s.hits, 12u);
-  // An odd size under the peak: it evicts 16 MiB buffers only while live +
-  // cached would exceed the peak.
+  // Odd sizes under the peak evict only while live + cached would exceed
+  // it: 1 byte is 1 byte over, and a 16 MiB buffer is the smallest cached
+  // one; 16 MiB + 1 is 2 bytes over, and its own class holds the 16 MiB
+  // buffers.
   give_all();
   take(1);
   take(16 * kMiB + 1);
   s = pool.stats();
+  EXPECT_EQ(s.evictions, 9u);
   EXPECT_EQ(s.live_bytes, 16 * kMiB + 2);
   EXPECT_EQ(s.cached_bytes, 10 * 16 * kMiB);
   give_all();
   check("end");
+}
+
+TEST(PagePool, SmallMissLeavesLargeBuffersCached) {
+  // Four 16 MiB blocks released long before four 64 KiB buffers, then a
+  // 100-byte miss one peak's worth over: the least recently released
+  // buffer is a 16 MiB block, but the miss evicts one 64 KiB buffer, the
+  // smallest that covers it. A 96 KiB miss, 32 KiB over, then evicts from
+  // its own class (64-128 KiB): another 64 KiB buffer, not a block.
+  PagePool pool;
+  std::vector<void*> big, small;
+  for (int i = 0; i < 4; ++i) big.push_back(pool.take(16 * kMiB).data);
+  for (int i = 0; i < 4; ++i) small.push_back(pool.take(64 << 10).data);
+  for (void* p : big) pool.give(p, 16 * kMiB, 16 * kMiB);
+  for (void* p : small) pool.give(p, 64 << 10, 64 << 10);
+
+  void* a = pool.take(100).data;
+  PagePool::Stats s = pool.stats();
+  EXPECT_EQ(s.misses, 9u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.cached_bytes, 4 * 16 * kMiB + 3 * (64 << 10));
+  void* b = pool.take(96 << 10).data;
+  s = pool.stats();
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.cached_bytes, 4 * 16 * kMiB + 2 * (64 << 10));
+  EXPECT_LE(s.live_bytes + s.cached_bytes, s.peak_live_bytes);
+  // The blocks are all still there: four hits.
+  for (void*& p : big) p = pool.take(16 * kMiB).data;
+  EXPECT_EQ(pool.stats().hits, 4u);
+  for (void* p : big) pool.give(p, 16 * kMiB, 16 * kMiB);
+  pool.give(a, 100, 100);
+  pool.give(b, 96 << 10, 96 << 10);
 }
 
 TEST(PagePool, HitReturnsTheMostUsedBufferOfItsSize) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -213,7 +214,8 @@ TEST(SimNet, DepsAcrossTheFirstArenaSegmentStayWhole) {
   // segment has one slot left; the next task's five deps do not fit there
   // and must come back whole from the next segment.
   using rpr::simnet::TaskId;
-  constexpr std::size_t kFirst = rpr::util::SegmentedArray<TaskId>::kBase;
+  constexpr std::size_t kFirst =
+      rpr::util::SegmentedArray<std::uint32_t>::kBase;
   SimNetwork net(Cluster(1, 2, 0), round_params());
   const TaskId root = net.add_compute(0, 1, {});
   for (std::size_t i = 0; i + 1 < kFirst; ++i) net.add_compute(0, 1, {root});
@@ -232,6 +234,89 @@ TEST(SimNet, DepsAcrossTheFirstArenaSegmentStayWhole) {
   EXPECT_EQ(std::vector<TaskId>(r.deps(after).begin(), r.deps(after).end()),
             (std::vector<TaskId>{across, root}));
   EXPECT_EQ(r.tasks[across].start, r.tasks[5].finish);
+}
+
+TEST(TaskTable, DepsRoundTripAsThirtyTwoBitIds) {
+  // Every dep shape the lowering makes: none, the task just before (kept
+  // as a record bit, not a link), the one before listed twice, far ones,
+  // and runs that cross the arena's segment boundaries. deps() must give
+  // back each list as given, and for_each_dependent every reverse edge
+  // once per listing.
+  using rpr::simnet::TaskId;
+  rpr::simnet::TaskTable table;
+  const Cluster cluster(2, 2, 0);
+  std::vector<std::vector<TaskId>> given;
+  const auto add = [&](std::vector<TaskId> deps) {
+    const TaskId id =
+        given.size() % 3 == 0
+            ? table.add_compute(cluster, 0, 5, deps, "c")
+            : table.add_transfer(cluster, 0, 3, kBlock, deps, "t");
+    ASSERT_EQ(id, given.size());
+    given.push_back(std::move(deps));
+  };
+  add({});
+  for (TaskId id = 1; id < 3000; ++id) {
+    switch (id % 7) {
+      case 0: add({}); break;
+      case 1: add({id - 1}); break;
+      case 2: add({id / 2, id - 1}); break;
+      case 3: add({id - 1, id - 1, 0}); break;
+      case 4: add({0, id / 3, id - 2}); break;
+      case 5: {
+        std::vector<TaskId> run;
+        for (TaskId back = 1; back <= id && run.size() < 40; back += 3) {
+          run.push_back(id - back);
+        }
+        add(std::move(run));
+        break;
+      }
+      default: add({id - 1, id - 2, id - 1}); break;
+    }
+  }
+  std::vector<std::vector<TaskId>> dependents(given.size());
+  for (TaskId id = 0; id < given.size(); ++id) {
+    for (const TaskId d : given[id]) dependents[d].push_back(id);
+  }
+  for (TaskId id = 0; id < given.size(); ++id) {
+    const auto deps = table.deps(id);
+    ASSERT_EQ(std::vector<TaskId>(deps.begin(), deps.end()), given[id])
+        << "task " << id;
+    std::vector<TaskId> seen;
+    table.for_each_dependent(id, [&](TaskId d) { seen.push_back(d); });
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen, dependents[id]) << "task " << id;
+  }
+  EXPECT_THROW(table.add_compute(cluster, 0, 1, std::vector<TaskId>{5000},
+                                 {}),
+               std::invalid_argument);
+}
+
+TEST(TaskTable, ComputeDurationParkedInFinishGivesItsStartAndFinish) {
+  // A compute's duration waits in `finish` until it starts; then start is
+  // when its dependency and its CPU freed, and finish start + duration
+  // (times a slow-disk factor).
+  rpr::simnet::TaskTable table;
+  const Cluster cluster(1, 2, 0);
+  const auto id = table.add_compute(cluster, 1, 7 * kMs,
+                                    std::vector<rpr::simnet::TaskId>{}, {});
+  EXPECT_EQ(table[id].finish, 7 * kMs);
+  EXPECT_EQ(table[id].start, 0);
+
+  SimNetwork net(Cluster(1, 3, 0), round_params());
+  const auto a = net.add_transfer(0, 1, kBlock, {});
+  const auto c1 = net.add_compute(1, 3 * kMs, {a});
+  const auto c2 = net.add_compute(1, 2 * kMs, {});
+  const auto c3 = net.add_compute(2, 4 * kMs, {a});
+  net.slow_compute(2, 1.5);
+  const auto r = net.run();
+  EXPECT_EQ(r.tasks[c2].start, 0);
+  EXPECT_EQ(r.tasks[c2].finish, 2 * kMs);
+  EXPECT_EQ(r.tasks[c1].ready, 1 * kMs);
+  EXPECT_EQ(r.tasks[c1].start, 2 * kMs);  // the CPU frees after c2
+  EXPECT_EQ(r.tasks[c1].finish, 5 * kMs);
+  EXPECT_EQ(r.tasks[c3].start, 1 * kMs);
+  EXPECT_EQ(r.tasks[c3].finish, 7 * kMs);
+  EXPECT_EQ(r.makespan, 7 * kMs);
 }
 
 TEST(SimNet, CopiedRunResultEqualsTheOriginal) {

@@ -1,6 +1,6 @@
 // Utility-module tests: RNG determinism and distribution sanity, unit
 // types, combination enumeration, table rendering, thread-pool sharding,
-// the segmented array.
+// the segmented array, the 4-ary heap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 #include "util/combinatorics.h"
 #include "util/pages.h"
+#include "util/quad_heap.h"
 #include "util/rng.h"
 #include "util/segmented_array.h"
 #include "util/table.h"
@@ -439,4 +440,64 @@ TEST(SegmentedArray, RunThatWouldCrossASegmentLandsWholeInTheNext) {
   ASSERT_EQ(r.size(), long_run.size());
   EXPECT_TRUE(std::equal(r.begin(), r.end(), long_run.begin()));
   EXPECT_EQ(b[0], 1u);
+}
+
+TEST(QuadHeap, PopsInSortedOrderWithEqualKeysAndDuplicates) {
+  // Entries ordered by key alone; the tag tells equal keys apart, and a
+  // third of the pushes repeat an entry already in the heap (identical
+  // duplicates, like two repayments of one bucket at one instant). Pushes
+  // and pops interleave so the heap grows and shrinks through every depth
+  // up to a few thousand entries; each pop must be a least key, and an
+  // entry that is there.
+  struct Entry {
+    std::uint64_t key;
+    std::uint64_t tag;
+    bool operator<(const Entry& o) const {
+      return key != o.key ? key < o.key : tag < o.tag;
+    }
+  };
+  struct ByKey {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.key < b.key;
+    }
+  };
+  util::Xoshiro256 rng(31);
+  for (const std::uint64_t keys : {std::uint64_t{1}, std::uint64_t{7},
+                                   std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(testing::Message() << keys << " distinct keys");
+    util::QuadHeap<Entry, ByKey> heap;
+    std::multiset<Entry> ref;
+    std::vector<Entry> pushed;
+    std::size_t pops = 0;
+    for (int step = 0; step < 40000; ++step) {
+      const bool grow = (step / 5000) % 2 == 0;
+      if (ref.empty() || rng.below(4) < (grow ? 3u : 1u)) {
+        Entry e{rng.below(keys), rng()};
+        if (!pushed.empty() && rng.below(3) == 0) {
+          e = pushed[rng.below(pushed.size())];
+        }
+        pushed.push_back(e);
+        heap.push(e);
+        ref.insert(e);
+      } else {
+        ASSERT_EQ(heap.top().key, ref.begin()->key);
+        const Entry e = heap.pop();
+        ++pops;
+        ASSERT_EQ(e.key, ref.begin()->key) << "pop " << pops;
+        const auto it = ref.find(e);
+        ASSERT_NE(it, ref.end()) << "popped an entry that was not there";
+        ref.erase(it);
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+    }
+    while (!ref.empty()) {
+      const Entry e = heap.pop();
+      ASSERT_EQ(e.key, ref.begin()->key);
+      const auto it = ref.find(e);
+      ASSERT_NE(it, ref.end());
+      ref.erase(it);
+    }
+    EXPECT_TRUE(heap.empty());
+    EXPECT_GT(pops, 10000u);
+  }
 }
